@@ -25,26 +25,6 @@
 //! the engine bit-identical to the baseline at 1, 2, and 8 threads before
 //! timing is reported.
 //!
-//! A `tableau` series compares the word-parallel row-major tableau
-//! engine ([`stabsim::TableauSim`]) against the frozen bit-at-a-time
-//! column-major baseline ([`stabsim::ReferenceTableauSim`]):
-//! `measure_24q` (collapse measurement sweeps), `rowsum_48q` (repeated
-//! deterministic sweeps that live in the scratch-row rowsum chain), and
-//! the `sampled_6q` workload end-to-end through each engine
-//! (`EvalOptions::tableau_engine` — packed, sparse-gate, and reference),
-//! asserting identical outcome streams / bit-identical tensors before
-//! timing is reported. The reference arm pins the whole Clifford
-//! pipeline to the frozen baseline (bit-at-a-time tableau plus the
-//! per-shot affine sampling loop), so the end-to-end ratio measures the
-//! accumulated optimization win, not just the tableau kernel swap.
-//!
-//! A `gate_apply` series times pure Clifford gate application on
-//! gate-dense circuits at n ∈ {24, 48, 96} — the stage the column-major
-//! [`stabsim::SparseGateTableauSim`] targets with its `O(n/64)`-word
-//! column kernels — reference vs packed vs sparse-gate, with the
-//! post-run measurement streams of all three engines asserted identical
-//! before timing is reported.
-//!
 //! A `runtime_reuse` series runs first (while the process-global runtime
 //! pool is still cold): one batch that pays the worker spawns, then warm
 //! batches on the persistent pool, asserting zero new spawns and
@@ -75,12 +55,9 @@
 use cutkit::{
     correct_tensors, cut_circuit, reference_correct_btreemap, reference_evaluate_btreemap,
     reference_joint_btreemap, synthetic_dense_chain, CutStrategy, EvalMode, EvalOptions,
-    FragmentTensor, MlftOptions, Reconstructor, TableauEngine, TensorOptions,
+    FragmentTensor, MlftOptions, Reconstructor, TensorOptions,
 };
 use qcir::{Bits, Circuit};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use stabsim::{ReferenceTableauSim, SparseGateTableauSim, TableauSim};
 use std::time::Instant;
 use supersim::{ExecParams, RunResult, SuperSim, SuperSimConfig};
 
@@ -237,217 +214,6 @@ fn bench_eval_pool(
          \"speedup_1t\": {speedup_1t:.3}, \"speedup_mt\": {speedup_mt:.3}, \
          \"bit_identical_to_baseline\": true, \"bit_identical_across_threads\": {identical}}}",
         fragments.len(),
-    )
-}
-
-/// A reproducible random Clifford circuit for the tableau microbenches.
-fn random_clifford_circuit(n: usize, gates: usize, seed: u64) -> Circuit {
-    let mut gen = StdRng::seed_from_u64(seed);
-    let mut c = Circuit::new(n);
-    for _ in 0..gates {
-        match gen.random_range(0..6) {
-            0 => {
-                c.h(gen.random_range(0..n));
-            }
-            1 => {
-                c.s(gen.random_range(0..n));
-            }
-            2 => {
-                c.x(gen.random_range(0..n));
-            }
-            _ => {
-                let a = gen.random_range(0..n);
-                let mut b = gen.random_range(0..n);
-                if a == b {
-                    b = (b + 1) % n;
-                }
-                c.cx(a, b);
-            }
-        }
-    }
-    c
-}
-
-/// Rolling hash of a measurement-outcome stream, so equality checks
-/// cover every measured bit without storing them all.
-fn fold_outcome(acc: u64, bit: bool) -> u64 {
-    (acc ^ bit as u64)
-        .rotate_left(5)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Times collapse sampling — clone a prepared `n`-qubit stabilizer state
-/// and measure every qubit, `iters` shots per rep — on the packed engine
-/// against the frozen bit-at-a-time reference, asserting identical
-/// outcome streams for the same seed. State preparation (the gate-bound
-/// part) happens once outside the timed region; the timed loop is the
-/// measurement collapse the row-major transpose targets.
-fn bench_tableau_measure(label: &str, n: usize, iters: usize, reps: usize) -> String {
-    let circuit = random_clifford_circuit(n, 3 * n, 7 + n as u64);
-    let mut rng = StdRng::seed_from_u64(1);
-    let reference_sim = ReferenceTableauSim::run(&circuit, &mut rng).unwrap();
-    let mut rng = StdRng::seed_from_u64(1);
-    let packed_sim = TableauSim::run(&circuit, &mut rng).unwrap();
-    let (reference_ms, reference_fold) = time_best(reps, || {
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut acc = 0u64;
-        for _ in 0..iters {
-            let mut sim = reference_sim.clone();
-            for q in 0..n {
-                acc = fold_outcome(acc, sim.measure(q, &mut rng));
-            }
-        }
-        acc
-    });
-    let (packed_ms, packed_fold) = time_best(reps, || {
-        let mut rng = StdRng::seed_from_u64(4242);
-        let mut acc = 0u64;
-        for _ in 0..iters {
-            let mut sim = packed_sim.clone();
-            for q in 0..n {
-                acc = fold_outcome(acc, sim.measure(q, &mut rng));
-            }
-        }
-        acc
-    });
-    assert_eq!(
-        packed_fold, reference_fold,
-        "{label}: packed engine outcome stream diverged from the reference"
-    );
-    let speedup = reference_ms / packed_ms;
-    println!(
-        "tableau {label} (n={n}, {iters} collapse shots): \
-         reference {reference_ms:.2} ms, packed {packed_ms:.2} ms ({speedup:.2}x)"
-    );
-    format!(
-        "{{\"n\": {n}, \"iters\": {iters}, \
-         \"reference_ms\": {reference_ms:.3}, \"packed_1t_ms\": {packed_ms:.3}, \
-         \"speedup_1t\": {speedup:.3}, \"identical_outcomes\": true}}"
-    )
-}
-
-/// Times pure rowsum chains: collapse a prepared `n`-qubit state once
-/// (untimed), then repeatedly re-measure every qubit — all outcomes
-/// deterministic, so each measurement is exactly one stabilizer-product
-/// accumulation (`n` potential rowsums). Outcome streams are asserted
-/// identical between the engines.
-fn bench_tableau_rowsum(label: &str, n: usize, iters: usize, reps: usize) -> String {
-    let circuit = random_clifford_circuit(n, 3 * n, 7 + n as u64);
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut reference_sim = ReferenceTableauSim::run(&circuit, &mut rng).unwrap();
-    for q in 0..n {
-        reference_sim.measure(q, &mut rng);
-    }
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut packed_sim = TableauSim::run(&circuit, &mut rng).unwrap();
-    for q in 0..n {
-        packed_sim.measure(q, &mut rng);
-    }
-    // Deterministic measurements draw no randomness and do not move the
-    // state, so the timed sweeps need no per-iteration reseeding.
-    let mut rng = StdRng::seed_from_u64(2);
-    let (reference_ms, reference_fold) = time_best(reps, || {
-        let mut acc = 0u64;
-        for _ in 0..iters {
-            for q in 0..n {
-                acc = fold_outcome(acc, reference_sim.measure(q, &mut rng));
-            }
-        }
-        acc
-    });
-    let mut rng = StdRng::seed_from_u64(2);
-    let (packed_ms, packed_fold) = time_best(reps, || {
-        let mut acc = 0u64;
-        for _ in 0..iters {
-            for q in 0..n {
-                acc = fold_outcome(acc, packed_sim.measure(q, &mut rng));
-            }
-        }
-        acc
-    });
-    assert_eq!(
-        packed_fold, reference_fold,
-        "{label}: packed engine outcome stream diverged from the reference"
-    );
-    let speedup = reference_ms / packed_ms;
-    println!(
-        "tableau {label} (n={n}, {iters} deterministic sweeps): \
-         reference {reference_ms:.2} ms, packed {packed_ms:.2} ms ({speedup:.2}x)"
-    );
-    format!(
-        "{{\"n\": {n}, \"iters\": {iters}, \
-         \"reference_ms\": {reference_ms:.3}, \"packed_1t_ms\": {packed_ms:.3}, \
-         \"speedup_1t\": {speedup:.3}, \"identical_outcomes\": true}}"
-    )
-}
-
-/// Times pure Clifford gate application — the stage the column-major
-/// sparse-gate engine targets — on a gate-dense random circuit: each
-/// timed iteration replays the full circuit from `|0…0⟩` (noiseless, so
-/// no RNG draws land in the timed region). The three engines' post-run
-/// measurement streams are folded and asserted identical outside the
-/// timed region.
-fn bench_gate_apply(n: usize, reps: usize) -> String {
-    let gates = 40 * n;
-    let circuit = random_clifford_circuit(n, gates, 21 + n as u64);
-    let iters = (400 / n).max(2);
-    let mut rng = StdRng::seed_from_u64(1);
-    let (reference_ms, _) = time_best(reps, || {
-        for _ in 0..iters {
-            std::hint::black_box(ReferenceTableauSim::run(&circuit, &mut rng).unwrap());
-        }
-    });
-    let (packed_ms, _) = time_best(reps, || {
-        for _ in 0..iters {
-            std::hint::black_box(TableauSim::run(&circuit, &mut rng).unwrap());
-        }
-    });
-    let (sparse_ms, _) = time_best(reps, || {
-        for _ in 0..iters {
-            std::hint::black_box(SparseGateTableauSim::run(&circuit, &mut rng).unwrap());
-        }
-    });
-    // Outcome-stream identity (untimed): measure every qubit of the
-    // prepared state on each engine with the same seed and compare the
-    // folded streams.
-    let fold_all = |mut acc: u64, f: &mut dyn FnMut(usize, &mut StdRng) -> bool| {
-        let mut mrng = StdRng::seed_from_u64(4242);
-        for q in 0..n {
-            acc = fold_outcome(acc, f(q, &mut mrng));
-        }
-        acc
-    };
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut reference_sim = ReferenceTableauSim::run(&circuit, &mut rng).unwrap();
-    let reference_fold = fold_all(0, &mut |q, r| reference_sim.measure(q, r));
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut packed_sim = TableauSim::run(&circuit, &mut rng).unwrap();
-    let packed_fold = fold_all(0, &mut |q, r| packed_sim.measure(q, r));
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut sparse_sim = SparseGateTableauSim::run(&circuit, &mut rng).unwrap();
-    let sparse_fold = fold_all(0, &mut |q, r| sparse_sim.measure(q, r));
-    assert_eq!(
-        packed_fold, reference_fold,
-        "gate_apply n={n}: packed outcome stream diverged from the reference"
-    );
-    assert_eq!(
-        sparse_fold, reference_fold,
-        "gate_apply n={n}: sparse-gate outcome stream diverged from the reference"
-    );
-    let speedup_vs_packed = packed_ms / sparse_ms;
-    let speedup_vs_reference = reference_ms / sparse_ms;
-    println!(
-        "gate_apply (n={n}, {gates} gates x {iters} replays): \
-         reference {reference_ms:.2} ms, packed {packed_ms:.2} ms, \
-         sparse-gate {sparse_ms:.2} ms ({speedup_vs_packed:.2}x vs packed)"
-    );
-    format!(
-        "{{\"n\": {n}, \"gates\": {gates}, \"iters\": {iters}, \
-         \"reference_ms\": {reference_ms:.3}, \"packed_ms\": {packed_ms:.3}, \
-         \"sparse_gate_1t_ms\": {sparse_ms:.3}, \
-         \"speedup_vs_packed\": {speedup_vs_packed:.3}, \
-         \"speedup_vs_reference\": {speedup_vs_reference:.3}, \
-         \"identical_outcomes\": true}}"
     )
 }
 
@@ -739,59 +505,6 @@ fn main() {
         reps,
         cores,
     );
-
-    // --- Tableau engine: packed row-major vs frozen bit-at-a-time ------
-    // Two microbenches (collapse sampling at 24 qubits; all-deterministic
-    // stabilizer-product sweeps at 48 qubits, i.e. pure rowsum chains)
-    // plus the existing sampled_6q workload run end-to-end through each
-    // engine via `EvalOptions::tableau_engine`.
-    let measure_row = bench_tableau_measure("measure_24q", 24, 600, reps);
-    let rowsum_row = bench_tableau_rowsum("rowsum_48q", 48, 300, reps);
-    let (tab_ref_ms, tab_ref_tensors) = time_best(reps, || {
-        let reference_eval = EvalOptions {
-            tableau_engine: TableauEngine::Reference,
-            ..eval.clone()
-        };
-        cutkit::evaluate_fragment_tensors(&cut.fragments, &reference_eval, &opts, &seeds, 1)
-            .unwrap()
-    });
-    let (tab_1t_ms, tab_tensors) = time_best(reps, || {
-        cutkit::evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, 1).unwrap()
-    });
-    let (tab_sparse_ms, tab_sparse_tensors) = time_best(reps, || {
-        let sparse_eval = EvalOptions {
-            tableau_engine: TableauEngine::SparseGate,
-            ..eval.clone()
-        };
-        cutkit::evaluate_fragment_tensors(&cut.fragments, &sparse_eval, &opts, &seeds, 1).unwrap()
-    });
-    assert!(
-        tensors_bit_identical(&tab_tensors, &tab_ref_tensors),
-        "sampled_6q: packed tableau engine diverged from the frozen reference"
-    );
-    assert!(
-        tensors_bit_identical(&tab_sparse_tensors, &tab_ref_tensors),
-        "sampled_6q: sparse-gate tableau engine diverged from the frozen reference"
-    );
-    let tab_speedup = tab_ref_ms / tab_1t_ms;
-    let tab_sparse_speedup = tab_ref_ms / tab_sparse_ms;
-    println!(
-        "tableau sampled_6q end-to-end: reference engine {tab_ref_ms:.2} ms, \
-         packed engine {tab_1t_ms:.2} ms ({tab_speedup:.2}x), \
-         sparse-gate engine {tab_sparse_ms:.2} ms ({tab_sparse_speedup:.2}x)"
-    );
-    let tableau_sampled_row = format!(
-        "{{\"reference_ms\": {tab_ref_ms:.3}, \"packed_1t_ms\": {tab_1t_ms:.3}, \
-         \"speedup_1t\": {tab_speedup:.3}, \
-         \"sparse_gate_1t_ms\": {tab_sparse_ms:.3}, \
-         \"sparse_speedup_1t\": {tab_sparse_speedup:.3}, \
-         \"bit_identical_to_reference\": true}}"
-    );
-
-    // --- Gate application: reference vs packed vs sparse-gate ----------
-    let gate_apply_24 = bench_gate_apply(24, reps);
-    let gate_apply_48 = bench_gate_apply(48, reps);
-    let gate_apply_96 = bench_gate_apply(96, reps);
 
     // --- MLFT correction: interned in-place path vs BTreeMap baseline -
     // Raw (unsnapped) sampled tensors with a tight negativity tolerance,
@@ -1277,7 +990,7 @@ fn main() {
 
     // --- JSON report ---------------------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 9,\n  \
+        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 10,\n  \
          \"threads_available\": {cores},\n  \"reps\": {reps},\n  \
          \"runtime_reuse\": {runtime_reuse_row},\n  \
          \"plan_cache\": {plan_cache_row},\n  \
@@ -1285,12 +998,6 @@ fn main() {
          \"joint_reconstruction\": [\n{}\n  ],\n  \
          \"fragment_eval\": {{\n    \"sampled_6q\": {sampled_row},\n    \
          \"wide_exact\": {wide_row}\n  }},\n  \
-         \"tableau\": {{\n    \"measure_24q\": {measure_row},\n    \
-         \"rowsum_48q\": {rowsum_row},\n    \
-         \"sampled_6q\": {tableau_sampled_row}\n  }},\n  \
-         \"gate_apply\": {{\n    \"n24\": {gate_apply_24},\n    \
-         \"n48\": {gate_apply_48},\n    \
-         \"n96\": {gate_apply_96}\n  }},\n  \
          \"batch_sweep\": {batch_sweep_row},\n  \
          \"truncated_sweep\": {truncated_sweep_row},\n  \
          \"supervised_batch\": {supervised_row},\n  \

@@ -169,7 +169,7 @@ pub use pipeline::{
 pub use runtime::PoolStats;
 
 // Re-export the pieces users need to configure the pipeline.
-pub use cutkit::{CutPoint, CutStrategy, EvalMode, SweepStats, TableauEngine};
+pub use cutkit::{CutPoint, CutStrategy, EvalMode, SweepStats};
 
 // Re-export the supervision primitives batch callers configure
 // ([`SuperSimConfig::cancel`], [`SuperSimConfig::faults`]).

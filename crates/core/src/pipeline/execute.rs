@@ -490,7 +490,6 @@ pub(crate) fn eval_options(
         },
         exact_clifford: config.exact_clifford,
         exact_support_limit: config.exact_support_limit,
-        tableau_engine: config.tableau_engine,
         supervisor,
     }
 }

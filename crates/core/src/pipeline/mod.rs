@@ -71,7 +71,7 @@ pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 
 use cache::PlanCache;
 
-use cutkit::{CutBudgetError, CutStrategy, EvalError, MlftError, TableauEngine};
+use cutkit::{CutBudgetError, CutStrategy, EvalError, MlftError};
 use faultkit::{CancelToken, Fault, FaultPlan, Interrupt, Stage, Supervisor};
 use qcir::Circuit;
 use std::fmt;
@@ -130,16 +130,6 @@ pub struct SuperSimConfig {
     /// Largest affine-support dimension enumerated in exact Clifford
     /// evaluation.
     pub exact_support_limit: usize,
-    /// Stabilizer engine for noiseless Clifford fragments
-    /// ([`TableauEngine::Packed`] is the word-parallel row-major default;
-    /// [`TableauEngine::SparseGate`] is the column-major engine with
-    /// `O(n/64)`-word gates, fastest on gate-dense fragments;
-    /// [`TableauEngine::Reference`] is the frozen bit-at-a-time baseline).
-    /// All three are bit-identical in outcomes and RNG consumption, so
-    /// this is purely a performance knob. The default honours the
-    /// `SUPERSIM_TABLEAU_ENGINE` environment variable (`packed` /
-    /// `sparse-gate` / `reference`) — the CI engine axis.
-    pub tableau_engine: TableauEngine,
     /// Per-job wall-clock deadline: a job (one circuit of a batch, one
     /// sweep point, or one [`SuperSim::run`]) that exceeds it fails with
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
@@ -191,7 +181,6 @@ impl Default for SuperSimConfig {
             seed: 0,
             joint_support_limit: 2_000_000,
             exact_support_limit: 16,
-            tableau_engine: TableauEngine::default(),
             job_deadline: None,
             cancel: None,
             batch_deadline: None,
@@ -362,12 +351,6 @@ impl SuperSimConfigBuilder {
     /// Largest affine-support dimension in exact Clifford evaluation.
     pub fn exact_support_limit(mut self, limit: usize) -> Self {
         self.config.exact_support_limit = limit;
-        self
-    }
-
-    /// Stabilizer engine for noiseless Clifford fragments.
-    pub fn tableau_engine(mut self, engine: TableauEngine) -> Self {
-        self.config.tableau_engine = engine;
         self
     }
 

@@ -24,67 +24,6 @@ pub enum EvalMode {
     },
 }
 
-/// Which stabilizer engine evaluates noiseless Clifford fragments.
-///
-/// All engines are bit-identical in outcomes and seeded-RNG consumption
-/// (asserted by the `tableau_engine_parity` suite and the `tableau` /
-/// `gate_apply` bench series), so the choice is purely a performance knob;
-/// the reference exists so that guarantee stays testable end-to-end
-/// through the fragment-tensor pipeline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TableauEngine {
-    /// The word-parallel row-major bit-plane engine
-    /// ([`stabsim::TableauSim`]) — the production default, strongest on
-    /// measurement/support-heavy fragments.
-    Packed,
-    /// The column-major (inverse-orientation) engine
-    /// ([`stabsim::SparseGateTableauSim`]): `O(n/64)`-word gates with a
-    /// lazy row transpose at measurement — strongest on gate-dense
-    /// fragments.
-    SparseGate,
-    /// The frozen baseline pipeline: the bit-at-a-time tableau
-    /// ([`stabsim::ReferenceTableauSim`]) *and* the pre-optimization
-    /// per-shot affine sampling loop
-    /// ([`stabsim::AffineSupport::sample_counts_scratch_frozen`]). Kept
-    /// for parity tests and so end-to-end speedup measurements compare
-    /// against the real pre-optimization Clifford evaluation cost.
-    Reference,
-}
-
-impl TableauEngine {
-    /// Parses an engine name as accepted by the `SUPERSIM_TABLEAU_ENGINE`
-    /// environment variable (case-insensitive; `-`/`_` interchangeable).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().replace('-', "_").as_str() {
-            "packed" => Some(TableauEngine::Packed),
-            "sparse_gate" | "sparsegate" | "sparse" => Some(TableauEngine::SparseGate),
-            "reference" => Some(TableauEngine::Reference),
-            _ => None,
-        }
-    }
-}
-
-impl Default for TableauEngine {
-    /// [`TableauEngine::Packed`] unless the `SUPERSIM_TABLEAU_ENGINE`
-    /// environment variable selects another engine (`packed` /
-    /// `sparse-gate` / `reference`) — the hook the CI engine axis uses to
-    /// re-run the whole test suite per engine. Read once per process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized engine name: a misspelled axis value must
-    /// not silently re-test the default engine.
-    fn default() -> Self {
-        static FROM_ENV: std::sync::OnceLock<TableauEngine> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("SUPERSIM_TABLEAU_ENGINE") {
-            Ok(name) => TableauEngine::from_name(&name).unwrap_or_else(|| {
-                panic!("SUPERSIM_TABLEAU_ENGINE={name:?} is not a tableau engine (expected packed | sparse-gate | reference)")
-            }),
-            Err(_) => TableauEngine::Packed,
-        })
-    }
-}
-
 /// Options controlling fragment evaluation.
 #[derive(Clone, Debug)]
 pub struct EvalOptions {
@@ -98,8 +37,6 @@ pub struct EvalOptions {
     /// Largest affine-support dimension enumerated exactly (`2^dim`
     /// outcomes).
     pub exact_support_limit: usize,
-    /// Tableau engine for noiseless Clifford fragments.
-    pub tableau_engine: TableauEngine,
     /// Supervision context, consulted once per evaluation chunk
     /// ([`crate::evaluate_planned_chunk`]): cooperative cancellation and
     /// deadlines surface as [`EvalError::Interrupted`], scheduled fault
@@ -115,7 +52,6 @@ impl Default for EvalOptions {
             mode: EvalMode::Sampled { shots: 5000 },
             exact_clifford: false,
             exact_support_limit: 16,
-            tableau_engine: TableauEngine::default(),
             supervisor: Supervisor::new(),
         }
     }
@@ -136,6 +72,9 @@ pub enum EvalError {
     },
     /// Exact mode cannot evaluate noisy fragments.
     NoiseInExactMode,
+    /// A fragment flagged [`Fragment::is_clifford`] holds a non-Clifford
+    /// gate, so the stabilizer simulator refused it.
+    NonClifford(stabsim::NonCliffordError),
     /// A supervision checkpoint stopped the evaluation (cooperative
     /// cancellation or a deadline — see [`EvalOptions::supervisor`]).
     Interrupted(Interrupt),
@@ -160,6 +99,7 @@ impl fmt::Display for EvalError {
             EvalError::NoiseInExactMode => {
                 write!(f, "noise channels cannot be evaluated in exact mode")
             }
+            EvalError::NonClifford(e) => write!(f, "fragment flagged Clifford: {e}"),
             EvalError::Interrupted(i) => write!(f, "evaluation interrupted: {i}"),
             EvalError::Injected(site) => write!(f, "injected evaluation fault at {site}"),
         }
@@ -205,7 +145,8 @@ impl Default for EvalScratch {
 /// # Errors
 ///
 /// Returns [`EvalError`] when the backend cannot evaluate the variant (too
-/// wide, support too large to enumerate, or noise in exact mode).
+/// wide, support too large to enumerate, noise in exact mode, or a
+/// non-Clifford gate in a fragment flagged Clifford).
 pub fn evaluate_variant(
     fragment: &Fragment,
     variant: &Variant,
@@ -233,7 +174,8 @@ pub fn evaluate_variant(
 /// # Errors
 ///
 /// Returns [`EvalError`] when the backend cannot evaluate the variant (too
-/// wide, support too large to enumerate, or noise in exact mode).
+/// wide, support too large to enumerate, noise in exact mode, or a
+/// non-Clifford gate in a fragment flagged Clifford).
 pub fn evaluate_variant_into(
     fragment: &Fragment,
     variant: &Variant,
@@ -247,56 +189,44 @@ pub fn evaluate_variant_into(
     let clifford = fragment.is_clifford; // prep/rotation ops are Clifford
     let noisy = circuit.has_noise();
 
-    let exact = match options.mode {
-        EvalMode::Exact => true,
-        EvalMode::Sampled { .. } => options.exact_clifford && clifford && !noisy,
-    };
-
     if clifford {
-        if exact {
-            if noisy {
+        if noisy {
+            let EvalMode::Sampled { shots } = options.mode else {
                 return Err(EvalError::NoiseInExactMode);
-            }
-            let support = clifford_support(&circuit, options.tableau_engine, rng);
-            let dim = support.dim();
-            if dim <= options.exact_support_limit {
-                let p = 1.0 / (1u64 << dim) as f64;
-                out.extend(support.enumerate().into_iter().map(|b| (b, p)));
-                return Ok(());
-            }
-            // Too large to enumerate: a hard error in exact mode, a
-            // graceful fall-through to sampling when the zero-shot
-            // optimization was merely opportunistic.
-            if let EvalMode::Sampled { shots } = options.mode {
-                scratch.counts.clear();
-                sample_support_counts(&support, options.tableau_engine, shots, rng, scratch);
-                counts_to_frequencies_into(&scratch.counts, shots, out);
-                return Ok(());
-            }
-            Err(EvalError::SupportTooLarge {
+            };
+            let samples =
+                stabsim::FrameSim::sample(&circuit, shots, rng).map_err(EvalError::NonClifford)?;
+            count_samples_into(&samples, scratch, out);
+            return Ok(());
+        }
+        let support = stabsim::TableauSim::run(&circuit, rng)
+            .map_err(EvalError::NonClifford)?
+            .support();
+        let dim = support.dim();
+        // Exact mode enumerates the support; so does sampled mode when the
+        // zero-shot optimization (`exact_clifford`) is on and it fits.
+        let enumerate = options.mode == EvalMode::Exact || options.exact_clifford;
+        if enumerate && dim <= options.exact_support_limit {
+            let p = 1.0 / (1u64 << dim) as f64;
+            out.extend(support.enumerate().into_iter().map(|b| (b, p)));
+            return Ok(());
+        }
+        // A support too large to enumerate is a hard error in exact mode;
+        // the merely opportunistic zero-shot path falls through to
+        // sampling.
+        let EvalMode::Sampled { shots } = options.mode else {
+            return Err(EvalError::SupportTooLarge {
                 dim,
                 limit: options.exact_support_limit,
-            })
-        } else {
-            let shots = match options.mode {
-                EvalMode::Sampled { shots } => shots,
-                EvalMode::Exact => unreachable!("exact handled above"),
-            };
-            if noisy {
-                let samples = stabsim::FrameSim::sample(&circuit, shots, rng)
-                    .expect("clifford fragment must run on the frame simulator");
-                count_samples_into(&samples, scratch, out);
-            } else {
-                // Bulk sampling through the counting path reuses the
-                // worker's tally table and scratch row instead of
-                // allocating per variant (let alone per shot).
-                scratch.counts.clear();
-                let support = clifford_support(&circuit, options.tableau_engine, rng);
-                sample_support_counts(&support, options.tableau_engine, shots, rng, scratch);
-                counts_to_frequencies_into(&scratch.counts, shots, out);
-            }
-            Ok(())
-        }
+            });
+        };
+        // Bulk sampling through the counting path reuses the worker's
+        // tally table and scratch row instead of allocating per variant
+        // (let alone per shot).
+        scratch.counts.clear();
+        support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row);
+        counts_to_frequencies_into(&scratch.counts, shots, out);
+        Ok(())
     } else {
         if circuit.num_qubits() > svsim::MAX_QUBITS {
             return Err(EvalError::FragmentTooWide(circuit.num_qubits()));
@@ -337,52 +267,6 @@ pub fn evaluate_variant_into(
                 }
                 Ok(())
             }
-        }
-    }
-}
-
-/// Runs a noiseless Clifford circuit on the selected tableau engine and
-/// extracts its affine support. All engines consume `rng` identically
-/// and produce the same support (same base, same direction order), so the
-/// choice never perturbs downstream sampling streams.
-fn clifford_support(
-    circuit: &qcir::Circuit,
-    engine: TableauEngine,
-    rng: &mut impl Rng,
-) -> stabsim::AffineSupport {
-    match engine {
-        TableauEngine::Packed => stabsim::TableauSim::run(circuit, rng)
-            .expect("clifford fragment must run on the tableau")
-            .support(),
-        TableauEngine::SparseGate => stabsim::SparseGateTableauSim::run(circuit, rng)
-            .expect("clifford fragment must run on the tableau")
-            .support(),
-        TableauEngine::Reference => stabsim::ReferenceTableauSim::run(circuit, rng)
-            .expect("clifford fragment must run on the tableau")
-            .support(),
-    }
-}
-
-/// Tallies `shots` draws from an affine support through the path matching
-/// the selected engine. `Reference` pins the whole Clifford pipeline to
-/// the frozen baseline — the per-shot direction-XOR loop — while the
-/// optimized engines take the table fast path. Both consume the RNG
-/// identically and produce the same tally, so the engine choice never
-/// perturbs outcome streams; it only decides whether end-to-end timings
-/// measure the frozen or the optimized sampling cost.
-fn sample_support_counts(
-    support: &stabsim::AffineSupport,
-    engine: TableauEngine,
-    shots: usize,
-    rng: &mut impl Rng,
-    scratch: &mut EvalScratch,
-) {
-    match engine {
-        TableauEngine::Reference => {
-            support.sample_counts_scratch_frozen(shots, rng, &mut scratch.counts, &mut scratch.row)
-        }
-        TableauEngine::Packed | TableauEngine::SparseGate => {
-            support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row)
         }
     }
 }
@@ -535,6 +419,49 @@ mod tests {
                 (inv - inv.round()).abs() < 1e-9,
                 "non-dyadic probability {p}"
             );
+        }
+    }
+
+    /// A hand-built fragment flagged Clifford that holds a `T`: both
+    /// stabilizer call sites (tableau, and the frame simulator when noisy)
+    /// return the typed error instead of panicking.
+    #[test]
+    fn mislabeled_clifford_fragment_is_a_typed_error() {
+        let mislabeled = |noisy: bool| {
+            let mut circuit = Circuit::new(1);
+            circuit.h(0);
+            if noisy {
+                circuit.add_noise(qcir::NoiseChannel::BitFlip(0.1), &[0]);
+            }
+            circuit.t(0);
+            Fragment {
+                circuit,
+                circuit_inputs: vec![0],
+                quantum_inputs: vec![],
+                circuit_outputs: vec![(0, 0)],
+                quantum_outputs: vec![],
+                is_clifford: true,
+            }
+        };
+        let sampled = EvalOptions {
+            mode: EvalMode::Sampled { shots: 10 },
+            ..Default::default()
+        };
+        let exact = EvalOptions {
+            mode: EvalMode::Exact,
+            ..Default::default()
+        };
+        for (fragment, opts) in [
+            (mislabeled(false), &sampled),
+            (mislabeled(false), &exact),
+            (mislabeled(true), &sampled),
+        ] {
+            let variants = enumerate_variants(&fragment);
+            assert_eq!(variants.len(), 1);
+            match evaluate_variant(&fragment, &variants[0], opts, &mut rng()) {
+                Err(EvalError::NonClifford(e)) => assert_eq!(e.name, "T"),
+                other => panic!("expected NonClifford, got {other:?}"),
+            }
         }
     }
 

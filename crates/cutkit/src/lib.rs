@@ -44,7 +44,6 @@ mod variants;
 pub use cut::{cut_circuit, CutBudgetError, CutCircuit, CutPoint, CutStrategy, Fragment};
 pub use evaluate::{
     evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
-    TableauEngine,
 };
 #[doc(hidden)]
 pub use mlft::reference_correct_btreemap;

@@ -1439,6 +1439,52 @@ mod tests {
         }
     }
 
+    /// `Fragment` is a `pub` struct, so its `is_clifford` flag can lie. A
+    /// flagged fragment that holds a `T` is a typed error on the pool —
+    /// the same one at 1 and 2 threads, not a panicked worker — and the
+    /// pool evaluates honest fragments afterwards.
+    #[test]
+    fn mislabeled_clifford_fragment_is_a_typed_error_on_the_pool() {
+        let mut c = Circuit::new(6);
+        c.h(0);
+        for q in 1..6 {
+            c.cx(q - 1, q);
+        }
+        for q in [1usize, 3, 5] {
+            c.t(q);
+        }
+        for q in 0..6 {
+            c.h(q);
+        }
+        let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
+        let mut mislabeled = cut.fragments.clone();
+        let victim = mislabeled.iter().rposition(|f| !f.is_clifford).unwrap();
+        mislabeled[victim].is_clifford = true;
+        let plans: Vec<FragmentEvalPlan> = mislabeled.iter().map(FragmentEvalPlan::new).collect();
+        assert!(planned_num_chunks(&plans) >= 2, "need work for two workers");
+
+        let eval = EvalOptions {
+            mode: EvalMode::Sampled { shots: 50 },
+            ..Default::default()
+        };
+        let opts = TensorOptions::default();
+        let seeds: Vec<u64> = (0..mislabeled.len() as u64).map(|i| 900 + i).collect();
+        let errors = [1usize, 2].map(|threads| {
+            match evaluate_fragment_tensors(&mislabeled, &eval, &opts, &seeds, threads) {
+                Err(EvalError::NonClifford(e)) => e,
+                other => panic!("{threads} threads: expected NonClifford, got {other:?}"),
+            }
+        });
+        assert_eq!(errors[0], errors[1]);
+        assert_eq!(errors[0].name, "T");
+
+        let seq = evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, 1).unwrap();
+        let par = evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, 2).unwrap();
+        for (fi, (s, p)) in seq.iter().zip(&par).enumerate() {
+            assert_tensors_bit_identical(s, p, &format!("fragment {fi} after the error"));
+        }
+    }
+
     /// The interned evaluation engine is bit-identical — same support,
     /// same emission order, same float bits — to the frozen `BTreeMap`
     /// reference path, at 1, 2, and 8 threads, in sampled and exact mode.

@@ -25,7 +25,6 @@
 //! assert_eq!(c.t_count(), 1);
 //! assert!(!c.is_clifford());
 //! ```
-#![cfg_attr(supersim_nightly_simd, feature(portable_simd))]
 
 mod bits;
 mod circuit;

@@ -3,21 +3,14 @@
 //! Every hot word loop in the workspace — the [`Bits`](crate::Bits)
 //! row kernels, the fused Pauli phase accumulator
 //! ([`pauli_mul_phase_words`](crate::pauli_mul_phase_words)), and the
-//! tableau engines' bit-plane gate/measurement sweeps — processes flat
+//! tableau engine's bit-plane gate/measurement sweeps — processes flat
 //! `u64` slices. This module gives them one explicit 4-lane block type,
 //! [`W4`], plus slice kernels built on it, so the straight-line block
 //! bodies vectorize to 256-bit ops wherever the target has them.
 //!
-//! Two backends share the `W4` API:
-//!
-//! * the default **portable** backend — a `[u64; 4]` wrapper whose
-//!   operators are plain lane-wise word arithmetic. It builds on the
-//!   stable (offline) toolchain and optimizing backends lower the
-//!   4-lane bodies to vector instructions;
-//! * a **nightly** backend over `core::simd::u64x4`, enabled with
-//!   `RUSTFLAGS="--cfg supersim_nightly_simd"` on a nightly toolchain
-//!   (the cfg is declared in the workspace `check-cfg` list). Semantics
-//!   are identical; only the codegen route differs.
+//! `W4` is a `[u64; 4]` wrapper whose operators are plain lane-wise word
+//! arithmetic. It builds on the stable (offline) toolchain, and
+//! optimizing backends lower the 4-lane bodies to vector instructions.
 //!
 //! The slice kernels treat length-mismatched inputs as caller bugs
 //! (asserted), process the aligned 4-word blocks with `W4`, and finish
@@ -27,207 +20,113 @@
 /// Lanes per block: the kernels consume `u64` slices in strides of 4.
 pub const LANES: usize = 4;
 
-#[cfg(not(supersim_nightly_simd))]
-mod backend {
-    /// A 4-lane `u64` block with lane-wise bit operators.
+/// A 4-lane `u64` block with lane-wise bit operators: a plain `[u64; 4]`
+/// with unrolled operators.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(align(32))]
+pub struct W4(pub [u64; 4]);
+
+impl W4 {
+    /// The all-zero block.
+    pub const ZERO: W4 = W4([0; 4]);
+
+    /// Broadcasts one word into every lane.
+    #[inline(always)]
+    pub fn splat(w: u64) -> W4 {
+        W4([w; 4])
+    }
+
+    /// Loads the first 4 words of `s`.
     ///
-    /// Portable backend: a plain `[u64; 4]` with unrolled operators.
-    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-    #[repr(align(32))]
-    pub struct W4(pub [u64; 4]);
-
-    impl W4 {
-        /// The all-zero block.
-        pub const ZERO: W4 = W4([0; 4]);
-
-        /// Broadcasts one word into every lane.
-        #[inline(always)]
-        pub fn splat(w: u64) -> W4 {
-            W4([w; 4])
-        }
-
-        /// Loads the first 4 words of `s`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `s` holds fewer than 4 words.
-        #[inline(always)]
-        pub fn load(s: &[u64]) -> W4 {
-            W4([s[0], s[1], s[2], s[3]])
-        }
-
-        /// Stores the block into the first 4 words of `s`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `s` holds fewer than 4 words.
-        #[inline(always)]
-        pub fn store(self, s: &mut [u64]) {
-            s[0] = self.0[0];
-            s[1] = self.0[1];
-            s[2] = self.0[2];
-            s[3] = self.0[3];
-        }
-
-        /// Sum of per-lane popcounts.
-        #[inline(always)]
-        pub fn count_ones(self) -> u32 {
-            self.0[0].count_ones()
-                + self.0[1].count_ones()
-                + self.0[2].count_ones()
-                + self.0[3].count_ones()
-        }
-
-        /// XOR-fold of the lanes into one word (parity-preserving).
-        #[inline(always)]
-        pub fn xor_lanes(self) -> u64 {
-            self.0[0] ^ self.0[1] ^ self.0[2] ^ self.0[3]
-        }
-
-        /// OR-fold of the lanes into one word (zero test).
-        #[inline(always)]
-        pub fn or_lanes(self) -> u64 {
-            self.0[0] | self.0[1] | self.0[2] | self.0[3]
-        }
+    /// # Panics
+    ///
+    /// Panics if `s` holds fewer than 4 words.
+    #[inline(always)]
+    pub fn load(s: &[u64]) -> W4 {
+        W4([s[0], s[1], s[2], s[3]])
     }
 
-    impl std::ops::BitAnd for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitand(self, o: W4) -> W4 {
-            W4([
-                self.0[0] & o.0[0],
-                self.0[1] & o.0[1],
-                self.0[2] & o.0[2],
-                self.0[3] & o.0[3],
-            ])
-        }
+    /// Stores the block into the first 4 words of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` holds fewer than 4 words.
+    #[inline(always)]
+    pub fn store(self, s: &mut [u64]) {
+        s[0] = self.0[0];
+        s[1] = self.0[1];
+        s[2] = self.0[2];
+        s[3] = self.0[3];
     }
 
-    impl std::ops::BitOr for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitor(self, o: W4) -> W4 {
-            W4([
-                self.0[0] | o.0[0],
-                self.0[1] | o.0[1],
-                self.0[2] | o.0[2],
-                self.0[3] | o.0[3],
-            ])
-        }
+    /// Sum of per-lane popcounts.
+    #[inline(always)]
+    pub fn count_ones(self) -> u32 {
+        self.0[0].count_ones()
+            + self.0[1].count_ones()
+            + self.0[2].count_ones()
+            + self.0[3].count_ones()
     }
 
-    impl std::ops::BitXor for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitxor(self, o: W4) -> W4 {
-            W4([
-                self.0[0] ^ o.0[0],
-                self.0[1] ^ o.0[1],
-                self.0[2] ^ o.0[2],
-                self.0[3] ^ o.0[3],
-            ])
-        }
+    /// XOR-fold of the lanes into one word (parity-preserving).
+    #[inline(always)]
+    pub fn xor_lanes(self) -> u64 {
+        self.0[0] ^ self.0[1] ^ self.0[2] ^ self.0[3]
     }
 
-    impl std::ops::Not for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn not(self) -> W4 {
-            W4([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
-        }
+    /// OR-fold of the lanes into one word (zero test).
+    #[inline(always)]
+    pub fn or_lanes(self) -> u64 {
+        self.0[0] | self.0[1] | self.0[2] | self.0[3]
     }
 }
 
-#[cfg(supersim_nightly_simd)]
-mod backend {
-    use core::simd::u64x4;
-
-    /// A 4-lane `u64` block with lane-wise bit operators.
-    ///
-    /// Nightly backend: `core::simd::u64x4` under
-    /// `--cfg supersim_nightly_simd`.
-    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-    pub struct W4(pub u64x4);
-
-    impl W4 {
-        /// The all-zero block.
-        pub const ZERO: W4 = W4(u64x4::from_array([0; 4]));
-
-        /// Broadcasts one word into every lane.
-        #[inline(always)]
-        pub fn splat(w: u64) -> W4 {
-            W4(u64x4::splat(w))
-        }
-
-        /// Loads the first 4 words of `s`.
-        #[inline(always)]
-        pub fn load(s: &[u64]) -> W4 {
-            W4(u64x4::from_slice(s))
-        }
-
-        /// Stores the block into the first 4 words of `s`.
-        #[inline(always)]
-        pub fn store(self, s: &mut [u64]) {
-            self.0.copy_to_slice(&mut s[..4]);
-        }
-
-        /// Sum of per-lane popcounts.
-        #[inline(always)]
-        pub fn count_ones(self) -> u32 {
-            let a = self.0.to_array();
-            a[0].count_ones() + a[1].count_ones() + a[2].count_ones() + a[3].count_ones()
-        }
-
-        /// XOR-fold of the lanes into one word (parity-preserving).
-        #[inline(always)]
-        pub fn xor_lanes(self) -> u64 {
-            let a = self.0.to_array();
-            a[0] ^ a[1] ^ a[2] ^ a[3]
-        }
-
-        /// OR-fold of the lanes into one word (zero test).
-        #[inline(always)]
-        pub fn or_lanes(self) -> u64 {
-            let a = self.0.to_array();
-            a[0] | a[1] | a[2] | a[3]
-        }
-    }
-
-    impl std::ops::BitAnd for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitand(self, o: W4) -> W4 {
-            W4(self.0 & o.0)
-        }
-    }
-
-    impl std::ops::BitOr for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitor(self, o: W4) -> W4 {
-            W4(self.0 | o.0)
-        }
-    }
-
-    impl std::ops::BitXor for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn bitxor(self, o: W4) -> W4 {
-            W4(self.0 ^ o.0)
-        }
-    }
-
-    impl std::ops::Not for W4 {
-        type Output = W4;
-        #[inline(always)]
-        fn not(self) -> W4 {
-            W4(!self.0)
-        }
+impl std::ops::BitAnd for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitand(self, o: W4) -> W4 {
+        W4([
+            self.0[0] & o.0[0],
+            self.0[1] & o.0[1],
+            self.0[2] & o.0[2],
+            self.0[3] & o.0[3],
+        ])
     }
 }
 
-pub use backend::W4;
+impl std::ops::BitOr for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitor(self, o: W4) -> W4 {
+        W4([
+            self.0[0] | o.0[0],
+            self.0[1] | o.0[1],
+            self.0[2] | o.0[2],
+            self.0[3] | o.0[3],
+        ])
+    }
+}
+
+impl std::ops::BitXor for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn bitxor(self, o: W4) -> W4 {
+        W4([
+            self.0[0] ^ o.0[0],
+            self.0[1] ^ o.0[1],
+            self.0[2] ^ o.0[2],
+            self.0[3] ^ o.0[3],
+        ])
+    }
+}
+
+impl std::ops::Not for W4 {
+    type Output = W4;
+    #[inline(always)]
+    fn not(self) -> W4 {
+        W4([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
+    }
+}
 
 /// `dst[k] ^= src[k]` for every word.
 ///

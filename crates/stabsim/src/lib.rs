@@ -1,20 +1,17 @@
 //! A fast stabilizer-circuit simulator — the Stim substitute in SuperSim-RS.
 //!
-//! Three interchangeable tableau engines plus a frame simulator:
+//! One tableau engine plus a frame simulator:
 //!
-//! | Engine | Layout | Gate cost | Measure cost | Use it for |
+//! | Simulator | Layout | Gate cost | Measure cost | Use it for |
 //! |---|---|---|---|---|
-//! | [`TableauSim`] | row-major bit-planes | `O(n)` bit probes | `O(n·n/64)` word rowsums | balanced default: measurement/support-heavy fragment evaluation |
-//! | [`SparseGateTableauSim`] | column-major bit-planes (inverse/Stim orientation) | `O(n/64)` words | `O(n·n/64)` bit-sliced collapse + lazy transpose | gate-dense circuits |
-//! | [`ReferenceTableauSim`] | per-qubit `Vec<u64>` columns | `O(n/64)` words, scalar | row extraction per step | differential-testing oracle (`#[doc(hidden)]`) |
+//! | [`TableauSim`] | column-major bit-planes (inverse/Stim orientation) | `O(n/64)` words | `O(n·n/64)` bit-sliced collapse + lazy transpose | noiseless Clifford circuits: measurement, support extraction, expectations |
 //! | [`FrameSim`] | Pauli frames, batch-major | — | — | noisy multi-shot sampling (Pauli channels only) |
 //!
-//! All three tableau engines produce **bit-identical outcome streams and
-//! seeded-RNG consumption** — engine choice is purely a performance knob
-//! (`cutkit::TableauEngine`), enforced by the `tableau_engine_parity`
-//! suite. [`AffineSupport`] — the extracted computational-basis support
-//! of a stabilizer state — makes 300-qubit sampling cheap and is shared
-//! verbatim by every engine.
+//! [`AffineSupport`] — the extracted computational-basis support of a
+//! stabilizer state — makes 300-qubit sampling cheap. The engine's seeded
+//! outcome streams are pinned against a frozen bit-at-a-time oracle by the
+//! workspace's engine-parity integration suite (the oracle lives under
+//! `tests/oracles/`, not in this crate).
 //!
 //! ```
 //! use qcir::Circuit;
@@ -30,16 +27,13 @@
 
 mod frame;
 mod packed;
-mod reference_tableau;
-mod sparse_gate;
+mod support;
 mod tableau;
 
 pub use frame::FrameSim;
 pub use packed::PackedPauli;
-#[doc(hidden)]
-pub use reference_tableau::ReferenceTableauSim;
-pub use sparse_gate::SparseGateTableauSim;
-pub use tableau::{AffineSupport, TableauSim};
+pub use support::AffineSupport;
+pub use tableau::TableauSim;
 
 /// Error returned when a stabilizer engine encounters a non-Clifford gate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,71 +1,223 @@
-//! Aaronson–Gottesman tableau simulation over row-major bit-planes.
+//! Aaronson–Gottesman tableau simulation over column-major bit-planes.
 //!
 //! # Layout
 //!
-//! The tableau stores each of its `2n+1` rows (destabilizers `0..n`,
-//! stabilizers `n..2n`, one scratch row) as two bit-packed masks — the
-//! row's X-mask and Z-mask, `⌈n/64⌉` words each, held at fixed strides in
-//! two flat word arenas (one allocation per plane) — plus one sign bit
-//! per row in a packed [`qcir::Bits`] sign plane. This is the CHP/Stim
-//! *row-major* orientation: a whole generator is contiguous memory, so
-//! the row operations that dominate measurement (`rowsum`, `copy_row`,
-//! Gaussian elimination, support extraction) are straight word-level
-//! loops instead of one-bit-per-qubit probes, and the strided per-qubit
-//! column probes of gate application stay prefetchable. Gate application
-//! pays for the orientation by touching one bit in every row (`O(n)` per
-//! gate, like CHP) — a trade that wins as soon as a circuit measures,
-//! samples, or takes expectations, which is every path SuperSim drives.
+//! The Stim-style *inverse* orientation: the tableau's `2n+1` rows
+//! (destabilizers `0..n`, stabilizers `n..2n`, one scratch row) are
+//! stored one **column per qubit** — qubit `q`'s X and Z bits across all
+//! rows packed into `⌈(2n+1)/64⌉`-word columns held in two flat arenas,
+//! plus one packed sign word-plane. A Clifford gate reads and rewrites
+//! only the 2–4 columns indexed by its qubits: 2–12 word-strided column
+//! ops per gate (`O(n/64)` words), independent of circuit width. All
+//! column kernels run on the [`qcir::simd`] `u64×4` blocks.
 //!
-//! # Word-parallel rowsum
+//! # Measurement
 //!
-//! The rowsum (`row_h := row_i · row_h`) is a word-level XOR of the two
-//! bit-planes fused with the standard bit-sliced phase trick
-//! ([`qcir::pauli_mul_phase_words`]): instead of matching the per-qubit
-//! Aaronson–Gottesman `g()` table, the kernel accumulates the exponent of
-//! `i` in two carry-save bit-planes per word (a 2-bit counter mod 4 per
-//! bit lane; anticommuting lanes add `±1`, where the `−1` predicate is
-//! `newx ⊕ newz ⊕ (x1 & z2)`), and resolves the total with two popcounts
-//! at the end. One `O(n/64)` pass replaces `n` table matches.
+//! The orientation trades gate cost against row operations, so
+//! measurement re-creates the row view lazily:
 //!
-//! Measurement drives rowsums in two batched shapes, each with its fixed
-//! row hoisted out of the loop: the random-outcome collapse multiplies
-//! one pivot row into every row carrying the measured qubit's X-bit, and
-//! the deterministic branch accumulates a stabilizer product into the
-//! scratch row. At `n ≤ 64` (one word per row) both run fully in
-//! registers.
+//! * **random outcome** — the collapse multiplies the pivot row into every
+//!   row whose X-bit at the measured qubit is set. Instead of transposing,
+//!   this runs *column-wise bit-sliced*: one pass over the `2n` columns
+//!   with the pivot's per-qubit bits broadcast to all row lanes, the
+//!   carry-save `i`-exponent counters of [`qcir::pauli_mul_phase_words`]
+//!   kept as row-indexed planes, and a row mask (the measured X-column
+//!   with the pivot pair cleared) restricting the column updates — every
+//!   target row collapses in the same `O(n·n/64)` one pass costs;
+//! * **deterministic outcome** — the stabilizer-product phase is
+//!   order-dependent (each rowsum's phase depends on the accumulated
+//!   product), so the selected stabilizer rows are extracted to row-major
+//!   scratch (the lazy transpose) and folded through the
+//!   [`qcir::pauli_mul_phase_words`] rowsum kernel in increasing row
+//!   order.
 //!
-//! The pre-transpose bit-at-a-time engine is frozen as
-//! [`ReferenceTableauSim`](crate::ReferenceTableauSim); the two engines
-//! are asserted bit-identical (same outcomes, same seeded-RNG
-//! consumption) by the `tableau_engine_parity` suite and the `tableau`
-//! series of `bench_json`.
+//! Pivot choice, RNG draw sites, and the support extraction
+//! (`support_from_packed_rows`) define the seeded outcome streams; the
+//! workspace's engine-parity integration suite pins them against a
+//! frozen bit-at-a-time oracle kept under `tests/oracles/`.
 
 use crate::packed::PackedPauli;
+use crate::support::{support_from_packed_rows, AffineSupport};
 use crate::NonCliffordError;
+use qcir::simd::{self, W4};
 use qcir::{pauli_mul_phase_words, Bits, Circuit, CliffordGate, NoiseChannel, OpKind, Qubit};
 use rand::Rng;
 
-/// GF(2) inner product of two equal-length word slices (XOR-fold, one
-/// popcount).
+/// Splits two distinct columns of a flat `cols × cw` word arena mutably.
 #[inline]
-fn slice_dot(a: &[u64], b: &[u64]) -> bool {
-    let mut fold = 0u64;
-    for (x, y) in a.iter().zip(b) {
-        fold ^= x & y;
+fn col_pair_mut(arena: &mut [u64], cw: usize, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
+    debug_assert_ne!(a, b, "need distinct columns");
+    if a < b {
+        let (lo, hi) = arena.split_at_mut(b * cw);
+        (&mut lo[a * cw..(a + 1) * cw], &mut hi[..cw])
+    } else {
+        let (lo, hi) = arena.split_at_mut(a * cw);
+        (&mut hi[..cw], &mut lo[b * cw..(b + 1) * cw])
     }
-    fold.count_ones() % 2 == 1
 }
 
-/// A stabilizer-circuit simulator in the style of Stim/CHP.
+#[inline]
+fn get_bit(plane: &[u64], i: usize) -> bool {
+    (plane[i >> 6] >> (i & 63)) & 1 == 1
+}
+
+#[inline]
+fn set_bit(plane: &mut [u64], i: usize, v: bool) {
+    let m = 1u64 << (i & 63);
+    let w = &mut plane[i >> 6];
+    *w = (*w & !m) | ((v as u64) << (i & 63));
+}
+
+/// Fused CX column kernel: `signs ^= xc & zt & !(xt ^ zc)`,
+/// `xt ^= xc`, `zc ^= zt` — one `u64×4`-block pass over the four
+/// columns and the sign plane.
+#[inline]
+fn cx_cols(xc: &[u64], zc: &mut [u64], xt: &mut [u64], zt: &[u64], signs: &mut [u64]) {
+    let mut xcb = xc.chunks_exact(simd::LANES);
+    let mut zcb = zc.chunks_exact_mut(simd::LANES);
+    let mut xtb = xt.chunks_exact_mut(simd::LANES);
+    let mut ztb = zt.chunks_exact(simd::LANES);
+    let mut sb = signs.chunks_exact_mut(simd::LANES);
+    for ((((xcw, zcw), xtw), ztw), sw) in xcb
+        .by_ref()
+        .zip(zcb.by_ref())
+        .zip(xtb.by_ref())
+        .zip(ztb.by_ref())
+        .zip(sb.by_ref())
+    {
+        let xcv = W4::load(xcw);
+        let zcv = W4::load(zcw);
+        let xtv = W4::load(xtw);
+        let ztv = W4::load(ztw);
+        (W4::load(sw) ^ (xcv & ztv & !(xtv ^ zcv))).store(sw);
+        (xtv ^ xcv).store(xtw);
+        (zcv ^ ztv).store(zcw);
+    }
+    for ((((xcw, zcw), xtw), ztw), sw) in xcb
+        .remainder()
+        .iter()
+        .zip(zcb.into_remainder())
+        .zip(xtb.into_remainder())
+        .zip(ztb.remainder())
+        .zip(sb.into_remainder())
+    {
+        *sw ^= xcw & ztw & !(*xtw ^ *zcw);
+        *xtw ^= xcw;
+        *zcw ^= ztw;
+    }
+}
+
+/// Fused CZ column kernel: `signs ^= xa & xb & (za ^ zb)`, `za ^= xb`,
+/// `zb ^= xa`.
+#[inline]
+fn cz_cols(xa: &[u64], xb: &[u64], za: &mut [u64], zb: &mut [u64], signs: &mut [u64]) {
+    let mut xab = xa.chunks_exact(simd::LANES);
+    let mut xbb = xb.chunks_exact(simd::LANES);
+    let mut zab = za.chunks_exact_mut(simd::LANES);
+    let mut zbb = zb.chunks_exact_mut(simd::LANES);
+    let mut sb = signs.chunks_exact_mut(simd::LANES);
+    for ((((xaw, xbw), zaw), zbw), sw) in xab
+        .by_ref()
+        .zip(xbb.by_ref())
+        .zip(zab.by_ref())
+        .zip(zbb.by_ref())
+        .zip(sb.by_ref())
+    {
+        let xav = W4::load(xaw);
+        let xbv = W4::load(xbw);
+        let zav = W4::load(zaw);
+        let zbv = W4::load(zbw);
+        (W4::load(sw) ^ (xav & xbv & (zav ^ zbv))).store(sw);
+        (zav ^ xbv).store(zaw);
+        (zbv ^ xav).store(zbw);
+    }
+    for ((((xaw, xbw), zaw), zbw), sw) in xab
+        .remainder()
+        .iter()
+        .zip(xbb.remainder())
+        .zip(zab.into_remainder())
+        .zip(zbb.into_remainder())
+        .zip(sb.into_remainder())
+    {
+        *sw ^= xaw & xbw & (*zaw ^ *zbw);
+        *zaw ^= xbw;
+        *zbw ^= xaw;
+    }
+}
+
+/// One column's contribution to the bit-sliced collapse: with the pivot
+/// row's bits at this qubit broadcast to every row lane (`x1m`/`z1m`),
+/// advance the carry-save `i`-exponent planes (`cnt1`/`cnt2`, one 2-bit
+/// counter per row) and XOR the pivot's bits into the rows selected by
+/// `mask`. Lanes outside `mask` accumulate garbage counters that the
+/// caller never reads — only `cnt2 & mask` reaches the sign plane.
+#[inline]
+fn collapse_col(
+    xcol: &mut [u64],
+    zcol: &mut [u64],
+    cnt1: &mut [u64],
+    cnt2: &mut [u64],
+    mask: &[u64],
+    x1m: u64,
+    z1m: u64,
+) {
+    let x1v = W4::splat(x1m);
+    let z1v = W4::splat(z1m);
+    let mut xb = xcol.chunks_exact_mut(simd::LANES);
+    let mut zb = zcol.chunks_exact_mut(simd::LANES);
+    let mut c1b = cnt1.chunks_exact_mut(simd::LANES);
+    let mut c2b = cnt2.chunks_exact_mut(simd::LANES);
+    let mut mb = mask.chunks_exact(simd::LANES);
+    for ((((xw, zw), c1w), c2w), mw) in xb
+        .by_ref()
+        .zip(zb.by_ref())
+        .zip(c1b.by_ref())
+        .zip(c2b.by_ref())
+        .zip(mb.by_ref())
+    {
+        let x2 = W4::load(xw);
+        let z2 = W4::load(zw);
+        let mv = W4::load(mw);
+        let newx = x1v ^ x2;
+        let newz = z1v ^ z2;
+        let x1z2 = x1v & z2;
+        let anti = (z1v & x2) ^ x1z2;
+        let c1 = W4::load(c1w);
+        (W4::load(c2w) ^ ((c1 ^ newx ^ newz ^ x1z2) & anti)).store(c2w);
+        (c1 ^ anti).store(c1w);
+        (x2 ^ (x1v & mv)).store(xw);
+        (z2 ^ (z1v & mv)).store(zw);
+    }
+    for ((((xw, zw), c1w), c2w), &mw) in xb
+        .into_remainder()
+        .iter_mut()
+        .zip(zb.into_remainder())
+        .zip(c1b.into_remainder())
+        .zip(c2b.into_remainder())
+        .zip(mb.remainder())
+    {
+        let x2 = *xw;
+        let z2 = *zw;
+        let newx = x1m ^ x2;
+        let newz = z1m ^ z2;
+        let x1z2 = x1m & z2;
+        let anti = (z1m & x2) ^ x1z2;
+        *c2w ^= (*c1w ^ newx ^ newz ^ x1z2) & anti;
+        *c1w ^= anti;
+        *xw = x2 ^ (x1m & mw);
+        *zw = z2 ^ (z1m & mw);
+    }
+}
+
+/// A stabilizer-circuit simulator in the style of Stim (inverse,
+/// column-major orientation).
 ///
-/// Rows are stored as packed bit-planes (see the module docs): gate
-/// application flips one bit per row, while measurement's row sums,
-/// Gaussian elimination, and support extraction run `O(n/64)` per row
-/// pair. Measurement uses the Aaronson–Gottesman row-sum algorithm, and
-/// bulk computational-basis sampling extracts the affine-subspace support
-/// of the state once (`O(n³/64)`) and then draws shots in `O(n·r/64)`
-/// each — the property that lets SuperSim sample 300-qubit Clifford
-/// fragments in milliseconds.
+/// Gates touch only the columns of their qubits — `O(n/64)` words per
+/// gate — at the cost of row-view reconstruction during measurement (see
+/// the module docs). Bulk computational-basis sampling extracts the
+/// affine-subspace support of the state once (`O(n³/64)`) and then draws
+/// shots in `O(n·r/64)` each — the property that lets SuperSim sample
+/// 300-qubit Clifford fragments in milliseconds.
 ///
 /// ```
 /// use stabsim::TableauSim;
@@ -83,34 +235,42 @@ fn slice_dot(a: &[u64], b: &[u64]) -> bool {
 #[derive(Clone, Debug)]
 pub struct TableauSim {
     n: usize,
-    /// Words per row (`⌈n/64⌉`, min 1).
-    stride: usize,
-    /// X bit-plane arena: row `r` occupies words `r·stride ..
-    /// (r+1)·stride`; rows `0..n` destabilizers, `n..2n` stabilizers, row
-    /// `2n` scratch. One contiguous allocation keeps row scans and
-    /// strided per-qubit probes cache-friendly.
+    /// Words per column (`⌈(2n+1)/64⌉`): one bit per tableau row.
+    cw: usize,
+    /// X bit-plane arena: qubit `q`'s column occupies words
+    /// `q·cw .. (q+1)·cw`; bit `r` of the column is row `r`'s X bit at
+    /// `q`. Rows `0..n` destabilizers, `n..2n` stabilizers, row `2n`
+    /// scratch (whose X/Z lanes stay zero: gates only XOR/AND existing
+    /// content into them, and nothing ever sets them).
     xs: Vec<u64>,
     /// Z bit-plane arena, same geometry.
     zs: Vec<u64>,
     /// Sign plane: bit `r` is row `r`'s `(-1)` phase.
-    signs: Bits,
+    signs: Vec<u64>,
+    /// Collapse scratch (target-row mask + carry-save counter planes),
+    /// retained across measurements to keep the hot path allocation-free.
+    mask: Vec<u64>,
+    cnt1: Vec<u64>,
+    cnt2: Vec<u64>,
 }
 
 impl TableauSim {
     /// Creates the all-`|0⟩` state on `n` qubits.
     pub fn new(n: usize) -> Self {
-        let rows = 2 * n + 1;
-        let stride = n.div_ceil(64).max(1);
+        let cw = (2 * n + 1).div_ceil(64);
         let mut sim = TableauSim {
             n,
-            stride,
-            xs: vec![0u64; rows * stride],
-            zs: vec![0u64; rows * stride],
-            signs: Bits::zeros(rows),
+            cw,
+            xs: vec![0u64; n * cw],
+            zs: vec![0u64; n * cw],
+            signs: vec![0u64; cw],
+            mask: vec![0u64; cw],
+            cnt1: vec![0u64; cw],
+            cnt2: vec![0u64; cw],
         };
         for q in 0..n {
-            sim.xs[q * stride + (q >> 6)] |= 1u64 << (q & 63); // destabilizer q = X_q
-            sim.zs[(n + q) * stride + (q >> 6)] |= 1u64 << (q & 63); // stabilizer q = Z_q
+            set_bit(&mut sim.xs[q * cw..(q + 1) * cw], q, true); // destabilizer q = X_q
+            set_bit(&mut sim.zs[q * cw..(q + 1) * cw], n + q, true); // stabilizer q = Z_q
         }
         sim
     }
@@ -121,16 +281,14 @@ impl TableauSim {
         self.n
     }
 
-    /// The words of row `r` in the X-plane.
     #[inline]
-    fn x_row(&self, r: usize) -> &[u64] {
-        &self.xs[r * self.stride..(r + 1) * self.stride]
+    fn x_col(&self, q: usize) -> &[u64] {
+        &self.xs[q * self.cw..(q + 1) * self.cw]
     }
 
-    /// The words of row `r` in the Z-plane.
     #[inline]
-    fn z_row(&self, r: usize) -> &[u64] {
-        &self.zs[r * self.stride..(r + 1) * self.stride]
+    fn z_col(&self, q: usize) -> &[u64] {
+        &self.zs[q * self.cw..(q + 1) * self.cw]
     }
 
     /// Runs a circuit from `|0…0⟩`.
@@ -175,135 +333,98 @@ impl TableauSim {
         Ok(())
     }
 
-    /// Visits every generator row with a single-qubit Clifford action
-    /// `(x, z) → (x', z', sign_flip)` over 0/1-valued words, monomorphized
-    /// per gate.
-    ///
-    /// The arena offset and bit mask of qubit `q` are hoisted out of the
-    /// row loop; the per-row update is branchless (unconditional
-    /// XOR-with-difference stores, sign flips accumulated into one delta
-    /// word per 64-row block), so data-dependent bits never cost a
-    /// mispredict. The scratch row is skipped: its content is dead between
-    /// deterministic measurements (always cleared before use).
-    #[inline]
-    fn for_each_row_1q<F>(&mut self, q: usize, f: F)
-    where
-        F: Fn(u64, u64) -> (u64, u64, u64),
-    {
-        assert!(q < self.n, "qubit out of range");
-        let stride = self.stride;
-        let sh = (q & 63) as u32;
-        // Arena index of qubit q's word in row 0; advances by `stride`.
-        let mut idx = q >> 6;
-        let rows = 2 * self.n; // generators only; scratch row content is dead
-        let mut r = 0;
-        let mut sw = 0;
-        while r < rows {
-            let hi = (r + 64).min(rows);
-            let mut delta = 0u64;
-            let mut bit = 1u64;
-            while r < hi {
-                let xw = self.xs[idx];
-                let zw = self.zs[idx];
-                let x = (xw >> sh) & 1;
-                let z = (zw >> sh) & 1;
-                let (nx, nz, s) = f(x, z);
-                self.xs[idx] = xw ^ ((x ^ nx) << sh);
-                self.zs[idx] = zw ^ ((z ^ nz) << sh);
-                delta |= s * bit;
-                bit <<= 1;
-                idx += stride;
-                r += 1;
-            }
-            self.signs.xor_word(sw, delta);
-            sw += 1;
-        }
-    }
-
-    /// Two-qubit analogue of [`TableauSim::for_each_row_1q`]:
-    /// `(xa, za, xb, zb) → (xa', za', xb', zb', sign_flip)`.
-    #[inline]
-    fn for_each_row_2q<F>(&mut self, a: usize, b: usize, f: F)
-    where
-        F: Fn(u64, u64, u64, u64) -> (u64, u64, u64, u64, u64),
-    {
-        assert!(a < self.n && b < self.n, "qubit out of range");
-        assert_ne!(a, b, "need distinct qubits");
-        let stride = self.stride;
-        let sha = (a & 63) as u32;
-        let shb = (b & 63) as u32;
-        let mut ia = a >> 6;
-        let mut ib = b >> 6;
-        let rows = 2 * self.n; // generators only; scratch row content is dead
-        let mut r = 0;
-        let mut sw = 0;
-        while r < rows {
-            let hi = (r + 64).min(rows);
-            let mut delta = 0u64;
-            let mut bit = 1u64;
-            while r < hi {
-                let xaw = self.xs[ia];
-                let zaw = self.zs[ia];
-                let xbw = self.xs[ib];
-                let zbw = self.zs[ib];
-                let xa = (xaw >> sha) & 1;
-                let za = (zaw >> sha) & 1;
-                let xb = (xbw >> shb) & 1;
-                let zb = (zbw >> shb) & 1;
-                let (nxa, nza, nxb, nzb, s) = f(xa, za, xb, zb);
-                self.xs[ia] = xaw ^ ((xa ^ nxa) << sha);
-                self.zs[ia] = zaw ^ ((za ^ nza) << sha);
-                // `a` and `b` may share an arena word (same row, same
-                // 64-qubit block): reload so the write above is seen.
-                let xbw = self.xs[ib];
-                let zbw = self.zs[ib];
-                self.xs[ib] = xbw ^ ((xb ^ nxb) << shb);
-                self.zs[ib] = zbw ^ ((zb ^ nzb) << shb);
-                delta |= s * bit;
-                bit <<= 1;
-                ia += stride;
-                ib += stride;
-                r += 1;
-            }
-            self.signs.xor_word(sw, delta);
-            sw += 1;
-        }
-    }
-
     /// Applies a Clifford gate.
     ///
-    /// Row-major orientation: each gate reads/flips the gate qubits' bits
-    /// in every row and conditionally flips the row's sign — `O(n)` per
-    /// gate (the CHP trade for word-parallel row operations).
+    /// Column-major orientation: each gate is 2–12 word-strided ops on
+    /// the 2–4 columns of its qubits plus the sign plane — `O(n/64)` per
+    /// gate, independent of where the other qubits' bits sit.
     ///
     /// # Panics
     ///
-    /// Panics if the qubit count does not match the gate arity or a qubit is
-    /// out of range.
+    /// Panics if the qubit count does not match the gate arity or a qubit
+    /// is out of range.
     pub fn apply(&mut self, gate: CliffordGate, qubits: &[Qubit]) {
         assert_eq!(qubits.len(), gate.arity(), "arity mismatch");
+        for qb in qubits {
+            assert!(qb.index() < self.n, "qubit out of range");
+        }
         use CliffordGate as G;
+        let cw = self.cw;
         match gate {
             G::I => {}
-            G::X => self.for_each_row_1q(qubits[0].index(), |x, z| (x, z, z)),
-            G::Y => self.for_each_row_1q(qubits[0].index(), |x, z| (x, z, x ^ z)),
-            G::Z => self.for_each_row_1q(qubits[0].index(), |x, z| (x, z, x)),
-            G::H => self.for_each_row_1q(qubits[0].index(), |x, z| (z, x, x & z)),
-            G::S => self.for_each_row_1q(qubits[0].index(), |x, z| (x, z ^ x, x & z)),
-            G::Sdg => self.for_each_row_1q(qubits[0].index(), |x, z| (x, z ^ x, x & (z ^ 1))),
-            G::SqrtX => self.for_each_row_1q(qubits[0].index(), |x, z| (x ^ z, z, z & (x ^ 1))),
-            G::SqrtXdg => self.for_each_row_1q(qubits[0].index(), |x, z| (x ^ z, z, z & x)),
-            G::SqrtY => self.for_each_row_1q(qubits[0].index(), |x, z| (z, x, x & (z ^ 1))),
-            G::SqrtYdg => self.for_each_row_1q(qubits[0].index(), |x, z| (z, x, z & (x ^ 1))),
+            G::X => {
+                let q = qubits[0].index();
+                simd::xor_into(&mut self.signs, &self.zs[q * cw..(q + 1) * cw]);
+            }
+            G::Y => {
+                let q = qubits[0].index();
+                simd::xor_into(&mut self.signs, &self.xs[q * cw..(q + 1) * cw]);
+                simd::xor_into(&mut self.signs, &self.zs[q * cw..(q + 1) * cw]);
+            }
+            G::Z => {
+                let q = qubits[0].index();
+                simd::xor_into(&mut self.signs, &self.xs[q * cw..(q + 1) * cw]);
+            }
+            G::H => {
+                let q = qubits[0].index();
+                let x = &self.xs[q * cw..(q + 1) * cw];
+                let z = &self.zs[q * cw..(q + 1) * cw];
+                simd::and_xor_into(&mut self.signs, x, z);
+                self.xs[q * cw..(q + 1) * cw].swap_with_slice(&mut self.zs[q * cw..(q + 1) * cw]);
+            }
+            G::S => {
+                let q = qubits[0].index();
+                let x = &self.xs[q * cw..(q + 1) * cw];
+                let z = &mut self.zs[q * cw..(q + 1) * cw];
+                simd::and_xor_into(&mut self.signs, x, z);
+                simd::xor_into(z, x);
+            }
+            G::Sdg => {
+                let q = qubits[0].index();
+                let x = &self.xs[q * cw..(q + 1) * cw];
+                let z = &mut self.zs[q * cw..(q + 1) * cw];
+                simd::andnot_xor_into(&mut self.signs, x, z);
+                simd::xor_into(z, x);
+            }
+            G::SqrtX => {
+                let q = qubits[0].index();
+                let z = &self.zs[q * cw..(q + 1) * cw];
+                let x = &mut self.xs[q * cw..(q + 1) * cw];
+                simd::andnot_xor_into(&mut self.signs, z, x);
+                simd::xor_into(x, z);
+            }
+            G::SqrtXdg => {
+                let q = qubits[0].index();
+                let z = &self.zs[q * cw..(q + 1) * cw];
+                let x = &mut self.xs[q * cw..(q + 1) * cw];
+                simd::and_xor_into(&mut self.signs, z, x);
+                simd::xor_into(x, z);
+            }
+            G::SqrtY => {
+                let q = qubits[0].index();
+                let x = &self.xs[q * cw..(q + 1) * cw];
+                let z = &self.zs[q * cw..(q + 1) * cw];
+                simd::andnot_xor_into(&mut self.signs, x, z);
+                self.xs[q * cw..(q + 1) * cw].swap_with_slice(&mut self.zs[q * cw..(q + 1) * cw]);
+            }
+            G::SqrtYdg => {
+                let q = qubits[0].index();
+                let x = &self.xs[q * cw..(q + 1) * cw];
+                let z = &self.zs[q * cw..(q + 1) * cw];
+                simd::andnot_xor_into(&mut self.signs, z, x);
+                self.xs[q * cw..(q + 1) * cw].swap_with_slice(&mut self.zs[q * cw..(q + 1) * cw]);
+            }
             G::Cx => {
-                self.for_each_row_2q(qubits[0].index(), qubits[1].index(), |xc, zc, xt, zt| {
-                    (xc, zc ^ zt, xt ^ xc, zt, xc & zt & (xt ^ zc ^ 1))
-                })
+                let (c, t) = (qubits[0].index(), qubits[1].index());
+                let (xc, xt) = col_pair_mut(&mut self.xs, cw, c, t);
+                let (zc, zt) = col_pair_mut(&mut self.zs, cw, c, t);
+                cx_cols(xc, zc, xt, zt, &mut self.signs);
             }
             G::Cz => {
-                self.for_each_row_2q(qubits[0].index(), qubits[1].index(), |xa, za, xb, zb| {
-                    (xa, za ^ xb, xb, zb ^ xa, xa & xb & (za ^ zb))
-                })
+                let (a, b) = (qubits[0].index(), qubits[1].index());
+                let (xa, xb) = col_pair_mut(&mut self.xs, cw, a, b);
+                let (za, zb) = col_pair_mut(&mut self.zs, cw, a, b);
+                cz_cols(xa, xb, za, zb, &mut self.signs);
             }
             G::Cy => {
                 self.apply(G::Sdg, &[qubits[1]]);
@@ -311,9 +432,11 @@ impl TableauSim {
                 self.apply(G::S, &[qubits[1]]);
             }
             G::Swap => {
-                self.for_each_row_2q(qubits[0].index(), qubits[1].index(), |xa, za, xb, zb| {
-                    (xb, zb, xa, za, 0)
-                })
+                let (a, b) = (qubits[0].index(), qubits[1].index());
+                let (xa, xb) = col_pair_mut(&mut self.xs, cw, a, b);
+                xa.swap_with_slice(xb);
+                let (za, zb) = col_pair_mut(&mut self.zs, cw, a, b);
+                za.swap_with_slice(zb);
             }
         }
     }
@@ -359,239 +482,187 @@ impl TableauSim {
         }
     }
 
-    /// The fused hot loop of the random-outcome collapse: multiplies
-    /// pivot row `p` into every other row whose X-bit at `(wq, m)` is set
-    /// (skipping the pivot's destabilizer partner `p − n`), i.e. a batch
-    /// of `rowsum(r, p)` with the pivot's bit-planes and sign hoisted out
-    /// of the loop.
-    fn collapse_rowsums(&mut self, p: usize, wq: usize, m: u64) {
-        let stride = self.stride;
+    /// First stabilizer row (`n..2n`) with an X bit at qubit `q`: one
+    /// masked word scan down the qubit's X column.
+    fn first_stab_x(&self, q: usize) -> Option<usize> {
         let n = self.n;
-        let sp = self.signs.get(p) as u32;
-        // Rows below the pivot borrow the pivot from the upper half…
+        if n == 0 {
+            return None;
+        }
+        let col = self.x_col(q);
+        for k in (n >> 6)..=((2 * n - 1) >> 6) {
+            let lo = 64 * k;
+            let mut w = col[k];
+            if n > lo {
+                w &= u64::MAX << (n - lo);
+            }
+            if 2 * n - lo < 64 {
+                w &= (1u64 << (2 * n - lo)) - 1;
+            }
+            if w != 0 {
+                return Some(lo + w.trailing_zeros() as usize);
+            }
+        }
+        None
+    }
+
+    /// The random-outcome collapse, column-wise: multiplies pivot row `p`
+    /// into every row selected by the measured qubit's X column (minus
+    /// the pivot pair and the scratch row), all rows at once per column.
+    fn collapse(&mut self, p: usize, q: usize) {
+        let n = self.n;
+        let cw = self.cw;
+        let (pw, pb) = (p >> 6, (p & 63) as u32);
+        self.mask.copy_from_slice(&self.xs[q * cw..(q + 1) * cw]);
+        // Row p is rewritten below, row p−n anticommutes with the pivot
+        // (its product would pick up an imaginary phase) and is
+        // overwritten by the pivot copy anyway, and the scratch row's
+        // X/Z lanes are structurally zero — cleared defensively.
+        set_bit(&mut self.mask, p, false);
+        set_bit(&mut self.mask, p - n, false);
+        set_bit(&mut self.mask, 2 * n, false);
+        self.cnt1.fill(0);
+        self.cnt2.fill(0);
         {
-            let (xlo, xhi) = self.xs.split_at_mut(p * stride);
-            let (zlo, zhi) = self.zs.split_at_mut(p * stride);
-            let xp = &xhi[..stride];
-            let zp = &zhi[..stride];
-            for r in 0..p {
-                if r == p - n {
+            let mask = &self.mask;
+            let cnt1 = &mut self.cnt1;
+            let cnt2 = &mut self.cnt2;
+            for j in 0..n {
+                let xcol = &mut self.xs[j * cw..(j + 1) * cw];
+                let x1 = (xcol[pw] >> pb) & 1;
+                let zcol = &mut self.zs[j * cw..(j + 1) * cw];
+                let z1 = (zcol[pw] >> pb) & 1;
+                if x1 | z1 == 0 {
+                    // Pivot is identity at qubit j: no phase contribution,
+                    // no column change.
                     continue;
                 }
-                let xr = &mut xlo[r * stride..(r + 1) * stride];
-                if xr[wq] & m == 0 {
-                    continue;
-                }
-                let zr = &mut zlo[r * stride..(r + 1) * stride];
-                let g = pauli_mul_phase_words(xp, zp, xr, zr) as u32;
-                let ph = (2 * (self.signs.get(r) as u32 + sp) + g) % 4;
-                debug_assert!(ph == 0 || ph == 2, "rowsum produced imaginary phase");
-                self.signs.set(r, ph == 2);
+                collapse_col(
+                    xcol,
+                    zcol,
+                    cnt1,
+                    cnt2,
+                    mask,
+                    0u64.wrapping_sub(x1),
+                    0u64.wrapping_sub(z1),
+                );
             }
         }
-        // …and rows above it borrow it from the lower half.
-        let (xlo, xhi) = self.xs.split_at_mut((p + 1) * stride);
-        let (zlo, zhi) = self.zs.split_at_mut((p + 1) * stride);
-        let xp = &xlo[p * stride..];
-        let zp = &zlo[p * stride..];
-        for r in p + 1..2 * n {
-            let off = (r - p - 1) * stride;
-            let xr = &mut xhi[off..off + stride];
-            if xr[wq] & m == 0 {
-                continue;
+        // Fold the counters into the sign plane: per selected row,
+        // g = cnt1 + 2·cnt2 (mod 4) must be real (cnt1 = 0), and the new
+        // sign is s_r ⊕ s_p ⊕ cnt2.
+        let spm = 0u64.wrapping_sub(get_bit(&self.signs, p) as u64);
+        for k in 0..cw {
+            debug_assert_eq!(
+                self.cnt1[k] & self.mask[k],
+                0,
+                "rowsum produced imaginary phase"
+            );
+            self.signs[k] ^= (self.cnt2[k] ^ spm) & self.mask[k];
+        }
+        // copy_row(p → p−n) + clear_row(p), column-wise: one bit
+        // read/rewrite per column.
+        let d = p - n;
+        let (dw, db) = (d >> 6, d & 63);
+        for arena in [&mut self.xs, &mut self.zs] {
+            for j in 0..n {
+                let col = &mut arena[j * cw..(j + 1) * cw];
+                let bit = (col[pw] >> pb) & 1;
+                col[dw] = (col[dw] & !(1u64 << db)) | (bit << db);
+                col[pw] &= !(1u64 << pb);
             }
-            let zr = &mut zhi[off..off + stride];
-            let g = pauli_mul_phase_words(xp, zp, xr, zr) as u32;
-            let ph = (2 * (self.signs.get(r) as u32 + sp) + g) % 4;
-            debug_assert!(ph == 0 || ph == 2, "rowsum produced imaginary phase");
-            self.signs.set(r, ph == 2);
+        }
+        let sp = (self.signs[pw] >> pb) & 1;
+        self.signs[dw] = (self.signs[dw] & !(1u64 << db)) | (sp << db);
+        self.signs[pw] &= !(1u64 << pb);
+    }
+
+    /// Extracts row `r`'s X/Z bits into row-major word scratch
+    /// (`⌈n/64⌉` words) — the lazy transpose the deterministic
+    /// measurement branch and the row-extraction APIs pay.
+    fn extract_row(&self, r: usize, xrow: &mut [u64], zrow: &mut [u64]) {
+        let cw = self.cw;
+        let (rw, rb) = (r >> 6, (r & 63) as u32);
+        let mut accx = 0u64;
+        let mut accz = 0u64;
+        let mut w = 0;
+        for j in 0..self.n {
+            accx |= ((self.xs[j * cw + rw] >> rb) & 1) << (j & 63);
+            accz |= ((self.zs[j * cw + rw] >> rb) & 1) << (j & 63);
+            if j & 63 == 63 {
+                xrow[w] = accx;
+                zrow[w] = accz;
+                accx = 0;
+                accz = 0;
+                w += 1;
+            }
+        }
+        if self.n & 63 != 0 {
+            xrow[w] = accx;
+            zrow[w] = accz;
         }
     }
 
-    /// Single-word specialization of [`TableauSim::collapse_rowsums`] for
-    /// `stride == 1` (n ≤ 64): the pivot's planes live in registers, each
-    /// row product is ~a dozen ALU ops (the same carry-save phase formula
-    /// as [`qcir::pauli_mul_phase_words`], collapsed to one word where
-    /// `cnt1 = anti`, `cnt2 = minus`), and no borrow splitting is needed.
-    fn collapse_rowsums_w1(&mut self, p: usize, m: u64) {
+    /// Deterministic-outcome branch: folds the stabilizer rows selected
+    /// by the destabilizer X column through the row-major rowsum kernel,
+    /// in increasing row order (the phase recurrence is order-dependent).
+    fn deterministic_measure(&self, q: usize) -> bool {
         let n = self.n;
-        let x1 = self.xs[p];
-        let z1 = self.zs[p];
-        let sp = self.signs.get(p) as u32;
-        let skip = p - n;
-        for r in 0..2 * n {
-            let x2 = self.xs[r];
-            if x2 & m == 0 || r == p || r == skip {
-                continue;
-            }
-            let z2 = self.zs[r];
-            let newx = x1 ^ x2;
-            let newz = z1 ^ z2;
-            let x1z2 = x1 & z2;
-            let anti = (z1 & x2) ^ x1z2;
-            let minus = (newx ^ newz ^ x1z2) & anti;
-            let g = anti.count_ones() + 2 * minus.count_ones();
-            let ph = (2 * (self.signs.get(r) as u32 + sp) + g) % 4;
-            debug_assert!(ph == 0 || ph == 2, "rowsum produced imaginary phase");
-            self.xs[r] = newx;
-            self.zs[r] = newz;
-            self.signs.set(r, ph == 2);
-        }
-    }
-
-    /// The fused hot loop of the deterministic-outcome branch: clears the
-    /// scratch row and accumulates `rowsum(scratch, n + i)` for every
-    /// destabilizer `i` whose X-bit at `(wq, m)` is set, with the scratch
-    /// bit-planes and running sign held out of the loop. Returns the
-    /// accumulated sign — the measurement outcome.
-    fn scratch_accumulate(&mut self, wq: usize, m: u64) -> bool {
-        let stride = self.stride;
-        let n = self.n;
-        self.clear_row(2 * n);
-        let (xlo, xhi) = self.xs.split_at_mut(2 * n * stride);
-        let (zlo, zhi) = self.zs.split_at_mut(2 * n * stride);
-        let xscratch = &mut xhi[..stride];
-        let zscratch = &mut zhi[..stride];
+        let bw = n.div_ceil(64);
+        let mut xacc = vec![0u64; bw];
+        let mut zacc = vec![0u64; bw];
+        let mut xrow = vec![0u64; bw];
+        let mut zrow = vec![0u64; bw];
+        let xq = self.x_col(q);
         let mut sign = 0u32;
         for i in 0..n {
-            if xlo[i * stride + wq] & m == 0 {
+            if !get_bit(xq, i) {
                 continue;
             }
-            let xi = &xlo[(n + i) * stride..(n + i + 1) * stride];
-            let zi = &zlo[(n + i) * stride..(n + i + 1) * stride];
-            let g = pauli_mul_phase_words(xi, zi, xscratch, zscratch) as u32;
-            let ph = (2 * (sign + self.signs.get(n + i) as u32) + g) % 4;
+            self.extract_row(n + i, &mut xrow, &mut zrow);
+            let g = pauli_mul_phase_words(&xrow, &zrow, &mut xacc, &mut zacc) as u32;
+            let ph = (2 * (sign + get_bit(&self.signs, n + i) as u32) + g) % 4;
             debug_assert!(ph == 0 || ph == 2, "rowsum produced imaginary phase");
             sign = (ph == 2) as u32;
         }
-        self.signs.set(2 * n, sign == 1);
         sign == 1
-    }
-
-    /// Single-word specialization of [`TableauSim::scratch_accumulate`]
-    /// for `stride == 1`: the accumulator never leaves registers — the
-    /// in-memory scratch row is not touched at all.
-    fn scratch_accumulate_w1(&mut self, m: u64) -> bool {
-        let n = self.n;
-        let mut xacc = 0u64;
-        let mut zacc = 0u64;
-        let mut sign = 0u32;
-        for i in 0..n {
-            if self.xs[i] & m == 0 {
-                continue;
-            }
-            // rowsum(scratch, n+i): left = stabilizer row, right = acc.
-            let x1 = self.xs[n + i];
-            let z1 = self.zs[n + i];
-            let newx = x1 ^ xacc;
-            let newz = z1 ^ zacc;
-            let x1z2 = x1 & zacc;
-            let anti = (z1 & xacc) ^ x1z2;
-            let minus = (newx ^ newz ^ x1z2) & anti;
-            let g = anti.count_ones() + 2 * minus.count_ones();
-            let ph = (2 * (sign + self.signs.get(n + i) as u32) + g) % 4;
-            debug_assert!(ph == 0 || ph == 2, "rowsum produced imaginary phase");
-            xacc = newx;
-            zacc = newz;
-            sign = (ph == 2) as u32;
-        }
-        sign == 1
-    }
-
-    fn copy_row(&mut self, src: usize, dst: usize) {
-        let stride = self.stride;
-        self.xs
-            .copy_within(src * stride..(src + 1) * stride, dst * stride);
-        self.zs
-            .copy_within(src * stride..(src + 1) * stride, dst * stride);
-        let s = self.signs.get(src);
-        self.signs.set(dst, s);
-    }
-
-    fn clear_row(&mut self, row: usize) {
-        let stride = self.stride;
-        self.xs[row * stride..(row + 1) * stride].fill(0);
-        self.zs[row * stride..(row + 1) * stride].fill(0);
-        self.signs.set(row, false);
     }
 
     /// Measures qubit `q` in the computational basis, collapsing the state.
     ///
-    /// Returns the outcome bit. Random outcomes draw from `rng`.
+    /// Returns the outcome bit. Random outcomes draw one boolean from
+    /// `rng`; deterministic outcomes draw nothing.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     pub fn measure(&mut self, q: usize, rng: &mut impl Rng) -> bool {
         assert!(q < self.n, "qubit out of range");
-        let n = self.n;
-        // Hoisted arena offset/mask of qubit q. The row scans walk the
-        // X-plane at `stride`-word steps through an iterator, so each
-        // probe is a bounds-check-free strided load.
-        let stride = self.stride;
-        let wq = q >> 6;
-        let m = 1u64 << (q & 63);
-        let pivot = self.xs[n * stride + wq..]
-            .iter()
-            .step_by(stride)
-            .take(n)
-            .position(|&w| w & m != 0);
-        if let Some(p) = pivot.map(|i| n + i) {
-            // Random outcome. Row p's own destabilizer partner (row p−n)
-            // anticommutes with row p, so multiplying it would produce an
-            // imaginary phase — but it is overwritten below anyway, so it
-            // is skipped inside the fused loop.
-            if stride == 1 {
-                self.collapse_rowsums_w1(p, m);
-            } else {
-                self.collapse_rowsums(p, wq, m);
-            }
-            self.copy_row(p, p - n);
-            self.clear_row(p);
+        let cw = self.cw;
+        if let Some(p) = self.first_stab_x(q) {
+            self.collapse(p, q);
             let outcome: bool = rng.random();
-            self.zs[p * stride + wq] |= m;
-            self.signs.set(p, outcome);
+            set_bit(&mut self.zs[q * cw..(q + 1) * cw], p, true);
+            set_bit(&mut self.signs, p, outcome);
             outcome
-        } else if stride == 1 {
-            // Deterministic outcome, single-word fast path: the stabilizer
-            // product accumulates entirely in registers.
-            self.scratch_accumulate_w1(m)
         } else {
-            // Deterministic outcome: accumulate the stabilizer product on
-            // the scratch row.
-            self.scratch_accumulate(wq, m)
+            self.deterministic_measure(q)
         }
     }
 
     /// Extracts row `row` of the tableau as a packed Pauli.
     fn row_pauli(&self, row: usize) -> PackedPauli {
+        let bw = self.n.div_ceil(64);
+        let mut xrow = vec![0u64; bw];
+        let mut zrow = vec![0u64; bw];
+        self.extract_row(row, &mut xrow, &mut zrow);
         let mut out = PackedPauli::identity(self.n);
-        self.row_pauli_into(row, &mut out);
-        out
-    }
-
-    /// [`TableauSim::row_pauli`] into a caller-provided Pauli, reusing its
-    /// bit-plane allocations — the scratch-friendly path for loops that
-    /// extract many rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not `num_qubits` wide.
-    fn row_pauli_into(&self, row: usize, out: &mut PackedPauli) {
-        out.x.copy_from_words(self.x_row(row));
-        out.z.copy_from_words(self.z_row(row));
+        out.x.copy_from_words(&xrow);
+        out.z.copy_from_words(&zrow);
         // Y = i·X·Z per (1,1) qubit: the i-exponent is the Y count mod 4.
         let ys = out.x.and_count_ones(&out.z) % 4;
-        out.k = ((2 * self.signs.get(row) as u32 + ys) % 4) as u8;
-    }
-
-    /// Returns `true` when row `row` anticommutes with `p`.
-    ///
-    /// Two GF(2) inner products straight off the bit-planes — no row
-    /// extraction, no allocation.
-    #[inline]
-    fn row_anticommutes(&self, row: usize, p: &PackedPauli) -> bool {
-        slice_dot(self.x_row(row), p.z.as_words()) ^ slice_dot(self.z_row(row), p.x.as_words())
+        out.k = ((2 * get_bit(&self.signs, row) as u32 + ys) % 4) as u8;
+        out
     }
 
     /// The current stabilizer generators as phase-tracked Pauli strings.
@@ -610,33 +681,43 @@ impl TableauSim {
 
     /// Exact expectation value `⟨ψ|P|ψ⟩ ∈ {-1, 0, +1}` of a Pauli string.
     ///
-    /// This is the zero-shot Clifford-specific optimization of the paper's
-    /// §IX: a Pauli either anticommutes with some stabilizer (expectation 0)
-    /// or is ± a product of stabilizer generators, whose sign is computed
-    /// exactly from the tableau.
+    /// The commutation screen runs column-wise: one pass over the `2n`
+    /// columns XOR-accumulates an anticommutation bit-plane for *all*
+    /// rows at once (`acc ^= x_col·P.z[j] ⊕ z_col·P.x[j]`), `O(n·n/64)`
+    /// total. Only the rows that participate in the membership product
+    /// are then extracted.
     ///
     /// # Panics
     ///
-    /// Panics if `p.len() != num_qubits` or the string carries an imaginary
-    /// phase (non-Hermitian operator).
+    /// Panics if `p.len() != num_qubits` or the string carries an
+    /// imaginary phase (non-Hermitian operator).
     pub fn expectation(&self, p: &qcir::PauliString) -> i32 {
         assert_eq!(p.len(), self.n, "operator width mismatch");
         assert!(p.phase() % 2 == 0, "non-Hermitian Pauli operator");
         let target = PackedPauli::from_string(p);
+        let n = self.n;
+        let cw = self.cw;
+        let mut anti = vec![0u64; cw];
+        for j in 0..n {
+            if target.z.get(j) {
+                simd::xor_into(&mut anti, self.x_col(j));
+            }
+            if target.x.get(j) {
+                simd::xor_into(&mut anti, self.z_col(j));
+            }
+        }
         // ⟨P⟩ = 0 unless P commutes with every stabilizer generator.
-        for r in self.n..2 * self.n {
-            if self.row_anticommutes(r, &target) {
+        for r in n..2 * n {
+            if get_bit(&anti, r) {
                 return 0;
             }
         }
-        // P = ± Π of the stabilizers paired with anticommuting destabilizers.
-        // One scratch row serves every extraction.
-        let mut product = PackedPauli::identity(self.n);
-        let mut scratch = PackedPauli::identity(self.n);
-        for i in 0..self.n {
-            if self.row_anticommutes(i, &target) {
-                self.row_pauli_into(self.n + i, &mut scratch);
-                product.mul_assign(&scratch);
+        // P = ± Π of the stabilizers paired with anticommuting
+        // destabilizers.
+        let mut product = PackedPauli::identity(n);
+        for i in 0..n {
+            if get_bit(&anti, i) {
+                product.mul_assign(&self.row_pauli(n + i));
             }
         }
         debug_assert_eq!(product.x, target.x, "membership reconstruction failed");
@@ -654,12 +735,10 @@ impl TableauSim {
     /// distribution.
     ///
     /// The distribution of measuring all qubits of a stabilizer state is
-    /// uniform over `base ⊕ span(directions)`; this performs the one-time
-    /// `O(n³/64)` Gaussian elimination that makes bulk sampling cheap. In
-    /// the row-major layout each stabilizer row is extracted with two word
-    /// copies, and the elimination's row products run on the packed
-    /// kernels; the extracted bit-planes are moved (not recloned) into the
-    /// returned support.
+    /// uniform over `base ⊕ span(directions)`. The stabilizer rows are
+    /// extracted to row-major form (the lazy transpose, `O(n²/64)`) and
+    /// Gaussian-eliminated once (`O(n³/64)`), which makes bulk sampling
+    /// cheap.
     pub fn support(&self) -> AffineSupport {
         let n = self.n;
         let rows: Vec<PackedPauli> = (n..2 * n).map(|r| self.row_pauli(r)).collect();
@@ -670,312 +749,6 @@ impl TableauSim {
     /// without collapsing the state.
     pub fn sample_all(&self, shots: usize, rng: &mut impl Rng) -> Vec<Bits> {
         self.support().sample_many(shots, rng)
-    }
-}
-
-/// Gaussian-eliminates `n` extracted stabilizer generators into the
-/// affine support of the measurement distribution.
-///
-/// Shared by every tableau engine so the emitted `base`/`directions`
-/// (and therefore the per-shot RNG consumption of sampling) are
-/// bit-identical whichever engine extracted the rows: the elimination
-/// order, pivot choice, and free-variable convention live here, once.
-pub(crate) fn support_from_packed_rows(n: usize, mut rows: Vec<PackedPauli>) -> AffineSupport {
-    // Echelon form on the X-block.
-    let mut rank = 0;
-    for col in 0..n {
-        if let Some(pivot) = (rank..n).find(|&i| rows[i].x.get(col)) {
-            rows.swap(rank, pivot);
-            let pivot_row = rows[rank].clone();
-            for (i, row) in rows.iter_mut().enumerate() {
-                if i != rank && row.x.get(col) {
-                    row.mul_assign(&pivot_row);
-                }
-            }
-            rank += 1;
-        }
-    }
-
-    // Move the bit-planes out of the eliminated rows: the first `rank`
-    // X-masks become the directions, the rest are pure-Z constraints.
-    let mut rows_iter = rows.into_iter();
-    let directions: Vec<Bits> = rows_iter.by_ref().take(rank).map(|r| r.x).collect();
-
-    // Remaining rows are pure-Z stabilizers: (-1)^{k/2} Z^z fixes
-    // z·x ≡ k/2 (mod 2) on the support.
-    let mut cons: Vec<(Bits, bool)> = rows_iter
-        .map(|r| {
-            debug_assert!(r.is_z_type());
-            debug_assert!(r.k % 2 == 0);
-            (r.z, r.k % 4 == 2)
-        })
-        .collect();
-
-    // Solve the linear system for a particular solution (free vars = 0).
-    let mut base = Bits::zeros(n);
-    let mut row_i = 0;
-    let mut pivots: Vec<(usize, usize)> = Vec::new(); // (row, col)
-    for col in 0..n {
-        if row_i >= cons.len() {
-            break;
-        }
-        if let Some(p) = (row_i..cons.len()).find(|&i| cons[i].0.get(col)) {
-            cons.swap(row_i, p);
-            let (pivot_bits, pivot_rhs) = cons[row_i].clone();
-            for (i, (bits, rhs)) in cons.iter_mut().enumerate() {
-                if i != row_i && bits.get(col) {
-                    bits.xor_assign(&pivot_bits);
-                    *rhs ^= pivot_rhs;
-                }
-            }
-            pivots.push((row_i, col));
-            row_i += 1;
-        }
-    }
-    for &(r, col) in &pivots {
-        // In reduced echelon form with free variables set to zero the
-        // pivot variable equals the right-hand side.
-        base.set(col, cons[r].1);
-    }
-
-    AffineSupport { base, directions }
-}
-
-/// The support of a stabilizer state's computational-basis distribution:
-/// the uniform distribution over `base ⊕ span(directions)`.
-#[derive(Clone, Debug)]
-pub struct AffineSupport {
-    base: Bits,
-    directions: Vec<Bits>,
-}
-
-impl AffineSupport {
-    /// Constructs a support from a base point and (independent) directions.
-    pub fn new(base: Bits, directions: Vec<Bits>) -> Self {
-        AffineSupport { base, directions }
-    }
-
-    /// The dimension `r` of the support subspace (the distribution is
-    /// uniform over `2^r` points).
-    pub fn dim(&self) -> usize {
-        self.directions.len()
-    }
-
-    /// The base point.
-    pub fn base(&self) -> &Bits {
-        &self.base
-    }
-
-    /// The subspace directions.
-    pub fn directions(&self) -> &[Bits] {
-        &self.directions
-    }
-
-    /// XORs a random subset of the directions into `x`, drawing the
-    /// selection mask 64 directions at a time (one RNG call per block
-    /// instead of one per direction).
-    fn xor_random_directions(&self, x: &mut Bits, rng: &mut impl Rng) {
-        for block in self.directions.chunks(64) {
-            let mut mask: u64 = rng.random();
-            for d in block {
-                if mask & 1 == 1 {
-                    x.xor_assign(d);
-                }
-                mask >>= 1;
-            }
-        }
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut impl Rng) -> Bits {
-        let mut x = self.base.clone();
-        self.xor_random_directions(&mut x, rng);
-        x
-    }
-
-    /// Draws one sample into an existing row, reusing its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the support width.
-    pub fn sample_into(&self, out: &mut Bits, rng: &mut impl Rng) {
-        out.copy_from(&self.base);
-        self.xor_random_directions(out, rng);
-    }
-
-    /// Draws `shots` samples. Each returned row is necessarily a fresh
-    /// allocation; use [`AffineSupport::sample_counts`] for the
-    /// scratch-reusing bulk path.
-    pub fn sample_many(&self, shots: usize, rng: &mut impl Rng) -> Vec<Bits> {
-        (0..shots).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Draws `shots` samples and tallies them, reusing one scratch row —
-    /// the allocation-free path for bulk Clifford sampling (a fresh `Bits`
-    /// is cloned only the first time an outcome is seen). The tally is
-    /// keyed by interned ids ([`metrics::OutcomeCounts`]), so the per-shot
-    /// cost is a hash probe instead of the ordered-map walk the former
-    /// `BTreeMap` return type paid; outcomes emit in lexicographic order
-    /// through [`metrics::OutcomeCounts::iter_sorted`].
-    pub fn sample_counts(&self, shots: usize, rng: &mut impl Rng) -> metrics::OutcomeCounts {
-        let mut counts = metrics::OutcomeCounts::new();
-        self.sample_counts_into(shots, rng, &mut counts);
-        counts
-    }
-
-    /// [`AffineSupport::sample_counts`] into a caller-provided tally —
-    /// lets hot loops reuse one accumulator (and its table allocation)
-    /// across many sampling calls. Counts accumulate on top of whatever
-    /// the tally already holds; call [`metrics::OutcomeCounts::clear`]
-    /// between independent records.
-    pub fn sample_counts_into(
-        &self,
-        shots: usize,
-        rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-    ) {
-        let mut scratch = self.base.clone();
-        self.sample_counts_scratch(shots, rng, counts, &mut scratch);
-    }
-
-    /// [`AffineSupport::sample_counts_into`] with a caller-provided
-    /// scratch row as well — the fully allocation-free bulk path for
-    /// workers that sample many supports in a loop. The scratch row is
-    /// re-shaped (one allocation) only when the support width changes
-    /// between calls.
-    ///
-    /// Small supports (single-word outcomes, `dim ≤ 10`) take a table
-    /// fast path: the `2^dim` support points are precomputed once and
-    /// each shot becomes one RNG draw plus an indexed tally bump. The
-    /// per-shot RNG consumption (one `u64` for `1..=64` directions, none
-    /// for zero) and the resulting per-outcome counts are exactly those
-    /// of the general loop, so sampling streams stay bit-identical.
-    pub fn sample_counts_scratch(
-        &self,
-        shots: usize,
-        rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-        scratch: &mut Bits,
-    ) {
-        self.sample_counts_scratch_impl(shots, rng, counts, scratch, true);
-    }
-
-    /// [`AffineSupport::sample_counts_scratch`] with the table fast path
-    /// disabled: every shot walks the per-direction XOR loop, exactly as
-    /// the pre-optimization implementation did. RNG draw order and the
-    /// resulting tally are identical to the fast path (that equivalence
-    /// is what the fast path is validated against), so this exists purely
-    /// as the frozen performance baseline — `TableauEngine::Reference`
-    /// routes through it so end-to-end benchmarks compare the optimized
-    /// Clifford pipeline against the real pre-optimization cost.
-    pub fn sample_counts_scratch_frozen(
-        &self,
-        shots: usize,
-        rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-        scratch: &mut Bits,
-    ) {
-        self.sample_counts_scratch_impl(shots, rng, counts, scratch, false);
-    }
-
-    fn sample_counts_scratch_impl(
-        &self,
-        shots: usize,
-        rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-        scratch: &mut Bits,
-        table_path: bool,
-    ) {
-        let dim = self.directions.len();
-        let width = self.base.len();
-        if scratch.len() != width {
-            *scratch = self.base.clone();
-        }
-        const MAX_TABLE_DIM: usize = 10;
-        if table_path && (1..=64).contains(&width) && dim <= MAX_TABLE_DIM {
-            // table[idx] = base ⊕ (directions selected by idx's bits) —
-            // bit i of idx ↔ direction i, matching the low-bits-first
-            // selection of `xor_random_directions`.
-            let mut table = vec![0u64; 1 << dim];
-            table[0] = self.base.as_words()[0];
-            for (i, d) in self.directions.iter().enumerate() {
-                let dw = d.as_words()[0];
-                let (lo, hi) = table.split_at_mut(1 << i);
-                for (t, &s) in hi[..1 << i].iter_mut().zip(lo.iter()) {
-                    *t = s ^ dw;
-                }
-            }
-            let mut tally = vec![0u64; 1 << dim];
-            if dim == 0 {
-                tally[0] = shots as u64;
-            } else {
-                let m = (u64::MAX) >> (64 - dim);
-                for _ in 0..shots {
-                    let mask: u64 = rng.random();
-                    tally[(mask & m) as usize] += 1;
-                }
-            }
-            for (idx, &n) in tally.iter().enumerate() {
-                if n > 0 {
-                    scratch.copy_from_words(&table[idx..idx + 1]);
-                    counts.record_n(scratch, n);
-                }
-            }
-        } else {
-            for _ in 0..shots {
-                self.sample_into(scratch, rng);
-                counts.record(scratch);
-            }
-        }
-    }
-
-    /// Enumerates all `2^dim` support points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim > 24` (guard against accidental exponential blowup).
-    pub fn enumerate(&self) -> Vec<Bits> {
-        let r = self.dim();
-        assert!(r <= 24, "support too large to enumerate (dim {r})");
-        let mut out = Vec::with_capacity(1 << r);
-        // Gray-code walk: flip one direction at a time.
-        let mut current = self.base.clone();
-        out.push(current.clone());
-        for k in 1u64..(1 << r) {
-            let flip = k.trailing_zeros() as usize;
-            current.xor_assign(&self.directions[flip]);
-            out.push(current.clone());
-        }
-        out
-    }
-
-    /// Membership test (reduces `x ⊕ base` against the directions).
-    pub fn contains(&self, x: &Bits) -> bool {
-        let n = self.base.len();
-        if x.len() != n {
-            return false;
-        }
-        let mut v = x.clone();
-        v.xor_assign(&self.base);
-        // Row-reduce the directions to echelon form, reducing v in lockstep.
-        let mut basis: Vec<Bits> = self.directions.clone();
-        let mut rank = 0;
-        for col in 0..n {
-            if let Some(p) = (rank..basis.len()).find(|&i| basis[i].get(col)) {
-                basis.swap(rank, p);
-                let pivot = basis[rank].clone();
-                for (i, b) in basis.iter_mut().enumerate() {
-                    if i != rank && b.get(col) {
-                        b.xor_assign(&pivot);
-                    }
-                }
-                if v.get(col) {
-                    v.xor_assign(&pivot);
-                }
-                rank += 1;
-            }
-        }
-        v.is_zero()
     }
 }
 
@@ -1222,44 +995,6 @@ mod tests {
             sup.enumerate().iter().map(|b| b.to_string()).collect();
         for s in sim.sample_all(500, &mut r) {
             assert!(points.contains(&s.to_string()), "sample outside support");
-        }
-    }
-
-    #[test]
-    fn frozen_sampling_matches_table_fast_path() {
-        use rand::SeedableRng;
-        // The frozen per-shot loop and the table fast path must consume
-        // the RNG identically and produce the same tally — that contract
-        // is what lets `TableauEngine::Reference` pin the frozen path
-        // without perturbing outcome streams.
-        let mut r = rng();
-        let mut c = Circuit::new(6);
-        c.h(0).h(3).cx(0, 1).cx(1, 2).cz(2, 3).s(4).cx(3, 4).h(5);
-        let sim = TableauSim::run(&c, &mut r).unwrap();
-        let sup = sim.support();
-        for seed in [3u64, 99, 4242] {
-            let mut ra = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut rb = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut fast = metrics::OutcomeCounts::new();
-            let mut frozen = metrics::OutcomeCounts::new();
-            let mut row_a = Bits::zeros(0);
-            let mut row_b = Bits::zeros(0);
-            sup.sample_counts_scratch(800, &mut ra, &mut fast, &mut row_a);
-            sup.sample_counts_scratch_frozen(800, &mut rb, &mut frozen, &mut row_b);
-            let a: Vec<(String, u64)> = fast
-                .iter_sorted()
-                .map(|(b, n)| (b.to_string(), n))
-                .collect();
-            let b: Vec<(String, u64)> = frozen
-                .iter_sorted()
-                .map(|(b, n)| (b.to_string(), n))
-                .collect();
-            assert_eq!(a, b, "seed {seed}");
-            assert_eq!(
-                ra.random::<u64>(),
-                rb.random::<u64>(),
-                "RNG positions diverged (seed {seed})"
-            );
         }
     }
 }

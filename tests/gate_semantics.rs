@@ -4,7 +4,8 @@
 //! the tableau column update ([`stabsim::TableauSim::apply`]).
 //!
 //! A bug in any one encoding breaks the triangle; agreement on all pairs
-//! pins each of them down.
+//! pins each of them down. The statevector stops at a few qubits, so the
+//! last test checks wide (multi-word) tableaus against a bit vector.
 
 use qcir::{Circuit, CliffordGate, Gate, Pauli, PauliString, Qubit};
 use rand::rngs::StdRng;
@@ -165,4 +166,79 @@ fn circuit_adjoint_inverts() {
     roundtrip.append(&c.adjoint());
     let psi = StateVec::run(&roundtrip).unwrap();
     assert!((psi.probability_of_index(0) - 1.0).abs() < 1e-10);
+}
+
+/// RNG that counts its draws, to show deterministic measurements take none.
+struct CountingRng {
+    inner: StdRng,
+    draws: u64,
+}
+
+impl rand::RngCore for CountingRng {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// Wide circuits against an oracle that is not a tableau: X / CX / SWAP
+/// permute computational-basis states and Z / S / CZ are diagonal, so a
+/// plain bit vector simulates such a circuit exactly. The widths span one
+/// tableau column word and a tail (65), a full `u64×4` block plus a tail
+/// (130 → 5 column words), and the paper's Fig. 3 range (300).
+#[test]
+fn classical_reversible_circuits_match_a_bit_vector_at_wide_n() {
+    use rand::Rng;
+    for (n, seed) in [(65usize, 1u64), (130, 2), (300, 3)] {
+        let mut gen = StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new(n);
+        let mut bits = vec![false; n];
+        for _ in 0..12 * n {
+            let a = gen.random_range(0..n);
+            let b = (a + 1 + gen.random_range(0..n - 1)) % n;
+            match gen.random_range(0..6) {
+                0 => {
+                    c.x(a);
+                    bits[a] = !bits[a];
+                }
+                1 => {
+                    c.cx(a, b);
+                    bits[b] ^= bits[a];
+                }
+                2 => {
+                    c.swap(a, b);
+                    bits.swap(a, b);
+                }
+                3 => {
+                    c.z(a);
+                }
+                4 => {
+                    c.s(a);
+                }
+                _ => {
+                    c.cz(a, b);
+                }
+            }
+        }
+        assert!(bits.iter().any(|&b| b) && bits.iter().any(|&b| !b));
+
+        let mut rng = CountingRng {
+            inner: StdRng::seed_from_u64(seed),
+            draws: 0,
+        };
+        let mut sim = stabsim::TableauSim::run(&c, &mut rng).unwrap();
+        let support = sim.support();
+        assert_eq!(support.dim(), 0, "n={n}: basis state has a point support");
+        assert_eq!(
+            support.base(),
+            &qcir::Bits::from_bools(&bits),
+            "n={n}: support base"
+        );
+        let measured: Vec<bool> = (0..n).map(|q| sim.measure(q, &mut rng)).collect();
+        assert_eq!(measured, bits, "n={n}: measured bits");
+        assert_eq!(
+            rng.draws, 0,
+            "n={n}: deterministic outcomes drew from the RNG"
+        );
+    }
 }

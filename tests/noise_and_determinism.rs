@@ -13,6 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use supersim::{ExecParams, RunResult, SuperSim, SuperSimConfig};
 
+mod oracles;
+
 /// Worker-pool size under test, from `SUPERSIM_TEST_THREADS`.
 fn test_threads() -> usize {
     std::env::var("SUPERSIM_TEST_THREADS")
@@ -274,52 +276,78 @@ fn sweep_bit_identical_to_independent_runs_at_matrix_thread_count() {
     );
 }
 
-/// The packed word-parallel tableau engine feeds the same fragment
-/// tensors as the frozen bit-at-a-time reference at the matrix thread
-/// count: same supports, same emission order, same coefficient bits.
-/// (Engine parity at explicit thread counts is in
-/// `tableau_engine_parity`; this is the matrix-pinned variant.)
+/// `cutkit::evaluate_variant` — the one place the pipeline reaches the
+/// tableau — returns for every Clifford variant of a cut workload exactly
+/// what the frozen oracle path computes from the same seed (bit-at-a-time
+/// tableau, then the per-shot sampling loop in sampled mode or the
+/// enumerated support in exact mode): same outcomes, same order, same
+/// weight bits, same RNG position afterwards.
 #[test]
-fn packed_tableau_engine_matches_reference_bit_exact() {
-    use cutkit::{cut_circuit, CutStrategy, EvalMode, EvalOptions, TableauEngine, TensorOptions};
+fn clifford_evaluation_matches_reference_bit_exact() {
+    use cutkit::{cut_circuit, enumerate_variants, variant_circuit, CutStrategy};
+    use cutkit::{evaluate_variant, EvalMode, EvalOptions};
+    use rand::Rng;
+    const SHOTS: usize = 700;
     let w = workloads::hwea(6, 3, 2, 19);
     let cut = cut_circuit(&w.circuit, CutStrategy::default()).unwrap();
-    let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 640 + i).collect();
-    let opts = TensorOptions::default();
-    let mk = |engine| EvalOptions {
-        mode: EvalMode::Sampled { shots: 700 },
-        tableau_engine: engine,
-        ..Default::default()
-    };
-    let reference = cutkit::evaluate_fragment_tensors(
-        &cut.fragments,
-        &mk(TableauEngine::Reference),
-        &opts,
-        &seeds,
-        1,
-    )
-    .unwrap();
-    let packed = cutkit::evaluate_fragment_tensors(
-        &cut.fragments,
-        &mk(TableauEngine::Packed),
-        &opts,
-        &seeds,
-        test_threads(),
-    )
-    .unwrap();
-    assert_eq!(packed.len(), reference.len());
-    for (fi, (p, r)) in packed.iter().zip(&reference).enumerate() {
-        assert_eq!(p.support_len(), r.support_len(), "fragment {fi} support");
-        for ((pb, pv), (rb, rv)) in p.iter().zip(r.iter()) {
-            assert_eq!(pb, rb, "fragment {fi} emission order");
-            for (x, y) in pv.iter().zip(rv) {
-                assert!(
-                    x.to_bits() == y.to_bits(),
-                    "fragment {fi} coefficient bits at {pb}"
+    let mut checked = 0;
+    for (fi, fragment) in cut.fragments.iter().enumerate() {
+        if !fragment.is_clifford {
+            continue;
+        }
+        for (vi, variant) in enumerate_variants(fragment).iter().enumerate() {
+            for mode in [EvalMode::Sampled { shots: SHOTS }, EvalMode::Exact] {
+                let seed = 640 + (fi * 1000 + vi) as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let opts = EvalOptions {
+                    mode,
+                    ..Default::default()
+                };
+                let got = evaluate_variant(fragment, variant, &opts, &mut rng).unwrap();
+
+                let mut orng = StdRng::seed_from_u64(seed);
+                let circuit = variant_circuit(fragment, variant);
+                let support = oracles::ReferenceTableauSim::run(&circuit, &mut orng)
+                    .unwrap()
+                    .support();
+                let want: Vec<(Bits, f64)> = match mode {
+                    EvalMode::Sampled { .. } => {
+                        let mut counts = metrics::OutcomeCounts::new();
+                        oracles::sample_counts_scratch_frozen(
+                            &support,
+                            SHOTS,
+                            &mut orng,
+                            &mut counts,
+                            &mut Bits::zeros(0),
+                        );
+                        counts
+                            .iter_sorted()
+                            .map(|(b, c)| (b.clone(), c as f64 / SHOTS as f64))
+                            .collect()
+                    }
+                    EvalMode::Exact => {
+                        let p = 1.0 / (1u64 << support.dim()) as f64;
+                        support.enumerate().into_iter().map(|b| (b, p)).collect()
+                    }
+                };
+                assert_eq!(got.len(), want.len(), "fragment {fi} variant {vi} {mode:?}");
+                for ((gb, gp), (wb, wp)) in got.iter().zip(&want) {
+                    assert_eq!(gb, wb, "fragment {fi} variant {vi} {mode:?}: order");
+                    assert!(
+                        gp.to_bits() == wp.to_bits(),
+                        "fragment {fi} variant {vi} {mode:?}: weight bits at {gb}"
+                    );
+                }
+                assert_eq!(
+                    rng.random::<u64>(),
+                    orng.random::<u64>(),
+                    "fragment {fi} variant {vi} {mode:?}: RNG positions diverged"
                 );
+                checked += 1;
             }
         }
     }
+    assert!(checked > 0, "workload has no Clifford variant");
 }
 
 #[test]

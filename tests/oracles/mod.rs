@@ -1,20 +1,21 @@
-//! The frozen bit-at-a-time tableau baseline.
+//! Frozen oracles for the stabilizer stack, shared by the integration
+//! suites (`mod oracles;`). Built only from `stabsim`'s public items.
 //!
-//! This is the pre-word-parallel `TableauSim` — column-major bit-packed
-//! storage (`xs[q]` holds qubit `q`'s column over all `2n+1` rows) with
-//! `rowsum`/`copy_row`/`measure` probing one bit at a time and the
-//! per-qubit `g()` phase match. It is kept verbatim (same pattern as
-//! `cutkit::reference_evaluate_btreemap`) so property tests and the
-//! `tableau` bench series can assert the packed row-major engine
-//! bit-identical to it — same outcomes, same seeded-RNG consumption —
-//! and measure the speedup. Do not optimize this module; its value is
-//! being frozen.
+//! [`ReferenceTableauSim`] is the seed-era tableau — column-major
+//! bit-packed storage (`xs[q]` holds qubit `q`'s column over all `2n+1`
+//! rows) with `rowsum`/`copy_row`/`measure` probing one bit at a time and
+//! the per-qubit `g()` phase match — kept verbatim so the parity suites
+//! can assert `stabsim::TableauSim` bit-identical to it: same outcomes,
+//! same seeded-RNG consumption. [`sample_counts_scratch_frozen`] is the
+//! matching per-shot sampling loop. Do not optimize this module; its
+//! value is being frozen.
 
-use crate::packed::PackedPauli;
-use crate::tableau::AffineSupport;
-use crate::NonCliffordError;
+// Each suite uses its own subset of the oracle surface.
+#![allow(dead_code)]
+
 use qcir::{Bits, Circuit, CliffordGate, NoiseChannel, OpKind, Qubit};
 use rand::Rng;
+use stabsim::{AffineSupport, NonCliffordError, PackedPauli};
 
 /// Splits two distinct columns out of a column store for simultaneous
 /// mutation.
@@ -46,9 +47,9 @@ fn set_bit(v: &mut [u64], r: usize, b: bool) {
 
 /// The frozen column-major, bit-at-a-time stabilizer tableau.
 ///
-/// API-compatible with [`TableauSim`](crate::TableauSim) (minus the
-/// scratch-reusing extras) and guaranteed to consume the RNG identically,
-/// so the two engines can be driven side by side from one seed.
+/// API-compatible with [`stabsim::TableauSim`] and guaranteed to consume
+/// the RNG identically, so the two can be driven side by side from one
+/// seed.
 #[derive(Clone, Debug)]
 pub struct ReferenceTableauSim {
     n: usize,
@@ -315,7 +316,7 @@ impl ReferenceTableauSim {
     }
 
     /// Row operation: `row_h := row_i · row_h` with exact phase tracking,
-    /// one qubit at a time — the loop the packed engine replaces.
+    /// one qubit at a time.
     fn rowsum(&mut self, h: usize, i: usize) {
         let mut ph: i32 = 2 * (self.sign_bit(h) as i32) + 2 * (self.sign_bit(i) as i32);
         for q in 0..self.n {
@@ -425,8 +426,7 @@ impl ReferenceTableauSim {
     }
 
     /// Exact expectation value `⟨ψ|P|ψ⟩ ∈ {-1, 0, +1}` of a Pauli string,
-    /// with a fresh `row_pauli` extraction per commute check — the
-    /// allocation pattern the packed engine's scratch path replaces.
+    /// with a fresh `row_pauli` extraction per commute check.
     ///
     /// # Panics
     ///
@@ -461,8 +461,8 @@ impl ReferenceTableauSim {
     }
 
     /// The affine-subspace support of the computational-basis measurement
-    /// distribution (same extraction as the packed engine, fed by the
-    /// bit-at-a-time `row_pauli`).
+    /// distribution: its own copy of the Gaussian elimination, fed by the
+    /// bit-at-a-time `row_pauli`.
     pub fn support(&self) -> AffineSupport {
         let n = self.n;
         let mut rows: Vec<PackedPauli> = (n..2 * n).map(|r| self.row_pauli(r)).collect();
@@ -532,27 +532,21 @@ impl ReferenceTableauSim {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn reference_engine_smoke() {
-        let mut r = StdRng::seed_from_u64(12345);
-        let mut bell = Circuit::new(2);
-        bell.h(0).cx(0, 1);
-        let sim = ReferenceTableauSim::run(&bell, &mut r).unwrap();
-        let sup = sim.support();
-        assert_eq!(sup.dim(), 1);
-        for s in sim.sample_all(30, &mut r) {
-            let t = s.to_string();
-            assert!(t == "00" || t == "11", "bad Bell sample {t}");
-        }
-        let mut sim = ReferenceTableauSim::new(2);
-        sim.apply(CliffordGate::X, &[Qubit(1)]);
-        assert!(!sim.measure(0, &mut r));
-        assert!(sim.measure(1, &mut r));
+/// `AffineSupport::sample_counts_scratch` as it was before the table
+/// fast path: every shot walks the per-direction XOR loop. RNG draw order
+/// and the resulting tally must equal the production sampler's.
+pub fn sample_counts_scratch_frozen(
+    support: &AffineSupport,
+    shots: usize,
+    rng: &mut impl Rng,
+    counts: &mut metrics::OutcomeCounts,
+    scratch: &mut Bits,
+) {
+    if scratch.len() != support.base().len() {
+        *scratch = support.base().clone();
+    }
+    for _ in 0..shots {
+        support.sample_into(scratch, rng);
+        counts.record(scratch);
     }
 }

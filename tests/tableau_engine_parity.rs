@@ -1,96 +1,49 @@
-//! Three-way bit-identity of the tableau engines: the word-parallel
-//! row-major `TableauSim`, the column-major `SparseGateTableauSim`, and
-//! the frozen bit-at-a-time `ReferenceTableauSim` baseline.
+//! Bit-identity of the production tableau engine (`stabsim::TableauSim`,
+//! column-major bit-planes) against the frozen bit-at-a-time oracle
+//! (`oracles::ReferenceTableauSim`).
 //!
-//! All engines must be indistinguishable for any seed: identical
-//! measurement outcomes, identical stabilizer/destabilizer generators,
-//! identical affine-support extraction (same base, same direction order),
-//! identical expectation values, and — the property everything downstream
-//! leans on — identical seeded-RNG consumption, so every later draw in a
-//! shared stream stays aligned. The last test pushes the guarantee
-//! end-to-end: fragment tensors evaluated through any engine are
-//! bit-identical at 1, 2, and 8 worker threads.
+//! The two must be indistinguishable for any seed: identical measurement
+//! outcomes, identical stabilizer/destabilizer generators, identical
+//! affine-support extraction (same base, same direction order), identical
+//! expectation values, and — the property everything downstream leans on
+//! — identical seeded-RNG consumption, so every later draw in a shared
+//! stream stays aligned. `cutkit` reaches the engine only through
+//! `TableauSim::run(..).support()` and `sample_counts_scratch`, so the
+//! last tests pin exactly those two calls on every variant circuit of cut
+//! HWEA/QAOA workloads.
 
-use cutkit::{cut_circuit, CutStrategy, EvalMode, EvalOptions, TableauEngine, TensorOptions};
+mod oracles;
+
+use cutkit::{cut_circuit, enumerate_variants, variant_circuit, CutStrategy};
+use oracles::{sample_counts_scratch_frozen, ReferenceTableauSim};
 use proptest::prelude::*;
-use qcir::{Circuit, Pauli, PauliString};
+use qcir::{Bits, Circuit, CliffordGate, Pauli, PauliString, Qubit};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-use stabsim::{ReferenceTableauSim, SparseGateTableauSim, TableauSim};
+use rand::{Rng, RngCore, SeedableRng};
+use stabsim::{AffineSupport, TableauSim};
 
-/// Every engine the parity matrix covers, reference first (the oracle).
-const ENGINES: [TableauEngine; 3] = [
-    TableauEngine::Reference,
-    TableauEngine::Packed,
-    TableauEngine::SparseGate,
-];
-
-/// Engine-dispatch wrapper so one assertion body drives all three
-/// simulators through their identical surface.
-enum AnyTableau {
-    Packed(TableauSim),
-    SparseGate(SparseGateTableauSim),
-    Reference(ReferenceTableauSim),
+fn strings(v: Vec<PauliString>) -> Vec<String> {
+    v.iter().map(|s| s.to_string()).collect()
 }
 
-impl AnyTableau {
-    fn run(engine: TableauEngine, c: &Circuit, rng: &mut impl rand::Rng) -> Self {
-        match engine {
-            TableauEngine::Packed => AnyTableau::Packed(TableauSim::run(c, rng).unwrap()),
-            TableauEngine::SparseGate => {
-                AnyTableau::SparseGate(SparseGateTableauSim::run(c, rng).unwrap())
-            }
-            TableauEngine::Reference => {
-                AnyTableau::Reference(ReferenceTableauSim::run(c, rng).unwrap())
-            }
-        }
-    }
-
-    fn stabilizers(&self) -> Vec<String> {
-        let v = match self {
-            AnyTableau::Packed(s) => s.stabilizers(),
-            AnyTableau::SparseGate(s) => s.stabilizers(),
-            AnyTableau::Reference(s) => s.stabilizers(),
-        };
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn destabilizers(&self) -> Vec<String> {
-        let v = match self {
-            AnyTableau::Packed(s) => s.destabilizers(),
-            AnyTableau::SparseGate(s) => s.destabilizers(),
-            AnyTableau::Reference(s) => s.destabilizers(),
-        };
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn support(&self) -> stabsim::AffineSupport {
-        match self {
-            AnyTableau::Packed(s) => s.support(),
-            AnyTableau::SparseGate(s) => s.support(),
-            AnyTableau::Reference(s) => s.support(),
-        }
-    }
-
-    fn measure(&mut self, q: usize, rng: &mut impl rand::Rng) -> bool {
-        match self {
-            AnyTableau::Packed(s) => s.measure(q, rng),
-            AnyTableau::SparseGate(s) => s.measure(q, rng),
-            AnyTableau::Reference(s) => s.measure(q, rng),
-        }
-    }
-
-    fn expectation(&self, p: &PauliString) -> i32 {
-        match self {
-            AnyTableau::Packed(s) => s.expectation(p),
-            AnyTableau::SparseGate(s) => s.expectation(p),
-            AnyTableau::Reference(s) => s.expectation(p),
-        }
-    }
+fn assert_same_support(engine: &AffineSupport, oracle: &AffineSupport, what: &str) {
+    assert_eq!(engine.base(), oracle.base(), "{what}: support base");
+    assert_eq!(
+        engine.directions(),
+        oracle.directions(),
+        "{what}: support directions"
+    );
 }
 
-/// RNG wrapper that counts every `next_u64` draw, for asserting the two
-/// engines consume a shared stream at exactly the same rate.
+fn sorted_tally(counts: &metrics::OutcomeCounts) -> Vec<(String, u64)> {
+    counts
+        .iter_sorted()
+        .map(|(b, n)| (b.to_string(), n))
+        .collect()
+}
+
+/// RNG wrapper that counts every `next_u64` draw, for asserting the
+/// engine and the oracle consume a shared stream at exactly the same rate.
 struct CountingRng {
     inner: StdRng,
     draws: u64,
@@ -150,80 +103,69 @@ fn clifford_circuit(n: usize, ops: &[(u8, usize, usize)], noise: bool) -> Circui
     c
 }
 
-/// Drives the same circuit + measurement schedule through all three
-/// engines on independent counting streams of one seed and asserts
+/// Drives the same circuit + measurement schedule through the engine and
+/// the oracle on independent counting streams of one seed and asserts
 /// everything is bit-identical, including the number of RNG draws.
-fn assert_engines_bit_identical(c: &Circuit, measure: &[usize], seed: u64) {
+fn assert_engine_matches_oracle(c: &Circuit, measure: &[usize], seed: u64) {
     let n = c.num_qubits();
-    let mut rngs: Vec<CountingRng> = ENGINES.iter().map(|_| CountingRng::seed(seed)).collect();
-    let mut sims: Vec<AnyTableau> = ENGINES
-        .iter()
-        .zip(&mut rngs)
-        .map(|(&e, rng)| AnyTableau::run(e, c, rng))
-        .collect();
+    let mut erng = CountingRng::seed(seed);
+    let mut orng = CountingRng::seed(seed);
+    let mut engine = TableauSim::run(c, &mut erng).unwrap();
+    let mut oracle = ReferenceTableauSim::run(c, &mut orng).unwrap();
 
     // Pre-collapse state: generators and support extraction must agree.
-    let ref_stabs = sims[0].stabilizers();
-    let ref_destabs = sims[0].destabilizers();
-    let ref_support = sims[0].support();
-    for (i, sim) in sims.iter().enumerate().skip(1) {
-        let e = ENGINES[i];
-        assert_eq!(sim.stabilizers(), ref_stabs, "{e:?} stabilizers diverged");
-        assert_eq!(
-            sim.destabilizers(),
-            ref_destabs,
-            "{e:?} destabilizers diverged"
-        );
-        let s = sim.support();
-        assert_eq!(s.base(), ref_support.base(), "{e:?} support base diverged");
-        assert_eq!(
-            s.directions(),
-            ref_support.directions(),
-            "{e:?} support directions diverged"
-        );
-    }
+    assert_eq!(
+        strings(engine.stabilizers()),
+        strings(oracle.stabilizers()),
+        "stabilizers diverged"
+    );
+    assert_eq!(
+        strings(engine.destabilizers()),
+        strings(oracle.destabilizers()),
+        "destabilizers diverged"
+    );
+    let support = engine.support();
+    assert_same_support(&support, &oracle.support(), "pre-collapse");
 
     // Bulk sampling consumes the shared stream identically.
-    let ref_samples = ref_support.sample_many(40, &mut rngs[0]);
-    for (i, rng) in rngs.iter_mut().enumerate().skip(1) {
-        let e = ENGINES[i];
-        let samples = sims[i].support().sample_many(40, rng);
-        assert_eq!(samples, ref_samples, "{e:?} samples diverged");
-    }
+    assert_eq!(
+        support.sample_many(40, &mut erng),
+        oracle.support().sample_many(40, &mut orng),
+        "samples diverged"
+    );
 
     // Collapse-style measurement: same outcomes, same draw counts.
     for &q in measure {
         let q = q % n;
-        let a = sims[0].measure(q, &mut rngs[0]);
-        for i in 1..ENGINES.len() {
-            let e = ENGINES[i];
-            let b = sims[i].measure(q, &mut rngs[i]);
-            assert_eq!(a, b, "{e:?} measurement outcome diverged at qubit {q}");
-            assert_eq!(
-                rngs[i].draws, rngs[0].draws,
-                "{e:?} RNG draw counts diverged at qubit {q}"
-            );
-        }
+        assert_eq!(
+            engine.measure(q, &mut erng),
+            oracle.measure(q, &mut orng),
+            "measurement outcome diverged at qubit {q}"
+        );
+        assert_eq!(
+            erng.draws, orng.draws,
+            "RNG draw counts diverged at qubit {q}"
+        );
     }
 
     // Post-collapse generators still agree.
-    let ref_stabs = sims[0].stabilizers();
-    for (i, sim) in sims.iter().enumerate().skip(1) {
-        let e = ENGINES[i];
-        assert_eq!(
-            sim.stabilizers(),
-            ref_stabs,
-            "{e:?} post-measurement stabilizers diverged"
-        );
-    }
+    assert_eq!(
+        strings(engine.stabilizers()),
+        strings(oracle.stabilizers()),
+        "post-measurement stabilizers diverged"
+    );
+    assert_eq!(
+        strings(engine.destabilizers()),
+        strings(oracle.destabilizers()),
+        "post-measurement destabilizers diverged"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random Clifford circuits + measurement schedules: the packed and
-    /// sparse-gate engines are bit-identical to the frozen reference, RNG
-    /// draws included.
+    /// Random Clifford circuits + measurement schedules: the engine is
+    /// bit-identical to the frozen reference, RNG draws included.
     #[test]
     fn engines_match_reference(
         n in 1usize..9,
@@ -232,10 +174,10 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let c = clifford_circuit(n, &ops, false);
-        assert_engines_bit_identical(&c, &measure, seed);
+        assert_engine_matches_oracle(&c, &measure, seed);
     }
 
-    /// Same with Pauli noise trajectories in the stream: every engine must
+    /// Same with Pauli noise trajectories in the stream: the engine must
     /// draw the trajectory identically.
     #[test]
     fn engines_match_reference_with_noise(
@@ -245,11 +187,11 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let c = clifford_circuit(n, &ops, true);
-        assert_engines_bit_identical(&c, &measure, seed);
+        assert_engine_matches_oracle(&c, &measure, seed);
     }
 
-    /// Exact Pauli expectations agree across all three engines (the
-    /// sparse-gate one computes the commutation screen column-wise).
+    /// Exact Pauli expectations agree (the engine computes the
+    /// commutation screen column-wise, the oracle row by row).
     #[test]
     fn expectations_match_reference(
         ops in proptest::collection::vec((0u8..10, 0usize..16, 0usize..16), 1..40),
@@ -269,62 +211,15 @@ proptest! {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reference = AnyTableau::run(TableauEngine::Reference, &c, &mut rng).expectation(&p);
-        for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let e = AnyTableau::run(engine, &c, &mut rng).expectation(&p);
-            prop_assert_eq!(e, reference, "{:?} expectation diverged", engine);
-        }
+        let engine = TableauSim::run(&c, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let oracle = ReferenceTableauSim::run(&c, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(engine.expectation(&p), oracle.expectation(&p));
     }
 }
 
-/// The engine knob is selectable through the top-level pipeline
-/// (`SuperSimConfig::tableau_engine`), and the whole run — marginals,
-/// joint distribution, MLFT diagnostic — is bit-identical across all
-/// three engines for the same seed.
-#[test]
-fn supersim_pipeline_bit_identical_across_engines() {
-    use supersim::{SuperSim, SuperSimConfig};
-    let w = workloads::hwea(6, 3, 2, 23);
-    let mk = |engine| SuperSimConfig {
-        shots: 800,
-        seed: 2024,
-        mlft: true,
-        tableau_engine: engine,
-        ..SuperSimConfig::default()
-    };
-    let reference = SuperSim::new(mk(TableauEngine::Reference))
-        .run(&w.circuit)
-        .unwrap();
-    let rd = reference.distribution.unwrap();
-    for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-        let run = SuperSim::new(mk(engine)).run(&w.circuit).unwrap();
-        assert!(
-            run.report.mlft_moved.to_bits() == reference.report.mlft_moved.to_bits(),
-            "{engine:?} MLFT diagnostic diverged"
-        );
-        for (q, (p, r)) in run.marginals.iter().zip(&reference.marginals).enumerate() {
-            assert!(
-                p[0].to_bits() == r[0].to_bits() && p[1].to_bits() == r[1].to_bits(),
-                "{engine:?} marginal bits differ at qubit {q}"
-            );
-        }
-        let pd = run.distribution.unwrap();
-        assert_eq!(pd.support_len(), rd.support_len());
-        for ((pb, pp), (rb, rp)) in pd.iter().zip(rd.iter()) {
-            assert_eq!(pb, rb, "{engine:?} joint emission order diverged");
-            assert!(
-                pp.to_bits() == rp.to_bits(),
-                "{engine:?} probability bits at {pb}"
-            );
-        }
-    }
-}
-
-/// Multi-word tableaus (n > 64, stride ≥ 2) exercise the general
-/// slice-based collapse/scratch paths rather than the single-word
-/// register fast paths — they must match the reference identically too.
+/// Multi-word tableaus (n > 64: several row words in the oracle's
+/// extraction, `W4` blocks plus scalar tails in the engine's column
+/// kernels) must match the reference identically too.
 #[test]
 fn engines_match_reference_multiword() {
     for &(n, seed) in &[(65usize, 11u64), (96, 12), (130, 13)] {
@@ -339,75 +234,111 @@ fn engines_match_reference_multiword() {
         }
         let c = clifford_circuit(n, &ops, false);
         let measure: Vec<usize> = (0..2 * n).map(|i| (i * 7 + 3) % n).collect();
-        assert_engines_bit_identical(&c, &measure, seed + 1000);
+        assert_engine_matches_oracle(&c, &measure, seed + 1000);
     }
 }
 
-/// End-to-end: fragment tensors built through any tableau engine are
-/// bit-identical — same support, same emission order, same coefficient
-/// float bits — at 1, 2, and 8 worker threads.
+/// Everything `cutkit` asks of the engine, on every Clifford variant
+/// circuit of cut HWEA/QAOA workloads (one past the 64-qubit word): the
+/// same `support()` — base and direction order — from the same RNG
+/// position, and the same sampled tally from the table fast path as from
+/// the frozen per-shot loop.
 #[test]
-fn fragment_tensors_bit_identical_across_engines_and_threads() {
-    let mut c = Circuit::new(6);
-    c.h(0);
-    for q in 1..6 {
-        c.cx(q - 1, q);
-    }
-    for q in [1usize, 3, 5] {
-        c.t(q);
-    }
-    for q in 0..6 {
-        c.h(q);
-    }
-    let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
-    let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 501 + i).collect();
-    let opts = TensorOptions::default();
-    for mode in [EvalMode::Sampled { shots: 800 }, EvalMode::Exact] {
-        let reference_eval = EvalOptions {
-            mode,
-            tableau_engine: TableauEngine::Reference,
-            ..Default::default()
-        };
-        let baseline =
-            cutkit::evaluate_fragment_tensors(&cut.fragments, &reference_eval, &opts, &seeds, 1)
-                .unwrap();
-        for engine in [TableauEngine::Packed, TableauEngine::SparseGate] {
-            let eval = EvalOptions {
-                mode,
-                tableau_engine: engine,
-                ..Default::default()
-            };
-            for threads in [1usize, 2, 8] {
-                let tensors = cutkit::evaluate_fragment_tensors(
-                    &cut.fragments,
-                    &eval,
-                    &opts,
-                    &seeds,
-                    threads,
-                )
-                .unwrap();
-                assert_eq!(tensors.len(), baseline.len());
-                for (fi, (p, r)) in tensors.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        p.support_len(),
-                        r.support_len(),
-                        "support diverged: {engine:?}, fragment {fi}, {threads} threads, {mode:?}"
-                    );
-                    for ((pb, pv), (rb, rv)) in p.iter().zip(r.iter()) {
-                        assert_eq!(
-                            pb, rb,
-                            "outcome order diverged at fragment {fi} ({engine:?})"
-                        );
-                        for (x, y) in pv.iter().zip(rv) {
-                            assert!(
-                                x.to_bits() == y.to_bits(),
-                                "coefficient bits diverged: {engine:?}, fragment {fi}, \
-                                 outcome {pb}, {threads} threads, {mode:?}"
-                            );
-                        }
-                    }
-                }
+fn variant_supports_and_tallies_match_oracle_on_cut_workloads() {
+    let circuits = [
+        workloads::hwea(6, 3, 2, 23).circuit,
+        workloads::hwea(6, 3, 2, 19).circuit,
+        workloads::hwea(8, 3, 1, 5).circuit,
+        workloads::hwea(72, 5, 1, 2).circuit,
+        workloads::qaoa_sk(6, 1, 1, 3).circuit,
+        workloads::qaoa_sk(4, 1, 1, 43).circuit,
+    ];
+    let mut checked = 0;
+    let mut widest = 0;
+    for (ci, c) in circuits.iter().enumerate() {
+        let cut = cut_circuit(c, CutStrategy::default()).unwrap();
+        for (fi, fragment) in cut.fragments.iter().enumerate() {
+            if !fragment.is_clifford {
+                continue;
+            }
+            for (vi, variant) in enumerate_variants(fragment).iter().enumerate() {
+                let what = format!("circuit {ci}, fragment {fi}, variant {vi}");
+                let vc = variant_circuit(fragment, variant);
+                widest = widest.max(vc.num_qubits());
+                let seed = (ci * 1_000_000 + fi * 10_000 + vi) as u64;
+                let mut erng = StdRng::seed_from_u64(seed);
+                let mut orng = StdRng::seed_from_u64(seed);
+                let support = TableauSim::run(&vc, &mut erng).unwrap().support();
+                let oracle = ReferenceTableauSim::run(&vc, &mut orng).unwrap().support();
+                assert_same_support(&support, &oracle, &what);
+
+                let mut fast = metrics::OutcomeCounts::new();
+                let mut frozen = metrics::OutcomeCounts::new();
+                support.sample_counts_scratch(300, &mut erng, &mut fast, &mut Bits::zeros(0));
+                sample_counts_scratch_frozen(
+                    &oracle,
+                    300,
+                    &mut orng,
+                    &mut frozen,
+                    &mut Bits::zeros(0),
+                );
+                assert_eq!(sorted_tally(&fast), sorted_tally(&frozen), "{what}: tally");
+                assert_eq!(
+                    erng.random::<u64>(),
+                    orng.random::<u64>(),
+                    "{what}: RNG positions diverged"
+                );
+                checked += 1;
             }
         }
     }
+    assert!(checked > 100, "only {checked} variant circuits checked");
+    assert!(
+        widest > 64,
+        "no multiword variant circuit (widest {widest})"
+    );
+}
+
+/// The frozen per-shot loop and the table fast path of
+/// `AffineSupport::sample_counts_scratch` consume the RNG identically and
+/// produce the same tally.
+#[test]
+fn frozen_sampling_matches_table_fast_path() {
+    let mut r = StdRng::seed_from_u64(12345);
+    let mut c = Circuit::new(6);
+    c.h(0).h(3).cx(0, 1).cx(1, 2).cz(2, 3).s(4).cx(3, 4).h(5);
+    let sup = TableauSim::run(&c, &mut r).unwrap().support();
+    for seed in [3u64, 99, 4242] {
+        let mut ra = StdRng::seed_from_u64(seed);
+        let mut rb = StdRng::seed_from_u64(seed);
+        let mut fast = metrics::OutcomeCounts::new();
+        let mut frozen = metrics::OutcomeCounts::new();
+        sup.sample_counts_scratch(800, &mut ra, &mut fast, &mut Bits::zeros(0));
+        sample_counts_scratch_frozen(&sup, 800, &mut rb, &mut frozen, &mut Bits::zeros(0));
+        assert_eq!(sorted_tally(&fast), sorted_tally(&frozen), "seed {seed}");
+        assert_eq!(
+            ra.random::<u64>(),
+            rb.random::<u64>(),
+            "RNG positions diverged (seed {seed})"
+        );
+    }
+}
+
+/// The oracle itself still behaves like a tableau.
+#[test]
+fn reference_engine_smoke() {
+    let mut r = StdRng::seed_from_u64(12345);
+    let mut bell = Circuit::new(2);
+    bell.h(0).cx(0, 1);
+    let sim = ReferenceTableauSim::run(&bell, &mut r).unwrap();
+    let sup = sim.support();
+    assert_eq!(sup.dim(), 1);
+    for s in sim.sample_all(30, &mut r) {
+        let t = s.to_string();
+        assert!(t == "00" || t == "11", "bad Bell sample {t}");
+    }
+    let mut sim = ReferenceTableauSim::new(2);
+    sim.apply(CliffordGate::X, &[Qubit(1)]);
+    assert!(!sim.measure(0, &mut r));
+    assert!(sim.measure(1, &mut r));
 }
