@@ -20,10 +20,10 @@
 //! pool against the frozen pre-intern baseline
 //! (`cutkit::reference_evaluate_btreemap`: per-chunk
 //! `BTreeMap<Bits, Vec<f64>>` accumulation, one ordered-map walk and key
-//! clone per touch), and an `mlft` series does the same for the
-//! correction stage (`cutkit::reference_correct_btreemap`). Both assert
-//! the engine bit-identical to the baseline at 1, 2, and 8 threads before
-//! timing is reported.
+//! clone per touch), asserting the engine bit-identical to the baseline
+//! at 1, 2, and 8 threads before timing is reported. (The MLFT stage has
+//! no series here: `cutkit.mlft_ms` of `e2e_bench` measures it inside a
+//! whole run.)
 //!
 //! A `runtime_reuse` series runs first (while the process-global runtime
 //! pool is still cold): one batch that pays the worker spawns, then warm
@@ -53,9 +53,8 @@
 //! bench-regression gate.
 
 use cutkit::{
-    correct_tensors, cut_circuit, reference_correct_btreemap, reference_evaluate_btreemap,
-    reference_joint_btreemap, synthetic_dense_chain, CutStrategy, EvalMode, EvalOptions,
-    FragmentTensor, MlftOptions, Reconstructor, TensorOptions,
+    cut_circuit, reference_evaluate_btreemap, reference_joint_btreemap, synthetic_dense_chain,
+    CutStrategy, EvalMode, EvalOptions, FragmentTensor, Reconstructor, TensorOptions,
 };
 use qcir::{Bits, Circuit};
 use std::time::Instant;
@@ -506,70 +505,6 @@ fn main() {
         cores,
     );
 
-    // --- MLFT correction: interned in-place path vs BTreeMap baseline -
-    // Raw (unsnapped) sampled tensors with a tight negativity tolerance,
-    // so the PSD projection fires on realistically noisy blocks. The
-    // fragment set is tiled so the measured stage is well above the
-    // timer's noise floor.
-    let raw_opts = TensorOptions {
-        clifford_snap: false,
-    };
-    let base_raw =
-        cutkit::evaluate_fragment_tensors(&cut.fragments, &eval, &raw_opts, &seeds, 1).unwrap();
-    let raw_tensors: Vec<FragmentTensor> = std::iter::repeat_with(|| base_raw.clone())
-        .take(16)
-        .flatten()
-        .collect();
-    let mlft_opts = MlftOptions {
-        negativity_tolerance: 1e-6,
-        ..MlftOptions::default()
-    };
-    let (mlft_ref_ms, (mlft_ref_tensors, mlft_ref_moved)) = time_best(reps, || {
-        let mut ts = raw_tensors.clone();
-        let mut moved = 0.0;
-        for t in ts.iter_mut() {
-            moved += reference_correct_btreemap(t, &mlft_opts).unwrap();
-        }
-        (ts, moved)
-    });
-    let (mlft_1t_ms, (mlft_seq, mlft_seq_moved)) = time_best(reps, || {
-        let mut ts = raw_tensors.clone();
-        let moved = correct_tensors(&mut ts, &mlft_opts, 1).unwrap();
-        (ts, moved)
-    });
-    let (mlft_mt_ms, (mlft_par, _)) = time_best(reps, || {
-        let mut ts = raw_tensors.clone();
-        let moved = correct_tensors(&mut ts, &mlft_opts, cores).unwrap();
-        (ts, moved)
-    });
-    let mlft_identical = tensors_bit_identical(&mlft_seq, &mlft_par);
-    assert!(mlft_identical, "MLFT pool changed results");
-    assert!(
-        mlft_seq_moved.to_bits() == mlft_ref_moved.to_bits(),
-        "mlft_moved diverged from the BTreeMap baseline"
-    );
-    // Parity at 1/2/8 threads: the 1-thread result is already in hand.
-    assert!(
-        tensors_bit_identical(&mlft_seq, &mlft_ref_tensors),
-        "MLFT at 1 thread diverged from the BTreeMap baseline"
-    );
-    for threads in [2usize, 8] {
-        let mut ts = raw_tensors.clone();
-        correct_tensors(&mut ts, &mlft_opts, threads).unwrap();
-        assert!(
-            tensors_bit_identical(&ts, &mlft_ref_tensors),
-            "MLFT at {threads} threads diverged from the BTreeMap baseline"
-        );
-    }
-    let mlft_speedup_1t = mlft_ref_ms / mlft_1t_ms;
-    let mlft_speedup_mt = mlft_ref_ms / mlft_mt_ms;
-    println!(
-        "mlft ({} fragments): reference {mlft_ref_ms:.2} ms, \
-         engine(1t) {mlft_1t_ms:.2} ms ({mlft_speedup_1t:.2}x), \
-         engine({cores} workers) {mlft_mt_ms:.2} ms ({mlft_speedup_mt:.2}x)",
-        raw_tensors.len(),
-    );
-
     // --- Batch sweep: plan-reuse vs re-cut-per-point baseline ----------
     // A deep T-rich ladder under a tight cut budget: the greedy merge
     // pass dominates each run, which is exactly the cost plan reuse
@@ -990,7 +925,7 @@ fn main() {
 
     // --- JSON report ---------------------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 10,\n  \
+        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 11,\n  \
          \"threads_available\": {cores},\n  \"reps\": {reps},\n  \
          \"runtime_reuse\": {runtime_reuse_row},\n  \
          \"plan_cache\": {plan_cache_row},\n  \
@@ -1002,17 +937,10 @@ fn main() {
          \"truncated_sweep\": {truncated_sweep_row},\n  \
          \"supervised_batch\": {supervised_row},\n  \
          \"resilient_batch\": {resilient_row},\n  \
-         \"mlft\": {{\"fragments\": {}, \
-         \"reference_ms\": {mlft_ref_ms:.3}, \
-         \"engine_1t_ms\": {mlft_1t_ms:.3}, \"engine_mt_ms\": {mlft_mt_ms:.3}, \
-         \"speedup_1t\": {mlft_speedup_1t:.3}, \"speedup_mt\": {mlft_speedup_mt:.3}, \
-         \"bit_identical_to_baseline\": true, \
-         \"bit_identical_across_threads\": {mlft_identical}}},\n  \
          \"sparse_contraction\": {{\"k\": {}, \"visited_sparse\": {visited_sparse}, \
          \"visited_dense\": {visited_dense}}}\n}}\n",
         recombine_rows.join(",\n"),
         joint_rows.join(",\n"),
-        raw_tensors.len(),
         sparse_cut.num_cuts,
     );
     std::fs::write(path, &json).expect("write BENCH_recombine.json");

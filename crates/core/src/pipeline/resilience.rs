@@ -846,6 +846,10 @@ mod tests {
             stage: Stage::Eval,
             elapsed: Duration::from_millis(1),
         }));
+        // Non-finite tensor data reproduces on every retry: permanent.
+        let non_finite = SuperSimError::from(cutkit::MlftError::NonFinite);
+        assert!(!is_transient(&non_finite));
+        assert!(non_finite.to_string().contains("non-finite coefficient"));
         // Job context is stripped before classification.
         let wrapped = SuperSimError::Job {
             job: 2,

@@ -45,8 +45,6 @@ pub use cut::{cut_circuit, CutBudgetError, CutCircuit, CutPoint, CutStrategy, Fr
 pub use evaluate::{
     evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
 };
-#[doc(hidden)]
-pub use mlft::reference_correct_btreemap;
 pub use mlft::{correct_tensor, correct_tensors, MlftError, MlftOptions};
 #[doc(hidden)]
 pub use recombine::reference_joint_btreemap;

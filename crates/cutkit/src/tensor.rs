@@ -41,10 +41,10 @@
 //!
 //! Id assignment order is first-seen and thus schedule-dependent; the
 //! tensor's **API boundary is ordered**. Every read path that can feed
-//! float accumulation downstream — [`FragmentTensor::iter`], the derived
-//! sums rebuilt by [`FragmentTensor::rebuild_derived`] (totals, slice
-//! maxima, per-bit marginals) — visits outcomes in lexicographic [`Bits`]
-//! order, exactly the order the former ordered map iterated in. Combined
+//! float accumulation downstream — [`FragmentTensor::iter`] and the
+//! derived sums (totals, slice maxima, slice L1 masses, per-bit
+//! marginals) — visits outcomes in lexicographic [`Bits`] order, exactly
+//! the order the former ordered map iterated in. Combined
 //! with the fixed chunk decomposition of [`evaluate_fragment_tensors`]
 //! (variant folds in variant order, chunk merges in chunk order, first
 //! contribution per outcome moved rather than added onto zeros), results
@@ -52,6 +52,21 @@
 //! any thread count**. The frozen reference path
 //! ([`reference_evaluate_btreemap`]) keeps the old `BTreeMap` pipeline
 //! alive for parity tests and the `fragment_eval` benchmark series.
+//!
+//! # Derived sums are lazy
+//!
+//! The derived sums cost one `support × n_out × 4^m` pass, so a tensor
+//! computes them **once, on first read**, and caches them beside the
+//! emission order; scaling the coefficients or replacing an entry drops
+//! the cache, so a stale sum cannot be read. Building a tensor computes
+//! nothing. Who forces the pass: [`correct_tensor`](crate::correct_tensor)
+//! does before it returns, which keeps the pass inside the per-fragment
+//! MLFT task (parallel across fragments) — the sums are then those of the
+//! normalized coefficients and the unnormalized ones are never computed.
+//! Without MLFT the first accessor call does, in practice
+//! [`Reconstructor::new`](crate::Reconstructor::new). The sums are
+//! accumulated from the same coefficients in the same order whenever the
+//! pass runs, so laziness changes no float bit.
 
 use crate::cut::Fragment;
 use crate::evaluate::{
@@ -115,6 +130,15 @@ pub struct FragmentTensor {
     /// emission order of every read path. Invalidated when the support
     /// grows; derived state, rebuilt on demand.
     order: OnceLock<Vec<u32>>,
+    /// Lazily-computed sums over the support. Invalidated whenever a
+    /// coefficient changes; derived state, rebuilt on demand.
+    derived: OnceLock<Derived>,
+}
+
+/// The sums over a tensor's support that the contraction reads, each a
+/// dense vector indexed by composite Pauli index.
+#[derive(Clone, Debug)]
+struct Derived {
     /// `Σ_b entries[b]`, per Pauli index.
     totals: Vec<f64>,
     /// `max_b |entries[b]|`, per Pauli index (sparse-contraction pruning:
@@ -192,24 +216,24 @@ impl FragmentTensor {
 
     /// `Σ_b T[b, idx]`.
     pub fn total(&self, idx: usize) -> f64 {
-        self.totals[idx]
+        self.derived().totals[idx]
     }
 
     /// All Pauli totals as one dense slice indexed by composite Pauli
     /// index — the flat view the contraction hot loops read.
     pub fn totals(&self) -> &[f64] {
-        &self.totals
+        &self.derived().totals
     }
 
     /// `Σ_{b: b[bit]=v} T[b, idx]`.
     pub fn marginal(&self, bit: usize, v: bool, idx: usize) -> f64 {
-        self.marginals[bit][v as usize][idx]
+        self.derived().marginals[bit][v as usize][idx]
     }
 
     /// Dense marginal slices (`v = 0`, `v = 1`) for one circuit-output
     /// bit, indexed by composite Pauli index.
     pub fn marginal_slices(&self, bit: usize) -> (&[f64], &[f64]) {
-        let m = &self.marginals[bit];
+        let m = &self.derived().marginals[bit];
         (&m[0], &m[1])
     }
 
@@ -226,7 +250,7 @@ impl FragmentTensor {
     /// `max_b |T[b, idx]|` — zero exactly when the whole Pauli slice
     /// vanishes.
     pub fn slice_max_abs(&self, idx: usize) -> f64 {
-        self.slice_max[idx]
+        self.derived().slice_max[idx]
     }
 
     /// `Σ_b |T[b, idx]|` — the L1 mass of one Pauli slice. A cut
@@ -235,14 +259,14 @@ impl FragmentTensor {
     /// is the weight bound the error-budgeted contraction ranks skip
     /// candidates by.
     pub fn slice_abs_sum(&self, idx: usize) -> f64 {
-        self.slice_abs[idx]
+        self.derived().slice_abs[idx]
     }
 
     /// All per-slice L1 masses as one dense slice indexed by composite
     /// Pauli index — the flat view the budgeted contraction's bound
     /// computation reads.
     pub fn abs_sums(&self) -> &[f64] {
-        &self.slice_abs
+        &self.derived().slice_abs
     }
 
     /// The composite Pauli index for a cut assignment: `digit(cut)` is the
@@ -259,14 +283,13 @@ impl FragmentTensor {
     }
 
     /// Replaces the coefficients of an observed `b` (used by the MLFT
-    /// correction) without touching derived sums; call
-    /// [`FragmentTensor::rebuild_derived`] afterwards. A previously unseen
+    /// correction) and drops the cached derived sums. A previously unseen
     /// `b` is appended to the support.
     ///
     /// # Panics
     ///
     /// Panics if the vector length differs from [`FragmentTensor::pauli_dim`].
-    pub fn set_entry(&mut self, b: Bits, coeffs: Vec<f64>) {
+    pub(crate) fn set_entry(&mut self, b: Bits, coeffs: Vec<f64>) {
         let dim = self.pauli_dim();
         assert_eq!(coeffs.len(), dim, "coefficient length mismatch");
         let id = self.pool.intern_owned(b) as usize;
@@ -276,50 +299,62 @@ impl FragmentTensor {
         } else {
             self.coeffs[id * dim..(id + 1) * dim].copy_from_slice(&coeffs);
         }
+        self.derived.take();
     }
 
-    /// Scales every coefficient by `scale` and recomputes totals and
-    /// marginals. Entries are visited in lexicographic key order, so the
-    /// derived-sum float accumulation is bit-identical to the former
-    /// ordered-map walk.
-    pub fn rebuild_derived(&mut self, scale: f64) {
-        let dim = self.pauli_dim();
-        let n_out = self.co_global.len();
-        let mut totals = vec![0.0; dim];
-        let mut slice_max = vec![0.0f64; dim];
-        let mut slice_abs = vec![0.0f64; dim];
-        let mut marginals = vec![[vec![0.0; dim], vec![0.0; dim]]; n_out];
-        let order = self.order.get_or_init(|| self.pool.sorted_ids());
-        for &id in order.iter() {
-            let start = id as usize * dim;
-            let v = &mut self.coeffs[start..start + dim];
-            for x in v.iter_mut() {
+    /// Scales every coefficient by `scale` and drops the cached derived
+    /// sums; the next read recomputes them from the scaled coefficients.
+    /// `scale == 1.0` skips the multiply, which is the identity on every
+    /// `f64` bit pattern.
+    pub(crate) fn rebuild_derived(&mut self, scale: f64) {
+        if scale != 1.0 {
+            for x in &mut self.coeffs {
                 *x *= scale;
             }
-            for (i, &x) in v.iter().enumerate() {
-                totals[i] += x;
-                slice_max[i] = slice_max[i].max(x.abs());
-                slice_abs[i] += x.abs();
-            }
-            let b = self.pool.key(id);
-            for bit in 0..n_out {
-                let side = b.get(bit) as usize;
+        }
+        self.derived.take();
+    }
+
+    /// The derived sums, computed on first use and cached until a
+    /// coefficient changes. Entries are visited in lexicographic key
+    /// order, so the float accumulation is bit-identical to the former
+    /// ordered-map walk.
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            let dim = self.pauli_dim();
+            let n_out = self.co_global.len();
+            let mut totals = vec![0.0; dim];
+            let mut slice_max = vec![0.0f64; dim];
+            let mut slice_abs = vec![0.0f64; dim];
+            let mut marginals = vec![[vec![0.0; dim], vec![0.0; dim]]; n_out];
+            for (b, v) in self.iter() {
                 for (i, &x) in v.iter().enumerate() {
-                    marginals[bit][side][i] += x;
+                    totals[i] += x;
+                    slice_max[i] = slice_max[i].max(x.abs());
+                    slice_abs[i] += x.abs();
+                }
+                for (bit, sides) in marginals.iter_mut().enumerate() {
+                    let side = &mut sides[b.get(bit) as usize];
+                    for (i, &x) in v.iter().enumerate() {
+                        side[i] += x;
+                    }
                 }
             }
-        }
-        self.totals = totals;
-        self.slice_max = slice_max;
-        self.slice_abs = slice_abs;
-        self.marginals = marginals;
+            Derived {
+                totals,
+                slice_max,
+                slice_abs,
+                marginals,
+            }
+        })
     }
 
     /// Pauli indices whose slice is not identically zero — the §IX
     /// "fewer stitching calculations" optimization enumerates only these.
     pub fn nonzero_indices(&self, tol: f64) -> Vec<usize> {
-        (0..self.pauli_dim())
-            .filter(|&i| self.slice_max[i] > tol)
+        let slice_max = &self.derived().slice_max;
+        (0..slice_max.len())
+            .filter(|&i| slice_max[i] > tol)
             .collect()
     }
 
@@ -355,7 +390,7 @@ impl FragmentTensor {
                 coeffs[id * dim..(id + 1) * dim].copy_from_slice(&v);
             }
         }
-        let mut tensor = FragmentTensor {
+        FragmentTensor {
             qi,
             qo,
             input_cuts,
@@ -364,13 +399,8 @@ impl FragmentTensor {
             pool,
             coeffs,
             order: OnceLock::new(),
-            totals: Vec::new(),
-            slice_max: Vec::new(),
-            slice_abs: Vec::new(),
-            marginals: Vec::new(),
-        };
-        tensor.rebuild_derived(1.0);
-        tensor
+            derived: OnceLock::new(),
+        }
     }
 }
 
@@ -696,7 +726,7 @@ fn finalize_fragment_tensor(
         }
     }
 
-    let mut tensor = FragmentTensor {
+    FragmentTensor {
         qi,
         qo,
         input_cuts: fragment.quantum_inputs.iter().map(|&(_, c)| c).collect(),
@@ -705,13 +735,8 @@ fn finalize_fragment_tensor(
         pool: m.pool,
         coeffs: m.coeffs,
         order: OnceLock::new(),
-        totals: Vec::new(),
-        slice_max: Vec::new(),
-        slice_abs: Vec::new(),
-        marginals: Vec::new(),
-    };
-    tensor.rebuild_derived(1.0);
-    tensor
+        derived: OnceLock::new(),
+    }
 }
 
 /// Evaluates several fragments' variants on **one shared worker pool** (the
@@ -1558,12 +1583,14 @@ mod tests {
         use qcir::Bits;
         use std::collections::BTreeMap;
 
+        #[derive(Clone)]
         pub struct Model {
             pub dim: usize,
             pub n_out: usize,
             pub entries: BTreeMap<Bits, Vec<f64>>,
             pub totals: Vec<f64>,
             pub slice_max: Vec<f64>,
+            pub slice_abs: Vec<f64>,
             pub marginals: Vec<[Vec<f64>; 2]>,
         }
 
@@ -1575,6 +1602,7 @@ mod tests {
                     entries: BTreeMap::new(),
                     totals: Vec::new(),
                     slice_max: Vec::new(),
+                    slice_abs: Vec::new(),
                     marginals: Vec::new(),
                 }
             }
@@ -1587,6 +1615,7 @@ mod tests {
                 let dim = self.dim;
                 let mut totals = vec![0.0; dim];
                 let mut slice_max = vec![0.0f64; dim];
+                let mut slice_abs = vec![0.0f64; dim];
                 let mut marginals = vec![[vec![0.0; dim], vec![0.0; dim]]; self.n_out];
                 for (b, v) in self.entries.iter_mut() {
                     for x in v.iter_mut() {
@@ -1595,6 +1624,7 @@ mod tests {
                     for (i, &x) in v.iter().enumerate() {
                         totals[i] += x;
                         slice_max[i] = slice_max[i].max(x.abs());
+                        slice_abs[i] += x.abs();
                     }
                     for bit in 0..self.n_out {
                         let side = b.get(bit) as usize;
@@ -1605,8 +1635,54 @@ mod tests {
                 }
                 self.totals = totals;
                 self.slice_max = slice_max;
+                self.slice_abs = slice_abs;
                 self.marginals = marginals;
             }
+        }
+    }
+
+    /// Asserts every derived-sum accessor of the (lazy) tensor returns the
+    /// bits the eagerly rebuilt model holds.
+    fn assert_derived_match_model(t: &FragmentTensor, model: &reference_model::Model, label: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(t.totals()), bits(&model.totals), "{label}: totals");
+        assert_eq!(
+            bits(t.abs_sums()),
+            bits(&model.slice_abs),
+            "{label}: abs_sums"
+        );
+        for i in 0..model.dim {
+            assert!(
+                t.total(i).to_bits() == model.totals[i].to_bits(),
+                "{label}: total {i}"
+            );
+            assert!(
+                t.slice_max_abs(i).to_bits() == model.slice_max[i].to_bits(),
+                "{label}: slice_max {i}"
+            );
+            assert!(
+                t.slice_abs_sum(i).to_bits() == model.slice_abs[i].to_bits(),
+                "{label}: slice_abs {i}"
+            );
+        }
+        for bit in 0..model.n_out {
+            let (m0, m1) = t.marginal_slices(bit);
+            let [e0, e1] = &model.marginals[bit];
+            assert_eq!(bits(m0), bits(e0), "{label}: marginal bit {bit}, v 0");
+            assert_eq!(bits(m1), bits(e1), "{label}: marginal bit {bit}, v 1");
+            for i in 0..model.dim {
+                assert!(
+                    t.marginal(bit, false, i).to_bits() == e0[i].to_bits()
+                        && t.marginal(bit, true, i).to_bits() == e1[i].to_bits(),
+                    "{label}: marginal({bit}, _, {i})"
+                );
+            }
+        }
+        for tol in [0.0, 0.2] {
+            let expect: Vec<usize> = (0..model.dim)
+                .filter(|&i| model.slice_max[i] > tol)
+                .collect();
+            assert_eq!(t.nonzero_indices(tol), expect, "{label}: nonzero({tol})");
         }
     }
 
@@ -1656,9 +1732,10 @@ mod tests {
                     0 => {
                         let b = Bits::from_u64(rng.random::<u64>() % 8, n_out);
                         let v = coeff_vec(&mut rng);
+                        // No rebuild on the tensor: `set_entry` alone
+                        // must make the old sums unreadable.
                         tensor.set_entry(b.clone(), v.clone());
                         model.set_entry(b, v);
-                        tensor.rebuild_derived(1.0);
                         model.rebuild_derived(1.0);
                     }
                     1 => {
@@ -1684,26 +1761,7 @@ mod tests {
                 }
                 assert_eq!(tensor.coeffs(tb).unwrap(), mv.as_slice());
             }
-            for i in 0..dim {
-                assert!(
-                    tensor.total(i).to_bits() == model.totals[i].to_bits(),
-                    "case {case}: total {i}"
-                );
-                assert!(
-                    tensor.slice_max_abs(i).to_bits() == model.slice_max[i].to_bits(),
-                    "case {case}: slice_max {i}"
-                );
-            }
-            for bit in 0..n_out {
-                let (m0, m1) = tensor.marginal_slices(bit);
-                for i in 0..dim {
-                    assert!(
-                        m0[i].to_bits() == model.marginals[bit][0][i].to_bits()
-                            && m1[i].to_bits() == model.marginals[bit][1][i].to_bits(),
-                        "case {case}: marginal bit {bit}, idx {i}"
-                    );
-                }
-            }
+            assert_derived_match_model(&tensor, &model, &format!("case {case}"));
             // Unobserved outcomes read as zero / absent.
             let absent = Bits::from_u64(63, n_out);
             if !model.entries.contains_key(&absent) {
@@ -1713,6 +1771,81 @@ mod tests {
                     "case {case}: absent slice"
                 );
             }
+        }
+    }
+
+    /// The derived sums are computed on first read and can never be read
+    /// stale: after building, after a rescale (`1.0` included, which must
+    /// leave every bit alone), after `set_entry` with no rebuild, and on
+    /// clones taken before and after the first read, all eight accessors
+    /// return the bits of the eager model.
+    #[test]
+    fn lazy_derived_sums_match_the_eager_model() {
+        let mut rng = StdRng::seed_from_u64(4096);
+        let (dim, n_out) = (16, 3);
+        let mut coeff_vec =
+            || -> Vec<f64> { (0..dim).map(|_| rng.random::<f64>() - 0.45).collect() };
+        let entries: Vec<(Bits, Vec<f64>)> = [5u64, 0, 3, 6]
+            .iter()
+            .map(|&k| (Bits::from_u64(k, n_out), coeff_vec()))
+            .collect();
+        let mut tensor =
+            FragmentTensor::from_dense_entries(vec![0], vec![1], vec![0, 1, 2], entries.clone());
+        let mut model = reference_model::Model::new(dim, n_out);
+        for (b, v) in entries {
+            model.set_entry(b, v);
+        }
+        model.rebuild_derived(1.0);
+
+        assert!(tensor.derived.get().is_none(), "building computes nothing");
+        let unread_clone = tensor.clone();
+        assert_derived_match_model(&tensor, &model, "built");
+        assert!(tensor.derived.get().is_some());
+        assert!(unread_clone.derived.get().is_none());
+        assert_derived_match_model(&unread_clone, &model, "clone taken before the first read");
+        assert_derived_match_model(&tensor.clone(), &model, "clone taken after the first read");
+
+        for scale in [1.0, 1.0 / 3.0] {
+            tensor.rebuild_derived(scale);
+            model.rebuild_derived(scale);
+            assert!(tensor.derived.get().is_none(), "a rescale drops the sums");
+            assert_derived_match_model(&tensor, &model, &format!("rescaled by {scale}"));
+        }
+
+        // Overwrite an observed outcome, then append an unseen one.
+        let (read_clone, before) = (tensor.clone(), model.clone());
+        for key in [3u64, 7] {
+            let (b, v) = (Bits::from_u64(key, n_out), coeff_vec());
+            tensor.set_entry(b.clone(), v.clone());
+            model.set_entry(b, v);
+            model.rebuild_derived(1.0);
+            assert_derived_match_model(&tensor, &model, &format!("set_entry({key}), no rebuild"));
+        }
+        // The clone kept the sums of the coefficients it was taken with.
+        assert_derived_match_model(&read_clone, &before, "clone is independent of later writes");
+    }
+
+    /// Evaluation leaves the derived sums uncomputed and the MLFT
+    /// correction computes them — once per fragment per run, inside the
+    /// MLFT task, from the normalized coefficients.
+    #[test]
+    fn evaluation_defers_the_derived_pass_to_the_mlft_correction() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).t(1).cx(1, 2).t(2).h(2);
+        let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
+        let eval = EvalOptions {
+            mode: EvalMode::Sampled { shots: 200 },
+            ..Default::default()
+        };
+        let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 60 + i).collect();
+        let mut tensors =
+            evaluate_fragment_tensors(&cut.fragments, &eval, &TensorOptions::default(), &seeds, 1)
+                .unwrap();
+        for t in &mut tensors {
+            assert!(t.derived.get().is_none(), "evaluation must not sum");
+            crate::correct_tensor(t, &crate::MlftOptions::default()).unwrap();
+            assert!(t.derived.get().is_some(), "the correction must sum");
+            assert!((t.total(0) - 1.0).abs() < 1e-9);
         }
     }
 

@@ -39,7 +39,9 @@ impl EigH {
 /// # Panics
 ///
 /// Panics if `a` is not square. The Hermitian property is assumed; only the
-/// lower triangle influences the result in a non-Hermitian input.
+/// lower triangle influences the result in a non-Hermitian input. A
+/// non-finite entry does not panic: the decomposition it returns is
+/// meaningless, with any NaN eigenvalues sorted to the ends.
 pub fn eigh(a: &CMat) -> EigH {
     assert_eq!(a.rows(), a.cols(), "eigh requires a square matrix");
     let n = a.rows();
@@ -105,7 +107,13 @@ pub fn eigh(a: &CMat) -> EigH {
 
     let mut order: Vec<usize> = (0..n).collect();
     let values_raw: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
-    order.sort_by(|&i, &j| values_raw[i].partial_cmp(&values_raw[j]).unwrap());
+    // A NaN input leaves NaN on the diagonal: order those by `total_cmp`
+    // rather than panic. Numbers compare numerically, so `-0.0` and `0.0`
+    // stay tied and the stable sort keeps their eigenvectors in index order.
+    order.sort_by(|&i, &j| {
+        let (a, b) = (values_raw[i], values_raw[j]);
+        a.partial_cmp(&b).unwrap_or_else(|| a.total_cmp(&b))
+    });
 
     let values = order.iter().map(|&i| values_raw[i]).collect();
     let vectors = CMat::from_fn(n, n, |i, j| v[(i, order[j])]);
@@ -292,5 +300,16 @@ mod tests {
             assert!((l - 2.5).abs() < 1e-12);
         }
         assert!(dec.reconstruct().approx_eq(&a, 1e-10));
+    }
+
+    /// Non-finite input is the caller's bug, but it must come back as
+    /// values, not as a panic inside the eigenvalue sort.
+    #[test]
+    fn non_finite_input_does_not_panic() {
+        let nan = C64::real(f64::NAN);
+        let a = CMat::from_rows(&[&[nan, C64::ZERO], &[C64::ZERO, C64::ONE]]);
+        assert_eq!(eigh(&a).values.len(), 2);
+        let all_nan = CMat::from_rows(&[&[nan, nan], &[nan, nan]]);
+        assert_eq!(eigh(&all_nan).values.len(), 2);
     }
 }
