@@ -1,5 +1,5 @@
-//! Perf-trajectory benchmark: parallel recombination + fragment
-//! evaluation, written as `BENCH_recombine.json` at the repo root.
+//! Perf-trajectory benchmark: parallel recombination and the batch
+//! drivers, written as `BENCH_recombine.json` at the repo root.
 //!
 //! Three measurements per `k` (number of cuts):
 //!
@@ -16,14 +16,9 @@
 //! accumulation, one `Bits` clone per partial term, clone-per-merge across
 //! chunks), asserting the outputs bit-identical before timing is reported.
 //!
-//! A `fragment_eval` series compares the interned-accumulator evaluation
-//! pool against the frozen pre-intern baseline
-//! (`cutkit::reference_evaluate_btreemap`: per-chunk
-//! `BTreeMap<Bits, Vec<f64>>` accumulation, one ordered-map walk and key
-//! clone per touch), asserting the engine bit-identical to the baseline
-//! at 1, 2, and 8 threads before timing is reported. (The MLFT stage has
-//! no series here: `cutkit.mlft_ms` of `e2e_bench` measures it inside a
-//! whole run.)
+//! (Fragment evaluation and the MLFT stage have no series here:
+//! `cutkit.accumulate_ms` / `cutkit.eval_clifford_ms` and `cutkit.mlft_ms`
+//! of `e2e_bench` measure them inside a whole run.)
 //!
 //! A `runtime_reuse` series runs first (while the process-global runtime
 //! pool is still cold): one batch that pays the worker spawns, then warm
@@ -53,8 +48,8 @@
 //! bench-regression gate.
 
 use cutkit::{
-    cut_circuit, reference_evaluate_btreemap, reference_joint_btreemap, synthetic_dense_chain,
-    CutStrategy, EvalMode, EvalOptions, FragmentTensor, Reconstructor, TensorOptions,
+    cut_circuit, reference_joint_btreemap, synthetic_dense_chain, CutStrategy, EvalMode,
+    EvalOptions, FragmentTensor, Reconstructor, TensorOptions,
 };
 use qcir::{Bits, Circuit};
 use std::time::Instant;
@@ -148,72 +143,6 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Bit-exact tensor comparison: same support, same emission order, same
-/// coefficient float bits.
-fn tensors_bit_identical(a: &[FragmentTensor], b: &[FragmentTensor]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(s, p)| {
-            s.support_len() == p.support_len()
-                && s.iter().zip(p.iter()).all(|((sb, sv), (pb, pv))| {
-                    sb == pb && sv.iter().zip(pv).all(|(x, y)| x.to_bits() == y.to_bits())
-                })
-        })
-}
-
-/// Times one evaluation-pool workload against the frozen `BTreeMap`
-/// reference, asserting the engine bit-identical to the baseline at 1, 2,
-/// and 8 threads, and returns the series as a JSON object body.
-fn bench_eval_pool(
-    label: &str,
-    fragments: &[cutkit::Fragment],
-    eval: &EvalOptions,
-    opts: &TensorOptions,
-    seeds: &[u64],
-    reps: usize,
-    cores: usize,
-) -> String {
-    let (ref_ms, ref_tensors) = time_best(reps, || {
-        reference_evaluate_btreemap(fragments, eval, opts, seeds).unwrap()
-    });
-    let (one_ms, seq_tensors) = time_best(reps, || {
-        cutkit::evaluate_fragment_tensors(fragments, eval, opts, seeds, 1).unwrap()
-    });
-    let (multi_ms, par_tensors) = time_best(reps, || {
-        cutkit::evaluate_fragment_tensors(fragments, eval, opts, seeds, cores).unwrap()
-    });
-    let identical = tensors_bit_identical(&seq_tensors, &par_tensors);
-    assert!(identical, "{label}: evaluation pool changed results");
-    // Parity at 1/2/8 threads: the 1-thread result is already in hand.
-    assert!(
-        tensors_bit_identical(&seq_tensors, &ref_tensors),
-        "{label}: fragment eval at 1 thread diverged from the BTreeMap baseline"
-    );
-    for threads in [2usize, 8] {
-        let engine =
-            cutkit::evaluate_fragment_tensors(fragments, eval, opts, seeds, threads).unwrap();
-        assert!(
-            tensors_bit_identical(&engine, &ref_tensors),
-            "{label}: fragment eval at {threads} threads diverged from the BTreeMap baseline"
-        );
-    }
-    let speedup_1t = ref_ms / one_ms;
-    let speedup_mt = ref_ms / multi_ms;
-    let variants: usize = fragments.iter().map(|f| f.num_variants()).sum();
-    println!(
-        "fragment eval [{label}] ({} fragments, {variants} variants): \
-         reference {ref_ms:.2} ms, engine(1t) {one_ms:.2} ms ({speedup_1t:.2}x), \
-         engine({cores} workers) {multi_ms:.2} ms ({speedup_mt:.2}x)",
-        fragments.len(),
-    );
-    format!(
-        "{{\"fragments\": {}, \"variants\": {variants}, \"reference_ms\": {ref_ms:.3}, \
-         \"engine_1t_ms\": {one_ms:.3}, \"engine_mt_ms\": {multi_ms:.3}, \
-         \"speedup_1t\": {speedup_1t:.3}, \"speedup_mt\": {speedup_mt:.3}, \
-         \"bit_identical_to_baseline\": true, \"bit_identical_across_threads\": {identical}}}",
-        fragments.len(),
-    )
 }
 
 fn main() {
@@ -441,69 +370,6 @@ fn main() {
              \"bit_identical_across_threads\": {identical}}}"
         ));
     }
-
-    // --- Fragment evaluation: shared (fragment × variant) pool -------
-    // Two workloads: a realistic sampled circuit (simulation-bound, shows
-    // the end-to-end effect) and a wide exact-Clifford fragment whose
-    // variants enumerate thousands of outcomes (accumulation-bound — the
-    // stage the interned rewrite targets).
-    let mut circuit = Circuit::new(6);
-    circuit.h(0);
-    for q in 1..6 {
-        circuit.cx(q - 1, q);
-    }
-    for q in [1usize, 3, 5] {
-        circuit.t(q);
-    }
-    for q in 0..6 {
-        circuit.h(q);
-    }
-    let cut = cut_circuit(&circuit, CutStrategy::default()).unwrap();
-    let eval = EvalOptions {
-        mode: EvalMode::Sampled { shots: 4000 },
-        ..Default::default()
-    };
-    let opts = TensorOptions::default();
-    let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 77 + i).collect();
-    let sampled_row = bench_eval_pool(
-        "sampled_6q",
-        &cut.fragments,
-        &eval,
-        &opts,
-        &seeds,
-        reps,
-        cores,
-    );
-
-    // Wide workload: a 15-qubit line graph state (full-rank 2^15 output
-    // support, one connected Clifford fragment) with one T forcing a cut.
-    // Each variant enumerates the whole support, so per-outcome
-    // accumulator touches dominate the stage.
-    let mut wide = Circuit::new(15);
-    for q in 0..15 {
-        wide.h(q);
-    }
-    for q in 1..15 {
-        wide.cz(q - 1, q);
-    }
-    wide.t(14);
-    let wide_cut = cut_circuit(&wide, CutStrategy::default()).unwrap();
-    let wide_eval = EvalOptions {
-        mode: EvalMode::Exact,
-        ..Default::default()
-    };
-    let wide_seeds: Vec<u64> = (0..wide_cut.fragments.len() as u64)
-        .map(|i| 313 + i)
-        .collect();
-    let wide_row = bench_eval_pool(
-        "wide_exact",
-        &wide_cut.fragments,
-        &wide_eval,
-        &opts,
-        &wide_seeds,
-        reps,
-        cores,
-    );
 
     // --- Batch sweep: plan-reuse vs re-cut-per-point baseline ----------
     // A deep T-rich ladder under a tight cut budget: the greedy merge
@@ -905,7 +771,7 @@ fn main() {
                     mode: EvalMode::Exact,
                     ..Default::default()
                 },
-                &opts,
+                &TensorOptions::default(),
                 &mut rng,
             )
             .unwrap()
@@ -925,14 +791,12 @@ fn main() {
 
     // --- JSON report ---------------------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 11,\n  \
+        "{{\n  \"bench\": \"recombine\",\n  \"schema_version\": 12,\n  \
          \"threads_available\": {cores},\n  \"reps\": {reps},\n  \
          \"runtime_reuse\": {runtime_reuse_row},\n  \
          \"plan_cache\": {plan_cache_row},\n  \
          \"recombine_marginals\": [\n{}\n  ],\n  \
          \"joint_reconstruction\": [\n{}\n  ],\n  \
-         \"fragment_eval\": {{\n    \"sampled_6q\": {sampled_row},\n    \
-         \"wide_exact\": {wide_row}\n  }},\n  \
          \"batch_sweep\": {batch_sweep_row},\n  \
          \"truncated_sweep\": {truncated_sweep_row},\n  \
          \"supervised_batch\": {supervised_row},\n  \

@@ -12,11 +12,16 @@
 //!   ([`cutkit::evaluate_planned_chunk`]); all jobs' chunks go into one
 //!   FIFO queue, so workers drain whatever is ready regardless of which
 //!   circuit it belongs to;
+//! * a chunk that lands folds into its job's running partial as soon as
+//!   every earlier chunk has ([`cutkit::EvalChunk::absorb`], always in
+//!   chunk order), so a job retains one partial per fragment plus the few
+//!   chunks that landed early — not one per chunk until the end, which on
+//!   a many-variant plan is tens of MiB allocated and released per run;
 //! * when a job's **last** evaluation chunk lands, the finishing worker
-//!   folds its chunks in chunk order ([`cutkit::merge_planned_chunks`])
-//!   and enqueues that job's per-fragment MLFT tasks — no global stage
-//!   barrier, so one slow circuit cannot hold every other circuit's MLFT
-//!   and recombination hostage;
+//!   finishes the tensors ([`cutkit::merge_planned_chunks`]) and enqueues
+//!   that job's per-fragment MLFT tasks — no global stage barrier, so one
+//!   slow circuit cannot hold every other circuit's MLFT and
+//!   recombination hostage;
 //! * when a job's last MLFT task lands, its `mlft_moved` folds in fragment
 //!   order and a single recombination task is enqueued (recombination is
 //!   bit-identical for any thread count, so the batch contracts each job
@@ -65,7 +70,7 @@ use super::execute::{
 };
 use super::plan::CutPlan;
 use super::supervise::Admission;
-use super::{fault_error, SuperSimConfig, SuperSimError};
+use super::{fault_error, ConfigError, SuperSimConfig, SuperSimError};
 use cutkit::{
     correct_tensor, evaluate_planned_chunk, merge_planned_chunks, planned_num_chunks, EvalChunk,
     EvalError, EvalOptions, FragmentTensor, MlftError, MlftOptions, TensorOptions,
@@ -120,10 +125,42 @@ enum TaskFailure {
     Panicked(String),
 }
 
+/// A job's evaluation chunks, folded in chunk order as they land.
+struct ChunkFold {
+    /// Chunks `..next` folded into one (`None` before chunk 0 lands).
+    folded: Option<EvalChunk>,
+    next: usize,
+    /// Landed chunks from `next` on (`None` = not run yet, skipped after an
+    /// earlier chunk of this job failed, or already folded).
+    slots: Vec<Option<Result<EvalChunk, TaskFailure>>>,
+}
+
+impl ChunkFold {
+    /// Records chunk `chunk`'s outcome and folds every chunk that is now
+    /// contiguous with the folded prefix; a failed chunk stops the fold
+    /// for good.
+    fn land(&mut self, chunk: usize, outcome: Result<EvalChunk, TaskFailure>) {
+        self.slots[chunk] = Some(outcome);
+        while let Some(Some(Ok(_))) = self.slots.get(self.next) {
+            let Some(Ok(landed)) = self.slots[self.next].take() else {
+                unreachable!("matched above")
+            };
+            match &mut self.folded {
+                Some(folded) => folded.absorb(landed),
+                None => self.folded = Some(landed),
+            }
+            self.next += 1;
+        }
+    }
+}
+
 /// Mutable per-job state, shared across workers. Slots are written by
 /// exactly one worker each (the queue hands out distinct tasks), so the
-/// mutexes are uncontended handles for `&mut` access. All locks recover
-/// from poisoning: a panicking task must not take down its siblings.
+/// mutexes are uncontended handles for `&mut` access — but for `chunks`,
+/// which a worker holds while it folds what it landed (an id-indexed
+/// vector add per chunk, against a whole chunk's evaluation outside the
+/// lock). All locks recover from poisoning: a panicking task must not take
+/// down its siblings.
 struct JobState<'p> {
     plan: &'p CutPlan,
     eval: EvalOptions,
@@ -137,9 +174,8 @@ struct JobState<'p> {
     /// Resolved recombination error budget of this job (the params
     /// override when set, the config's budget otherwise).
     error_budget: f64,
-    /// Completed evaluation chunks (`None` = not run / skipped after an
-    /// earlier chunk of this job failed).
-    chunks: Mutex<Vec<Option<Result<EvalChunk, TaskFailure>>>>,
+    /// The evaluation chunks landed so far.
+    chunks: Mutex<ChunkFold>,
     chunks_left: AtomicUsize,
     /// Lowest failing chunk index (`usize::MAX` = none). Chunks above
     /// the floor are skipped; chunks at or below it always run, so the
@@ -198,7 +234,11 @@ impl<'p> JobState<'p> {
             num_chunks,
             supervisor,
             error_budget: resolved_error_budget(config, job.params),
-            chunks: Mutex::new((0..num_chunks).map(|_| None).collect()),
+            chunks: Mutex::new(ChunkFold {
+                folded: None,
+                next: 0,
+                slots: (0..num_chunks).map(|_| None).collect(),
+            }),
             chunks_left: AtomicUsize::new(num_chunks),
             fail_floor: AtomicUsize::new(usize::MAX),
             tensors: (0..fragments).map(|_| Mutex::new(None)).collect(),
@@ -314,6 +354,12 @@ pub(crate) fn execute_jobs(
     let mut pooled: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut solo: Vec<usize> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
+        // A sampled run with no shots has no data to reconstruct from;
+        // refuse it here, where every entry point's parameters resolve.
+        if !config.exact && job.params.shots == 0 {
+            results[i] = Some(Err(SuperSimError::Config(ConfigError::ZeroShots)));
+            continue;
+        }
         // Admission judges the budget-discounted cost: a job whose error
         // budget will truncate most of its sweep should not be rejected
         // (or sequentialized) on the exact sweep's assignment count.
@@ -482,7 +528,7 @@ fn run_task(config: &SuperSimConfig, states: &[JobState<'_>], queue: &Queue, tas
                 if r.is_err() {
                     s.fail_floor.fetch_min(chunk, Ordering::Relaxed);
                 }
-                lock_or_recover(&s.chunks)[chunk] = Some(r);
+                lock_or_recover(&s.chunks).land(chunk, r);
             }
             if s.chunks_left.fetch_sub(1, Ordering::AcqRel) == 1 {
                 if let Err(payload) =
@@ -584,26 +630,25 @@ fn run_task(config: &SuperSimConfig, states: &[JobState<'_>], queue: &Queue, tas
     }
 }
 
-/// Runs when a job's last evaluation chunk lands: folds the chunks in
-/// chunk order into fragment tensors, then opens the job's next stage.
+/// Runs when a job's last evaluation chunk lands: finishes the folded
+/// chunks into fragment tensors, then opens the job's next stage.
 fn finish_eval(config: &SuperSimConfig, s: &JobState<'_>, queue: &Queue, job: usize) {
-    let slots = std::mem::take(&mut *lock_or_recover(&s.chunks));
-    let mut chunks: Vec<EvalChunk> = Vec::with_capacity(slots.len());
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(chunk)) => chunks.push(chunk),
-            Some(Err(failure)) => {
-                // First failure in chunk order — identical to the error an
-                // independent sequential run reports.
-                complete(
-                    s,
-                    queue,
-                    Err(task_error(Stage::Eval, Some(idx), failure, &s.supervisor)),
-                );
-                return;
-            }
-            // Skipped above the failure floor; the failure precedes it.
-            None => {}
+    let (folded, unfolded) = {
+        let mut fold = lock_or_recover(&s.chunks);
+        (fold.folded.take(), std::mem::take(&mut fold.slots))
+    };
+    // Every chunk has landed, so the fold stopped short only at a failure:
+    // the first in chunk order — identical to the error an independent
+    // sequential run reports. Chunks past it ran or were skipped above the
+    // failure floor.
+    for (idx, slot) in unfolded.into_iter().enumerate() {
+        if let Some(Err(failure)) = slot {
+            complete(
+                s,
+                queue,
+                Err(task_error(Stage::Eval, Some(idx), failure, &s.supervisor)),
+            );
+            return;
         }
     }
     let tensors = merge_planned_chunks(
@@ -611,7 +656,7 @@ fn finish_eval(config: &SuperSimConfig, s: &JobState<'_>, queue: &Queue, job: us
         &s.plan.eval_plans,
         &s.eval,
         &s.topts,
-        chunks,
+        folded,
     );
     for (slot, tensor) in s.tensors.iter().zip(tensors) {
         *lock_or_recover(slot) = Some(tensor);

@@ -240,6 +240,10 @@ pub enum ConfigError {
     /// non-positive rung, or did not strictly increase. The message names
     /// the offending rung.
     InvalidDegradationLadder(String),
+    /// Sampled mode with a shot budget of zero: every fragment tensor
+    /// would be identically zero, which no stage can turn into a
+    /// distribution. Exact mode ignores the shot budget and accepts it.
+    ZeroShots,
 }
 
 impl fmt::Display for ConfigError {
@@ -253,6 +257,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidDegradationLadder(reason) => {
                 write!(f, "invalid degradation ladder: {reason}")
+            }
+            ConfigError::ZeroShots => {
+                write!(f, "sampled mode needs at least one shot per variant; set shots >= 1 or exact(true)")
             }
         }
     }
@@ -396,9 +403,13 @@ impl SuperSimConfigBuilder {
     ///
     /// [`ConfigError::InvalidErrorBudget`] when the error budget is NaN,
     /// infinite, or negative; [`ConfigError::ThreadsWithoutParallel`]
-    /// when a nonzero worker count was set without `parallel`.
+    /// when a nonzero worker count was set without `parallel`;
+    /// [`ConfigError::ZeroShots`] when sampled mode has no shots.
     pub fn build(self) -> Result<SuperSimConfig, ConfigError> {
         let config = self.config;
+        if config.shots == 0 && !config.exact {
+            return Err(ConfigError::ZeroShots);
+        }
         if !config.error_budget.is_finite() || config.error_budget < 0.0 {
             return Err(ConfigError::InvalidErrorBudget(config.error_budget));
         }
@@ -461,6 +472,11 @@ pub enum SuperSimError {
     },
     /// Admission control rejected the job before it was enqueued.
     Rejected(AdmissionError),
+    /// The run's parameters are invalid and nothing was executed: a
+    /// sampled run resolved to zero shots ([`ConfigError::ZeroShots`]),
+    /// through [`ExecParams::with_shots`] or a struct-literal
+    /// configuration that bypassed the builder.
+    Config(ConfigError),
     /// The resilient driver's per-plan [`CircuitBreaker`] was open and
     /// denied the attempt before it was enqueued (transient: the breaker
     /// half-opens after its cool-down and the denial is retried within
@@ -523,6 +539,7 @@ impl fmt::Display for SuperSimError {
                 write!(f, "injected fault during {stage}: {message}")
             }
             SuperSimError::Rejected(e) => write!(f, "{e}"),
+            SuperSimError::Config(e) => write!(f, "invalid run parameters: {e}"),
             SuperSimError::BreakerOpen {
                 fingerprint,
                 failures,
@@ -547,6 +564,7 @@ impl std::error::Error for SuperSimError {
             SuperSimError::Eval(e) => Some(e),
             SuperSimError::Mlft(e) => Some(e),
             SuperSimError::Rejected(e) => Some(e),
+            SuperSimError::Config(e) => Some(e),
             SuperSimError::Job { source, .. } => Some(source.as_ref()),
             SuperSimError::Panicked { .. }
             | SuperSimError::DeadlineExceeded { .. }

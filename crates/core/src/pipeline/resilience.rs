@@ -846,6 +846,10 @@ mod tests {
             stage: Stage::Eval,
             elapsed: Duration::from_millis(1),
         }));
+        // A zero-shot run is refused the same way on every retry: permanent.
+        assert!(!is_transient(&SuperSimError::Config(
+            ConfigError::ZeroShots
+        )));
         // Non-finite tensor data reproduces on every retry: permanent.
         let non_finite = SuperSimError::from(cutkit::MlftError::NonFinite);
         assert!(!is_transient(&non_finite));

@@ -165,11 +165,12 @@ pub fn evaluate_variant(
     Ok(out)
 }
 
-/// [`evaluate_variant`] into caller-provided buffers: `out` is cleared and
-/// filled with the variant's weighted outcomes; `scratch` carries the
-/// tally table and sampling row across calls so the per-variant hot loop
-/// re-allocates neither (the remaining per-outcome clones are the interned
-/// first-sight keys, paid once per distinct outcome).
+/// [`evaluate_variant`] into caller-provided buffers: `out` is replaced by
+/// the variant's weighted outcomes (on an error its contents are
+/// unspecified); `scratch` carries the tally table and sampling row across
+/// calls so the per-variant hot loop re-allocates neither, and the sampled
+/// paths overwrite the `Bits` rows `out` already holds instead of cloning
+/// one per outcome.
 ///
 /// # Errors
 ///
@@ -184,7 +185,6 @@ pub fn evaluate_variant_into(
     scratch: &mut EvalScratch,
     out: &mut Vec<(Bits, f64)>,
 ) -> Result<(), EvalError> {
-    out.clear();
     let circuit = variant_circuit(fragment, variant);
     let clifford = fragment.is_clifford; // prep/rotation ops are Clifford
     let noisy = circuit.has_noise();
@@ -208,6 +208,7 @@ pub fn evaluate_variant_into(
         let enumerate = options.mode == EvalMode::Exact || options.exact_clifford;
         if enumerate && dim <= options.exact_support_limit {
             let p = 1.0 / (1u64 << dim) as f64;
+            out.clear();
             out.extend(support.enumerate().into_iter().map(|b| (b, p)));
             return Ok(());
         }
@@ -238,6 +239,7 @@ pub fn evaluate_variant_into(
                 }
                 let sv = svsim::StateVec::run(&circuit)
                     .map_err(|_| EvalError::FragmentTooWide(circuit.num_qubits()))?;
+                out.clear();
                 out.extend(sv.distribution(1e-14));
                 Ok(())
             }
@@ -284,20 +286,33 @@ fn count_samples_into(samples: &[Bits], scratch: &mut EvalScratch, out: &mut Vec
     counts_to_frequencies_into(&scratch.counts, samples.len(), out);
 }
 
-/// Converts an outcome tally to frequencies, appending to `out` in
+/// Converts an outcome tally to frequencies, replacing `out`'s contents in
 /// lexicographic order (bit-identical to the former `BTreeMap<Bits,
-/// usize>` path).
+/// usize>` path). Rows `out` already holds are overwritten in place — a
+/// word copy when the width matches, as it does from one variant of a
+/// fragment to the next — so a worker allocates a row only when a variant
+/// has more distinct outcomes than any before it.
 fn counts_to_frequencies_into(
     counts: &metrics::OutcomeCounts,
     shots: usize,
     out: &mut Vec<(Bits, f64)>,
 ) {
     let total = shots.max(1) as f64;
-    out.extend(
-        counts
-            .iter_sorted()
-            .map(|(b, c)| (b.clone(), c as f64 / total)),
-    );
+    out.truncate(counts.len());
+    for (n, (b, c)) in counts.iter_sorted().enumerate() {
+        let freq = c as f64 / total;
+        match out.get_mut(n) {
+            Some((row, p)) => {
+                if row.len() == b.len() {
+                    row.copy_from(b);
+                } else {
+                    row.clone_from(b);
+                }
+                *p = freq;
+            }
+            None => out.push((b.clone(), freq)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -463,6 +478,61 @@ mod tests {
                 other => panic!("expected NonClifford, got {other:?}"),
             }
         }
+    }
+
+    /// A worker's outcome rows are overwritten in place from one variant
+    /// to the next. Whatever the buffers held before — wider rows, more of
+    /// them, fewer — a variant emits exactly the rows a fresh scratch
+    /// does: a 1-qubit fragment after a 72-qubit one, and back.
+    #[test]
+    fn counts_rows_are_reused_across_widths() {
+        let mut wide = Circuit::new(72);
+        for q in 0..72 {
+            wide.h(q);
+        }
+        for q in 1..72 {
+            wide.cz(q - 1, q);
+        }
+        wide.t(71);
+        let mut narrow = Circuit::new(1);
+        narrow.h(0).t(0).h(0);
+        let fragments = |c: &Circuit| cut_circuit(c, CutStrategy::default()).unwrap().fragments;
+        let (wide, narrow) = (fragments(&wide), fragments(&narrow));
+        let wide = wide.iter().find(|f| f.num_local_qubits() == 72).unwrap();
+        let sampled = |shots| EvalOptions {
+            mode: EvalMode::Sampled { shots },
+            ..Default::default()
+        };
+
+        let mut scratch = EvalScratch::new();
+        let mut out = Vec::new();
+        let mut check = |fragment: &Fragment, shots: usize, seed: u64| {
+            for v in enumerate_variants(fragment) {
+                let fresh = evaluate_variant(
+                    fragment,
+                    &v,
+                    &sampled(shots),
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
+                evaluate_variant_into(
+                    fragment,
+                    &v,
+                    &sampled(shots),
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut scratch,
+                    &mut out,
+                )
+                .unwrap();
+                assert_eq!(out, fresh, "{} qubits", fragment.num_local_qubits());
+            }
+        };
+        check(wide, 60, 1); // 60 distinct 72-bit rows
+        for f in &narrow {
+            check(f, 60, 2); // at most two 1-bit rows: shrink and re-width
+        }
+        check(wide, 20, 3); // grow again, fewer rows than the first time
+        check(wide, 90, 4); // and past the high-water mark
     }
 
     #[test]

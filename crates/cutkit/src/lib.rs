@@ -49,8 +49,6 @@ pub use mlft::{correct_tensor, correct_tensors, MlftError, MlftOptions};
 #[doc(hidden)]
 pub use recombine::reference_joint_btreemap;
 pub use recombine::{Reconstructor, SweepStats, ASSIGNMENTS_PER_CHUNK, MAX_CONTRACTION_CUTS};
-#[doc(hidden)]
-pub use tensor::reference_evaluate_btreemap;
 pub use tensor::{
     build_fragment_tensor, build_fragment_tensor_threaded, evaluate_fragment_tensors,
     evaluate_fragment_tensors_planned, evaluate_planned_chunk, merge_planned_chunks,

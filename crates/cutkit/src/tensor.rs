@@ -26,16 +26,51 @@
 //! # Interned accumulation layout
 //!
 //! [`FragmentTensor`] and the evaluation-stage accumulators key outcomes
-//! by dense interned ids ([`metrics::InternPool`]) instead of the former
-//! `BTreeMap<Bits, Vec<f64>>`: each distinct outcome bitstring is cloned
-//! exactly once (on first sight) and mapped to a `u32` id, and every
-//! coefficient vector lives at `coeffs[id·dim .. (id+1)·dim]` inside one
-//! flat buffer. Per-shot accumulation, variant folds, and chunk merges are
-//! therefore id-addressed vector adds — `O(1)` per touch — rather than
-//! ordered-map walks paying a key comparison per level and a key clone per
-//! insertion. One pool is shared per fragment: the accumulator that
-//! collects a fragment's variant data hands its pool and buffer to the
-//! finished [`FragmentTensor`] without copying.
+//! by dense interned ids ([`metrics::InternPool`]): each distinct outcome
+//! bitstring is cloned exactly once (on first sight) and mapped to a `u32`
+//! id, and every coefficient vector lives at `coeffs[id·dim .. (id+1)·dim]`
+//! inside one flat buffer, `dim = 4^(qi+qo)`. The accumulator that collects
+//! a fragment's variant data hands its pool and buffer to the finished
+//! [`FragmentTensor`] without copying.
+//!
+//! Accumulation has three levels, and their float association is fixed:
+//!
+//! 1. **Variant.** A variant with prep index `s` writes, per outcome, only
+//!    the `2^qo` columns `s·4^qo + po` with `po` ranging over the subsets
+//!    of its output bases — 8 of 1024 when `qi = 2, qo = 3`. Its data rows
+//!    are summed per outcome into a *pending block* of `2^qo` doubles per
+//!    touched outcome, owned by the evaluation worker and reused for every
+//!    variant it runs; the sums start at `+0.0` and add in data order.
+//! 2. **Chunk.** Each finished sum is added once onto its column of the
+//!    chunk's per-fragment accumulator, in whose pool the row's key was
+//!    interned — once per row, there is no per-variant pool — and the
+//!    pending block is emptied. Variants fold in variant order.
+//! 3. **Fragment.** Chunk partials merge into the fragment accumulator in
+//!    chunk order, all `dim` columns of a row at a time (a chunk partial
+//!    holds up to [`VARIANTS_PER_CHUNK`] variants' columns, so a column set
+//!    for it is not worth its code); the first chunk to reach a fragment
+//!    is moved in, not merged. A partial is `support × dim` doubles — 1 MiB
+//!    on a 128-outcome `dim = 1024` fragment — so whoever produces chunks
+//!    merges each as soon as its predecessors are in (the pooled path's
+//!    ordered merger, [`EvalChunk::absorb`] for an outside scheduler)
+//!    instead of keeping one per chunk until the last: tens of MiB
+//!    allocated and released per run cost page faults by the thousand
+//!    whenever the allocator hands the memory back in between.
+//!
+//! The three levels stay because collapsing any two changes which partial
+//! sums exist and hence the rounding: summing rows straight into the chunk
+//! accumulator, say, would associate `(chunk + row₁) + row₂` where the
+//! tensor is defined as `chunk + (row₁ + row₂)`.
+//!
+//! **Why skipping the untouched columns changes no bit.** In
+//! round-to-nearest `x + y` is `−0.0` only when both `x` and `y` are
+//! `−0.0`. A variant sum starts at `+0.0`, so it is never `−0.0`; a chunk
+//! or fragment coefficient is a sum of such sums onto `+0.0`, so neither is
+//! it. Hence (a) adding the `+0.0` a variant left in a column it did not
+//! write would be the identity — `a + 0.0 = a` for every `a` but `−0.0` —
+//! and is skipped; (b) adding a sum onto a freshly zeroed row equals
+//! copying it, and merging a chunk partial into an empty accumulator equals
+//! moving it.
 //!
 //! # Bit-identity and emission order
 //!
@@ -44,14 +79,13 @@
 //! float accumulation downstream — [`FragmentTensor::iter`] and the
 //! derived sums (totals, slice maxima, slice L1 masses, per-bit
 //! marginals) — visits outcomes in lexicographic [`Bits`] order, exactly
-//! the order the former ordered map iterated in. Combined
-//! with the fixed chunk decomposition of [`evaluate_fragment_tensors`]
-//! (variant folds in variant order, chunk merges in chunk order, first
-//! contribution per outcome moved rather than added onto zeros), results
-//! are **bit-identical to the pre-intern implementation and identical for
-//! any thread count**. The frozen reference path
-//! ([`reference_evaluate_btreemap`]) keeps the old `BTreeMap` pipeline
-//! alive for parity tests and the `fragment_eval` benchmark series.
+//! the order an ordered map iterates in. Combined with the fixed chunk
+//! decomposition of [`evaluate_fragment_tensors`] (a pure function of the
+//! plans: variant folds in variant order, chunk merges in chunk order, one
+//! RNG stream per variant), results are **identical for any thread count
+//! and bit-identical to the `BTreeMap<Bits, Vec<f64>>` pipeline** this
+//! layout replaced, which the test module keeps frozen as the parity
+//! oracle (`reference_evaluate_btreemap`).
 //!
 //! # Derived sums are lazy
 //!
@@ -69,14 +103,11 @@
 //! pass runs, so laziness changes no float bit.
 
 use crate::cut::Fragment;
-use crate::evaluate::{
-    evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
-};
+use crate::evaluate::{evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch};
 use crate::variants::{enumerate_variants, Variant};
 use metrics::InternPool;
 use qcir::{Bits, IndexPlan};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -536,87 +567,36 @@ impl TensorAccum {
             coeffs: Vec::new(),
         }
     }
-
-    /// The coefficient slice of `b`, zero-initialized on first touch. The
-    /// key is borrowed: a clone is paid only on first sight, so callers
-    /// can reuse one scratch `Bits` per data entry (see
-    /// [`accumulate_variant`]) instead of materializing a fresh key per
-    /// outcome.
-    fn slot_mut(&mut self, b: &Bits) -> &mut [f64] {
-        let id = self.pool.intern(b) as usize;
-        if id * self.dim == self.coeffs.len() {
-            self.coeffs.resize(self.coeffs.len() + self.dim, 0.0);
-        }
-        &mut self.coeffs[id * self.dim..(id + 1) * self.dim]
-    }
-}
-
-/// Accumulates one variant's outcome data into the prep-indexed tensor
-/// accumulator `M[b][s·4^qo + po]`.
-///
-/// The circuit-output and quantum-output bit extractions reuse two
-/// caller-provided scratch bitstrings ([`IndexPlan::extract_into`]), so
-/// the per-outcome hot loop allocates nothing: the only key clone is the
-/// intern pool's first-sight copy of a new outcome.
-fn accumulate_variant(
-    m: &mut TensorAccum,
-    data: &[(Bits, f64)],
-    variant: &Variant,
-    plan: &FragmentEvalPlan,
-    scratch: &mut ExtractScratch,
-) {
-    let qo = plan.qo;
-    let pow4_qo = 1usize << (2 * qo);
-    let s = variant.prep_index();
-    let basis_digits: Vec<usize> = variant.bases.iter().map(|b| b.pauli_digit()).collect();
-    for (bits, p) in data {
-        let p = *p;
-        plan.co_plan.extract_into(bits, &mut scratch.co);
-        plan.qo_plan.extract_into(bits, &mut scratch.qo);
-        let mbits = &scratch.qo;
-        let mv = m.slot_mut(&scratch.co);
-        // Each subset of quantum outputs marks positions carrying the
-        // variant's basis Pauli; the rest are identity.
-        for subset in 0..(1usize << qo) {
-            let mut po = 0usize;
-            let mut sign = 1.0;
-            for j in 0..qo {
-                let active = (subset >> (qo - 1 - j)) & 1 == 1;
-                po = po * 4 + if active { basis_digits[j] } else { 0 };
-                if active && mbits.get(j) {
-                    sign = -sign;
-                }
-            }
-            let t = qo - subset.count_ones() as usize;
-            mv[s * pow4_qo + po] += p * sign * plan.inv3[t];
-        }
-    }
-}
-
-/// Reusable extraction scratch for [`accumulate_variant`].
-struct ExtractScratch {
-    co: Bits,
-    qo: Bits,
-}
-
-impl ExtractScratch {
-    fn new() -> Self {
-        ExtractScratch {
-            co: Bits::zeros(0),
-            qo: Bits::zeros(0),
-        }
-    }
 }
 
 /// All of one evaluation worker's reusable buffers: the backend's
-/// sampling scratch ([`EvalScratch`]), the variant outcome list, and the
-/// key-extraction rows. One per worker (or per sequential loop) — the
-/// per-variant hot path allocates only each fragment accumulator and the
-/// intern pool's first-sight key copies.
+/// sampling scratch ([`EvalScratch`]), the variant outcome list, the
+/// key-extraction rows, and the compact fold's column table and pending
+/// block. One per worker (or per sequential loop) — the per-variant hot
+/// path allocates only the intern pool's first-sight key copies.
+///
+/// Between variants the pending block is empty and no outcome is marked
+/// ([`WorkerScratch::is_clean`]); [`fold_variant`] restores that before it
+/// returns, and a variant that fails does so before it folds anything.
 struct WorkerScratch {
     eval: EvalScratch,
     data: Vec<(Bits, f64)>,
-    extract: ExtractScratch,
+    /// Extraction rows: the circuit-output key and the quantum-output bits
+    /// of one data row.
+    co: Bits,
+    qo: Bits,
+    /// The variant's `2^qo` columns: (column within the outcome's
+    /// coefficient vector, `3^-t` weight, sign mask over the
+    /// quantum-output word).
+    cols: Vec<(usize, f64, u64)>,
+    /// The variant's partial sums: `2^qo` doubles per outcome it touched,
+    /// in first-touch order.
+    pending: Vec<f64>,
+    /// Chunk-accumulator ids the variant touched, parallel to `pending`.
+    touched: Vec<u32>,
+    /// `id → 1 + position in touched`, `0` for an id the variant has not
+    /// touched.
+    slot_of: Vec<u32>,
 }
 
 impl WorkerScratch {
@@ -624,12 +604,24 @@ impl WorkerScratch {
         WorkerScratch {
             eval: EvalScratch::new(),
             data: Vec::new(),
-            extract: ExtractScratch::new(),
+            co: Bits::zeros(0),
+            qo: Bits::zeros(0),
+            cols: Vec::new(),
+            pending: Vec::new(),
+            touched: Vec::new(),
+            slot_of: Vec::new(),
         }
+    }
+
+    /// No partial sum pending and no outcome marked.
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
+        self.pending.is_empty() && self.touched.is_empty() && self.slot_of.iter().all(|&s| s == 0)
     }
 }
 
-/// Evaluates one (fragment, variant) work item into its own accumulator.
+/// Evaluates one (fragment, variant) work item and folds it into `m`, the
+/// chunk's accumulator for that fragment.
 fn evaluate_item(
     fragment: &Fragment,
     plan: &FragmentEvalPlan,
@@ -637,7 +629,8 @@ fn evaluate_item(
     base_seed: u64,
     eval: &EvalOptions,
     scratch: &mut WorkerScratch,
-) -> Result<TensorAccum, EvalError> {
+    m: &mut TensorAccum,
+) -> Result<(), EvalError> {
     let mut rng = variant_rng(base_seed, vi);
     let variant = &plan.variants[vi];
     evaluate_variant_into(
@@ -648,22 +641,83 @@ fn evaluate_item(
         &mut scratch.eval,
         &mut scratch.data,
     )?;
-    let mut local = TensorAccum::new(plan.dim);
-    accumulate_variant(
-        &mut local,
-        &scratch.data,
-        variant,
-        plan,
-        &mut scratch.extract,
-    );
-    Ok(local)
+    fold_variant(m, variant, plan, scratch);
+    Ok(())
 }
 
-/// Adds a variant accumulator into a fragment accumulator: an id-indexed
-/// vector add per shared outcome. The first contribution per outcome is
-/// copied verbatim (not added onto zeros), so folding variant accumulators
-/// in variant order reproduces direct sequential accumulation bit for bit
-/// — the same move semantics the former `BTreeMap` merge had.
+/// Folds the variant outcome data in `scratch.data` into the prep-indexed
+/// accumulator `M[b][s·4^qo + po]` — the compact fold of the module docs.
+///
+/// A variant writes one prep row `s` and, per outcome, one column per
+/// subset of its output bases (the subset's positions carry the basis
+/// Pauli, the rest identity): its rows are summed per outcome into the
+/// pending block, starting from `+0.0` in data order, and each sum is then
+/// added once onto its column. Every row's key is interned once, in `m`'s
+/// own pool, and the hot loop allocates nothing but first-sight keys.
+fn fold_variant(
+    m: &mut TensorAccum,
+    variant: &Variant,
+    plan: &FragmentEvalPlan,
+    scratch: &mut WorkerScratch,
+) {
+    let qo = plan.qo;
+    let ncols = 1usize << qo;
+    let base = variant.prep_index() << (2 * qo);
+    scratch.cols.clear();
+    scratch.cols.extend((0..ncols).map(|subset| {
+        let mut po = 0usize;
+        let mut mask = 0u64;
+        for (j, basis) in variant.bases.iter().enumerate() {
+            let active = (subset >> (qo - 1 - j)) & 1 == 1;
+            po = po * 4 + if active { basis.pauli_digit() } else { 0 };
+            mask |= (active as u64) << j;
+        }
+        let t = qo - subset.count_ones() as usize;
+        (base + po, plan.inv3[t], mask)
+    }));
+
+    for (bits, p) in &scratch.data {
+        plan.co_plan.extract_into(bits, &mut scratch.co);
+        plan.qo_plan.extract_into(bits, &mut scratch.qo);
+        let measured = scratch.qo.as_words().first().copied().unwrap_or(0);
+        let id = m.pool.intern(&scratch.co) as usize;
+        if id >= scratch.slot_of.len() {
+            scratch.slot_of.resize(id + 1, 0);
+        }
+        if scratch.slot_of[id] == 0 {
+            scratch.touched.push(id as u32);
+            scratch.slot_of[id] = scratch.touched.len() as u32;
+            scratch.pending.resize(scratch.pending.len() + ncols, 0.0);
+        }
+        let slot = scratch.slot_of[id] as usize - 1;
+        let sums = &mut scratch.pending[slot * ncols..(slot + 1) * ncols];
+        for (sum, &(_, weight, mask)) in sums.iter_mut().zip(&scratch.cols) {
+            let signed = if (measured & mask).count_ones() & 1 == 1 {
+                -*p
+            } else {
+                *p
+            };
+            *sum += signed * weight;
+        }
+    }
+
+    m.coeffs.resize(m.pool.len() * m.dim, 0.0);
+    for (&id, sums) in scratch.touched.iter().zip(scratch.pending.chunks(ncols)) {
+        let row = &mut m.coeffs[id as usize * m.dim..][..m.dim];
+        for (&sum, &(col, _, _)) in sums.iter().zip(&scratch.cols) {
+            row[col] += sum;
+        }
+        scratch.slot_of[id as usize] = 0;
+    }
+    scratch.touched.clear();
+    scratch.pending.clear();
+}
+
+/// Adds a chunk accumulator into a fragment accumulator: an id-indexed
+/// vector add per shared outcome, a verbatim copy for an outcome the
+/// fragment accumulator has not seen (which equals the add onto zeros, see
+/// the module docs). Dense over all `4^(qi+qo)` columns — a chunk partial
+/// has up to sixteen variants' columns filled.
 fn merge_accumulator(m: &mut TensorAccum, local: TensorAccum) {
     let dim = m.dim;
     debug_assert_eq!(dim, local.dim, "fragment dimension mismatch");
@@ -747,14 +801,12 @@ fn finalize_fragment_tensor(
 ///
 /// Items are processed in fixed-size chunks ([`VARIANTS_PER_CHUNK`], a
 /// constant independent of the worker count): each chunk folds its
-/// variants' accumulators per fragment in item order, and chunk partials
-/// are merged in chunk order. The sequential path uses the identical
-/// structure, which makes the result **bit-identical for any `threads`
-/// value** (including 1) given the same `base_seeds`, while bounding
-/// retained accumulators to one per chunk. Accumulators are interned and
-/// id-indexed (see the module docs), so folds and merges are flat vector
-/// adds; the result is additionally bit-identical to the frozen
-/// `BTreeMap` reference path ([`reference_evaluate_btreemap`]).
+/// variants, in item order, into one accumulator per fragment it spans,
+/// and chunk partials are merged in chunk order. The sequential path uses
+/// the identical structure, which makes the result **bit-identical for
+/// any `threads` value** (including 1) given the same `base_seeds`, while
+/// bounding retained accumulators to one per chunk. A variant touches only
+/// the `2^qo` columns it writes (the compact fold of the module docs).
 ///
 /// # Errors
 ///
@@ -913,11 +965,31 @@ pub fn evaluate_fragment_tensors_planned(
 /// accumulators to one per chunk instead of one per variant.
 const VARIANTS_PER_CHUNK: usize = 16;
 
-/// The accumulated result of one evaluation chunk: per-fragment partial
-/// accumulators, folded in item order within the chunk. Opaque — produced
-/// by [`evaluate_planned_chunk`] and consumed by [`merge_planned_chunks`].
+/// The accumulated result of one evaluation chunk (or, after
+/// [`EvalChunk::absorb`], of a run of consecutive chunks): per-fragment
+/// partial accumulators, folded in item order within the chunk. Opaque —
+/// produced by [`evaluate_planned_chunk`] and consumed by
+/// [`merge_planned_chunks`].
 pub struct EvalChunk {
     items: Vec<(usize, TensorAccum)>,
+}
+
+impl EvalChunk {
+    /// Folds `next` — the chunk that follows this one in chunk order — into
+    /// this one, which then stands for the whole run of chunks up to it. A
+    /// scheduler that folds chunks as they land retains one partial per
+    /// fragment instead of one per chunk; [`merge_planned_chunks`] over the
+    /// folded chunk is bit-identical to it over the separate ones (the same
+    /// left-to-right sum per fragment, and a fragment's first partial is
+    /// moved either way).
+    pub fn absorb(&mut self, next: EvalChunk) {
+        for (fi, m) in next.items {
+            match self.items.last_mut() {
+                Some((last, acc)) if *last == fi => merge_accumulator(acc, m),
+                _ => self.items.push((fi, m)),
+            }
+        }
+    }
 }
 
 /// Number of fixed-size evaluation chunks the (fragment × variant) work
@@ -995,27 +1067,34 @@ fn evaluate_chunk_with_scratch(
             offset += plans[fi].num_variants();
             fi += 1;
         }
-        let vi = flat - offset;
-        let local = evaluate_item(
+        if out.last().is_none_or(|(f, _)| *f != fi) {
+            out.push((fi, TensorAccum::new(plans[fi].dim)));
+        }
+        let (_, m) = out.last_mut().expect("pushed above");
+        evaluate_item(
             &fragments[fi],
             &plans[fi],
-            vi,
+            flat - offset,
             base_seeds[fi],
             eval,
             scratch,
+            m,
         )?;
-        match out.last_mut() {
-            Some((f, m)) if *f == fi => merge_accumulator(m, local),
-            _ => out.push((fi, local)),
-        }
     }
     Ok(EvalChunk { items: out })
 }
 
-/// Folds one chunk's partial accumulators into the per-fragment maps.
+/// Folds one chunk's partial accumulators into the per-fragment maps. A
+/// partial that meets a fragment accumulator still empty is moved in —
+/// what copying its every row onto the empty accumulator would produce,
+/// without the re-interning.
 fn merge_planned_chunk(maps: &mut [TensorAccum], chunk: EvalChunk) {
     for (fi, m) in chunk.items {
-        merge_accumulator(&mut maps[fi], m);
+        if maps[fi].pool.is_empty() {
+            maps[fi] = m;
+        } else {
+            merge_accumulator(&mut maps[fi], m);
+        }
     }
 }
 
@@ -1072,140 +1151,6 @@ pub fn build_fragment_tensor_threaded(
     Ok(tensors.pop().expect("one tensor per fragment"))
 }
 
-/// The pre-intern evaluation stage, frozen as a parity baseline: per-chunk
-/// `BTreeMap<Bits, Vec<f64>>` accumulation (one ordered-map walk and a key
-/// clone per touch), folded and merged with the identical chunk structure
-/// as [`evaluate_fragment_tensors`], then finished through the same snap /
-/// axis-transform / derived-sum pipeline. Sequential only — the chunk
-/// decomposition makes it bit-identical to the engine at any thread count.
-///
-/// Shared by the reference-parity property tests and the `fragment_eval`
-/// series of the `bench_json` benchmark; not part of the supported API.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] like [`evaluate_fragment_tensors`].
-///
-/// # Panics
-///
-/// Panics if `base_seeds.len() != fragments.len()`.
-#[doc(hidden)]
-pub fn reference_evaluate_btreemap(
-    fragments: &[Fragment],
-    eval: &EvalOptions,
-    opts: &TensorOptions,
-    base_seeds: &[u64],
-) -> Result<Vec<FragmentTensor>, EvalError> {
-    assert_eq!(
-        fragments.len(),
-        base_seeds.len(),
-        "one base seed per fragment required"
-    );
-    type Map = BTreeMap<Bits, Vec<f64>>;
-    fn merge_map(m: &mut Map, local: Map) {
-        for (b, v) in local {
-            match m.entry(b) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    for (a, x) in e.get_mut().iter_mut().zip(&v) {
-                        *a += x;
-                    }
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-    }
-
-    let plans: Vec<FragmentEvalPlan> = fragments.iter().map(FragmentEvalPlan::new).collect();
-    let items: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, plan)| (0..plan.num_variants()).map(move |vi| (fi, vi)))
-        .collect();
-    let mut maps: Vec<Map> = fragments.iter().map(|_| Map::new()).collect();
-    for chunk in items.chunks(VARIANTS_PER_CHUNK) {
-        let mut out: Vec<(usize, Map)> = Vec::new();
-        for &(fi, vi) in chunk {
-            let plan = &plans[fi];
-            let mut rng = variant_rng(base_seeds[fi], vi);
-            let variant = &plan.variants[vi];
-            let data = evaluate_variant(&fragments[fi], variant, eval, &mut rng)?;
-            let mut local = Map::new();
-            let qo = plan.qo;
-            let pow4_qo = 1usize << (2 * qo);
-            let s = variant.prep_index();
-            let basis_digits: Vec<usize> = variant.bases.iter().map(|b| b.pauli_digit()).collect();
-            for (bits, p) in data {
-                let b = plan.co_plan.extract(&bits);
-                let mbits = plan.qo_plan.extract(&bits);
-                let mv = local.entry(b).or_insert_with(|| vec![0.0; plan.dim]);
-                for subset in 0..(1usize << qo) {
-                    let mut po = 0usize;
-                    let mut sign = 1.0;
-                    for j in 0..qo {
-                        let active = (subset >> (qo - 1 - j)) & 1 == 1;
-                        po = po * 4 + if active { basis_digits[j] } else { 0 };
-                        if active && mbits.get(j) {
-                            sign = -sign;
-                        }
-                    }
-                    let t = qo - subset.count_ones() as usize;
-                    mv[s * pow4_qo + po] += p * sign * plan.inv3[t];
-                }
-            }
-            match out.last_mut() {
-                Some((f, m)) if *f == fi => merge_map(m, local),
-                _ => out.push((fi, local)),
-            }
-        }
-        for (fi, m) in out {
-            merge_map(&mut maps[fi], m);
-        }
-    }
-
-    Ok(maps
-        .into_iter()
-        .zip(fragments)
-        .map(|(mut m, fragment)| {
-            let qi = fragment.quantum_inputs.len();
-            let qo = fragment.quantum_outputs.len();
-            let pow4_qo = 1usize << (2 * qo);
-            let snapped = opts.clifford_snap
-                && fragment.is_clifford
-                && !fragment.circuit.has_noise()
-                && matches!(eval.mode, EvalMode::Sampled { .. });
-            if snapped {
-                for v in m.values_mut() {
-                    for s in 0..(1usize << (2 * qi)) {
-                        let norm = v[s * pow4_qo];
-                        if norm.abs() < 1e-12 {
-                            continue;
-                        }
-                        for po in 1..pow4_qo {
-                            let r = v[s * pow4_qo + po] / norm;
-                            let snap = r.round().clamp(-1.0, 1.0);
-                            v[s * pow4_qo + po] = snap * norm;
-                        }
-                    }
-                }
-            }
-            for v in m.values_mut() {
-                for axis in 0..qi {
-                    let stride = (1usize << (2 * (qi - 1 - axis))) * pow4_qo;
-                    transform_axis(v, stride, &PREP_TO_PAULI);
-                }
-            }
-            FragmentTensor::from_dense_entries(
-                fragment.quantum_inputs.iter().map(|&(_, c)| c).collect(),
-                fragment.quantum_outputs.iter().map(|&(_, c)| c).collect(),
-                fragment.circuit_outputs.iter().map(|&(_, g)| g).collect(),
-                m.into_iter().collect(),
-            )
-        })
-        .collect())
-}
-
 /// In-place contraction of one base-4 axis (identified by its stride) with
 /// a 4×4 matrix: `new[digit=r] = Σ_c mat[r][c]·old[digit=c]`.
 fn transform_axis(v: &mut [f64], stride: usize, mat: &[[f64; 4]; 4]) {
@@ -1233,9 +1178,11 @@ fn transform_axis(v: &mut [f64], stride: usize, mat: &[[f64; 4]; 4]) {
 mod tests {
     use super::*;
     use crate::cut::{cut_circuit, CutStrategy};
+    use crate::evaluate::evaluate_variant;
     use qcir::Circuit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(21)
@@ -1508,33 +1455,428 @@ mod tests {
         for (fi, (s, p)) in seq.iter().zip(&par).enumerate() {
             assert_tensors_bit_identical(s, p, &format!("fragment {fi} after the error"));
         }
+
+        // One worker's scratch across the failure: the chunk that fails
+        // drops its partial and leaves nothing pending, and the worker's
+        // next job folds exactly as on a fresh scratch.
+        let mut scratch = WorkerScratch::new();
+        let failed = (0..planned_num_chunks(&plans)).find_map(|ci| {
+            evaluate_chunk_with_scratch(&mislabeled, &plans, &eval, &seeds, ci, &mut scratch).err()
+        });
+        assert!(matches!(failed, Some(EvalError::NonClifford(_))));
+        assert!(scratch.is_clean(), "a failed variant left partial sums");
+        let honest: Vec<FragmentEvalPlan> =
+            cut.fragments.iter().map(FragmentEvalPlan::new).collect();
+        let chunks: Vec<EvalChunk> = (0..planned_num_chunks(&honest))
+            .map(|ci| {
+                evaluate_chunk_with_scratch(
+                    &cut.fragments,
+                    &honest,
+                    &eval,
+                    &seeds,
+                    ci,
+                    &mut scratch,
+                )
+                .unwrap()
+            })
+            .collect();
+        let reused = merge_planned_chunks(&cut.fragments, &honest, &eval, &opts, chunks);
+        for (fi, (s, r)) in seq.iter().zip(&reused).enumerate() {
+            assert_tensors_bit_identical(s, r, &format!("fragment {fi} on the reused scratch"));
+        }
     }
 
-    /// The interned evaluation engine is bit-identical — same support,
-    /// same emission order, same float bits — to the frozen `BTreeMap`
-    /// reference path, at 1, 2, and 8 threads, in sampled and exact mode.
+    /// After every variant the worker's pending block is empty and no
+    /// outcome is marked — whatever the fragment's width, `qo`, or how
+    /// many outcomes the chunk accumulator already holds — so one scratch
+    /// serves a worker's whole life.
     #[test]
-    fn evaluation_matches_btreemap_reference_bit_exact() {
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).t(1).cx(1, 2).t(2).h(2);
-        let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
-        let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 4242 + i).collect();
-        let opts = TensorOptions::default();
-        for mode in [EvalMode::Exact, EvalMode::Sampled { shots: 350 }] {
+    fn worker_scratch_is_clean_between_variants() {
+        let mut scratch = WorkerScratch::new();
+        for (name, fragments) in parity_shapes() {
             let eval = EvalOptions {
-                mode,
+                mode: EvalMode::Sampled { shots: 50 },
                 ..Default::default()
             };
-            let expect = reference_evaluate_btreemap(&cut.fragments, &eval, &opts, &seeds).unwrap();
-            for threads in [1usize, 2, 8] {
-                let got = evaluate_fragment_tensors(&cut.fragments, &eval, &opts, &seeds, threads)
-                    .unwrap();
-                for (fi, (g, e)) in got.iter().zip(&expect).enumerate() {
-                    assert_tensors_bit_identical(
-                        g,
-                        e,
-                        &format!("fragment {fi} at {threads} threads ({mode:?})"),
-                    );
+            for (fi, fragment) in fragments.iter().enumerate() {
+                let plan = FragmentEvalPlan::new(fragment);
+                let mut m = TensorAccum::new(plan.dim);
+                for vi in 0..plan.num_variants() {
+                    evaluate_item(fragment, &plan, vi, 77, &eval, &mut scratch, &mut m).unwrap();
+                    assert!(scratch.is_clean(), "{name}, fragment {fi}, variant {vi}");
+                    assert_eq!(m.coeffs.len(), m.pool.len() * m.dim);
+                }
+            }
+        }
+    }
+
+    /// The premise of the compact fold (module docs): no accumulation
+    /// partial at any level is `−0.0`. Scans every coefficient of every
+    /// chunk partial, merged fragment accumulator and finished tensor —
+    /// with the Clifford snap off, which can round a small negative ratio
+    /// to `−0.0` downstream of accumulation — and a hand-built variant
+    /// whose signed rows cancel exactly.
+    #[test]
+    fn no_partial_is_negative_zero() {
+        let scan = |coeffs: &[f64], label: &str| {
+            assert!(
+                coeffs.iter().all(|x| x.to_bits() != (-0.0f64).to_bits()),
+                "{label}: a partial is -0.0"
+            );
+        };
+        let opts = TensorOptions {
+            clifford_snap: false,
+        };
+        for (name, fragments) in parity_shapes() {
+            let seeds: Vec<u64> = (0..fragments.len() as u64).map(|i| 31 + i).collect();
+            let plans: Vec<FragmentEvalPlan> =
+                fragments.iter().map(FragmentEvalPlan::new).collect();
+            for mode in [EvalMode::Exact, EvalMode::Sampled { shots: 50 }] {
+                let eval = EvalOptions {
+                    mode,
+                    ..Default::default()
+                };
+                let chunks: Result<Vec<EvalChunk>, _> = (0..planned_num_chunks(&plans))
+                    .map(|ci| evaluate_planned_chunk(&fragments, &plans, &eval, &seeds, ci))
+                    .collect();
+                // Exact mode cannot enumerate the 72-qubit support.
+                let Ok(chunks) = chunks else { continue };
+                let mut maps: Vec<TensorAccum> =
+                    plans.iter().map(|p| TensorAccum::new(p.dim)).collect();
+                for chunk in chunks {
+                    for (fi, m) in &chunk.items {
+                        scan(&m.coeffs, &format!("{name}, {mode:?}, chunk of #{fi}"));
+                    }
+                    merge_planned_chunk(&mut maps, chunk);
+                }
+                for (fi, (m, fragment)) in maps.into_iter().zip(&fragments).enumerate() {
+                    scan(&m.coeffs, &format!("{name}, {mode:?}, fragment #{fi}"));
+                    let t = finalize_fragment_tensor(fragment, m, &eval, &opts);
+                    scan(&t.coeffs, &format!("{name}, {mode:?}, tensor #{fi}"));
+                }
+            }
+        }
+
+        // One circuit output (local 0) and one quantum output (local 1).
+        // Rows over (local 1, local 0): the quantum-output bit flips the
+        // sign of the active column, so equal weights cancel there.
+        let fragment = Fragment {
+            circuit: Circuit::new(2),
+            circuit_inputs: vec![0, 1],
+            quantum_inputs: vec![],
+            circuit_outputs: vec![(0, 0)],
+            quantum_outputs: vec![(1, 0)],
+            is_clifford: true,
+        };
+        let plan = FragmentEvalPlan::new(&fragment);
+        let row = |q1: u64, q0: u64, p: f64| (Bits::from_u64(q1 << 1 | q0, 2), p);
+        for (label, rows) in [
+            ("+p then -p", vec![row(0, 0, 0.25), row(1, 0, 0.25)]),
+            ("-p then +p", vec![row(1, 1, 0.25), row(0, 1, 0.25)]),
+            ("a negated zero weight", vec![row(1, 0, 0.0)]),
+        ] {
+            let mut scratch = WorkerScratch::new();
+            let mut m = TensorAccum::new(plan.dim);
+            for variant in &plan.variants {
+                scratch.data = rows.clone();
+                fold_variant(&mut m, variant, &plan, &mut scratch);
+            }
+            scan(&m.coeffs, label);
+            assert_eq!(m.pool.len(), 1, "{label}");
+            let mass: f64 = rows.iter().map(|(_, p)| p).sum();
+            // Identity column: every basis adds mass/3; X, Y, Z cancel.
+            assert!((m.coeffs[0] - mass).abs() < 1e-15, "{label}");
+            assert_eq!(&m.coeffs[1..], &[0.0; 3], "{label}");
+        }
+    }
+
+    /// The pre-intern evaluation stage, frozen as a parity baseline: per-chunk
+    /// `BTreeMap<Bits, Vec<f64>>` accumulation (one ordered-map walk and a key
+    /// clone per touch), folded and merged with the identical chunk structure
+    /// as [`evaluate_fragment_tensors`], then finished through the same snap /
+    /// axis-transform / derived-sum pipeline. Sequential only — the chunk
+    /// decomposition makes it bit-identical to the engine at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EvalError`] like [`evaluate_fragment_tensors`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base_seeds.len() != fragments.len()`.
+    fn reference_evaluate_btreemap(
+        fragments: &[Fragment],
+        eval: &EvalOptions,
+        opts: &TensorOptions,
+        base_seeds: &[u64],
+    ) -> Result<Vec<FragmentTensor>, EvalError> {
+        assert_eq!(
+            fragments.len(),
+            base_seeds.len(),
+            "one base seed per fragment required"
+        );
+        type Map = BTreeMap<Bits, Vec<f64>>;
+        fn merge_map(m: &mut Map, local: Map) {
+            for (b, v) in local {
+                match m.entry(b) {
+                    std::collections::btree_map::Entry::Occupied(mut e) => {
+                        for (a, x) in e.get_mut().iter_mut().zip(&v) {
+                            *a += x;
+                        }
+                    }
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        e.insert(v);
+                    }
+                }
+            }
+        }
+
+        let plans: Vec<FragmentEvalPlan> = fragments.iter().map(FragmentEvalPlan::new).collect();
+        let items: Vec<(usize, usize)> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(fi, plan)| (0..plan.num_variants()).map(move |vi| (fi, vi)))
+            .collect();
+        let mut maps: Vec<Map> = fragments.iter().map(|_| Map::new()).collect();
+        for chunk in items.chunks(VARIANTS_PER_CHUNK) {
+            let mut out: Vec<(usize, Map)> = Vec::new();
+            for &(fi, vi) in chunk {
+                let plan = &plans[fi];
+                let mut rng = variant_rng(base_seeds[fi], vi);
+                let variant = &plan.variants[vi];
+                let data = evaluate_variant(&fragments[fi], variant, eval, &mut rng)?;
+                let mut local = Map::new();
+                let qo = plan.qo;
+                let pow4_qo = 1usize << (2 * qo);
+                let s = variant.prep_index();
+                let basis_digits: Vec<usize> =
+                    variant.bases.iter().map(|b| b.pauli_digit()).collect();
+                for (bits, p) in data {
+                    let b = plan.co_plan.extract(&bits);
+                    let mbits = plan.qo_plan.extract(&bits);
+                    let mv = local.entry(b).or_insert_with(|| vec![0.0; plan.dim]);
+                    for subset in 0..(1usize << qo) {
+                        let mut po = 0usize;
+                        let mut sign = 1.0;
+                        for j in 0..qo {
+                            let active = (subset >> (qo - 1 - j)) & 1 == 1;
+                            po = po * 4 + if active { basis_digits[j] } else { 0 };
+                            if active && mbits.get(j) {
+                                sign = -sign;
+                            }
+                        }
+                        let t = qo - subset.count_ones() as usize;
+                        mv[s * pow4_qo + po] += p * sign * plan.inv3[t];
+                    }
+                }
+                match out.last_mut() {
+                    Some((f, m)) if *f == fi => merge_map(m, local),
+                    _ => out.push((fi, local)),
+                }
+            }
+            for (fi, m) in out {
+                merge_map(&mut maps[fi], m);
+            }
+        }
+
+        Ok(maps
+            .into_iter()
+            .zip(fragments)
+            .map(|(mut m, fragment)| {
+                let qi = fragment.quantum_inputs.len();
+                let qo = fragment.quantum_outputs.len();
+                let pow4_qo = 1usize << (2 * qo);
+                let snapped = opts.clifford_snap
+                    && fragment.is_clifford
+                    && !fragment.circuit.has_noise()
+                    && matches!(eval.mode, EvalMode::Sampled { .. });
+                if snapped {
+                    for v in m.values_mut() {
+                        for s in 0..(1usize << (2 * qi)) {
+                            let norm = v[s * pow4_qo];
+                            if norm.abs() < 1e-12 {
+                                continue;
+                            }
+                            for po in 1..pow4_qo {
+                                let r = v[s * pow4_qo + po] / norm;
+                                let snap = r.round().clamp(-1.0, 1.0);
+                                v[s * pow4_qo + po] = snap * norm;
+                            }
+                        }
+                    }
+                }
+                for v in m.values_mut() {
+                    for axis in 0..qi {
+                        let stride = (1usize << (2 * (qi - 1 - axis))) * pow4_qo;
+                        transform_axis(v, stride, &PREP_TO_PAULI);
+                    }
+                }
+                FragmentTensor::from_dense_entries(
+                    fragment.quantum_inputs.iter().map(|&(_, c)| c).collect(),
+                    fragment.quantum_outputs.iter().map(|&(_, c)| c).collect(),
+                    fragment.circuit_outputs.iter().map(|&(_, g)| g).collect(),
+                    m.into_iter().collect(),
+                )
+            })
+            .collect())
+    }
+
+    /// The cut circuits the parity and `±0.0` tests run: the shapes the
+    /// end-to-end benchmark evaluates, plus fragments without circuit
+    /// outputs (every row shares the empty key).
+    fn parity_shapes() -> Vec<(&'static str, Vec<Fragment>)> {
+        let cut = |c: &Circuit, strategy| cut_circuit(c, strategy).unwrap().fragments;
+        let mut small = Circuit::new(3);
+        small.h(0).cx(0, 1).t(1).cx(1, 2).t(2).h(2);
+        let mut keyless = Circuit::new(1);
+        keyless.h(0).t(0).h(0).t(0);
+        vec![
+            ("3q two-T", cut(&small, CutStrategy::default())),
+            (
+                "1q, no circuit outputs",
+                cut(&keyless, CutStrategy::default()),
+            ),
+            (
+                "hwea(8,5,3,1)",
+                cut(&workloads::hwea(8, 5, 3, 1).circuit, CutStrategy::default()),
+            ),
+            (
+                "qaoa_sk(12,1,1,1)",
+                cut(
+                    &workloads::qaoa_sk(12, 1, 1, 1).circuit,
+                    CutStrategy::default(),
+                ),
+            ),
+            (
+                "hwea(72,5,1,2)",
+                cut(
+                    &workloads::hwea(72, 5, 1, 2).circuit,
+                    CutStrategy::default(),
+                ),
+            ),
+            (
+                "t_ladder(10,8)",
+                cut(
+                    &workloads::t_ladder(10, 8).circuit,
+                    CutStrategy::IsolateNonClifford { max_cuts: 4 },
+                ),
+            ),
+        ]
+    }
+
+    /// The shapes are what the tests say they are: a `qi + qo = 5`
+    /// fragment of 432 variants followed by chunks that several fragments
+    /// share, a fragment that sits whole inside chunk 0, outcome keys past one
+    /// word with no quantum outputs, a statevector fragment with
+    /// `qi + qo = 4`, and fragments keyed by the empty bitstring.
+    #[test]
+    fn parity_shapes_cover_the_compact_fold() {
+        let shapes = parity_shapes();
+        let plans_of = |name: &str| -> Vec<FragmentEvalPlan> {
+            let (_, fragments) = shapes.iter().find(|(n, _)| *n == name).unwrap();
+            fragments.iter().map(FragmentEvalPlan::new).collect()
+        };
+        let fragments_of = |name: &str| &shapes.iter().find(|(n, _)| *n == name).unwrap().1;
+
+        let t3 = plans_of("hwea(8,5,3,1)");
+        let big = t3.iter().position(|p| p.num_variants() == 432).unwrap();
+        assert_eq!((t3[big].dim, t3[big].qo), (1024, 3));
+        assert!(planned_num_chunks(&t3) >= 27);
+        let boundaries = t3.iter().scan(0, |end, p| {
+            *end += p.num_variants();
+            Some(*end)
+        });
+        assert!(
+            boundaries
+                .take(t3.len() - 1)
+                .any(|end| end % VARIANTS_PER_CHUNK != 0),
+            "a fragment boundary must fall inside a chunk"
+        );
+
+        let qaoa = plans_of("qaoa_sk(12,1,1,1)");
+        let widest = (0..qaoa.len())
+            .max_by_key(|&fi| fragments_of("qaoa_sk(12,1,1,1)")[fi].circuit_outputs.len())
+            .unwrap();
+        let end: usize = qaoa[..=widest].iter().map(|p| p.num_variants()).sum();
+        assert!(end <= VARIANTS_PER_CHUNK, "widest fragment inside chunk 0");
+
+        let wide = fragments_of("hwea(72,5,1,2)");
+        assert!(wide
+            .iter()
+            .any(|f| f.circuit_outputs.len() > 64 && f.quantum_outputs.is_empty()));
+        assert!(fragments_of("t_ladder(10,8)")
+            .iter()
+            .zip(&plans_of("t_ladder(10,8)"))
+            .any(|(f, p)| !f.is_clifford && p.dim == 256));
+        assert!(fragments_of("1q, no circuit outputs")
+            .iter()
+            .any(|f| f.circuit_outputs.is_empty() && f.num_cut_ends() == 2));
+    }
+
+    /// The evaluation engine is bit-identical — same support, same
+    /// emission order, same float bits — to the frozen `BTreeMap`
+    /// reference path on every shape of [`parity_shapes`], in exact mode
+    /// and at 50 and 5000 shots, at 1, 2, and 8 threads, and through the
+    /// batch scheduler's path (one chunk at a time on a fresh scratch,
+    /// merged at the end or folded with [`EvalChunk::absorb`] as they
+    /// land). A shape exact mode cannot evaluate must fail with the
+    /// reference's error on every path.
+    #[test]
+    fn evaluation_matches_btreemap_reference_bit_exact() {
+        let opts = TensorOptions::default();
+        for (name, fragments) in parity_shapes() {
+            let seeds: Vec<u64> = (0..fragments.len() as u64).map(|i| 4242 + i).collect();
+            let plans: Vec<FragmentEvalPlan> =
+                fragments.iter().map(FragmentEvalPlan::new).collect();
+            for mode in [
+                EvalMode::Exact,
+                EvalMode::Sampled { shots: 50 },
+                EvalMode::Sampled { shots: 5000 },
+            ] {
+                let eval = EvalOptions {
+                    mode,
+                    ..Default::default()
+                };
+                let expect = reference_evaluate_btreemap(&fragments, &eval, &opts, &seeds)
+                    .map_err(|e| e.to_string());
+                let chunks = || -> Result<Vec<EvalChunk>, _> {
+                    (0..planned_num_chunks(&plans))
+                        .map(|ci| evaluate_planned_chunk(&fragments, &plans, &eval, &seeds, ci))
+                        .collect()
+                };
+                let batch = chunks()
+                    .map(|c| merge_planned_chunks(&fragments, &plans, &eval, &opts, c))
+                    .map_err(|e| e.to_string());
+                let folded = chunks()
+                    .map(|c| {
+                        let folded = c.into_iter().reduce(|mut run, next| {
+                            run.absorb(next);
+                            run
+                        });
+                        merge_planned_chunks(&fragments, &plans, &eval, &opts, folded)
+                    })
+                    .map_err(|e| e.to_string());
+                let pooled = [1usize, 2, 8].map(|threads| {
+                    evaluate_fragment_tensors_planned(
+                        &fragments, &plans, &eval, &opts, &seeds, threads,
+                    )
+                    .map_err(|e| e.to_string())
+                });
+                for (path, got) in ["1 thread", "2 threads", "8 threads"]
+                    .into_iter()
+                    .zip(&pooled)
+                    .chain([("chunk by chunk", &batch), ("folded as landed", &folded)])
+                {
+                    let label = format!("{name}, {mode:?}, {path}");
+                    match (got, &expect) {
+                        (Ok(got), Ok(expect)) => {
+                            for (fi, (g, e)) in got.iter().zip(expect).enumerate() {
+                                assert_tensors_bit_identical(g, e, &format!("{label}, #{fi}"));
+                            }
+                        }
+                        (Err(got), Err(expect)) => assert_eq!(got, expect, "{label}"),
+                        _ => panic!("{label}: engine and reference disagree on failure"),
+                    }
                 }
             }
         }

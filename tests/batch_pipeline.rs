@@ -9,7 +9,7 @@
 //! in `noise_and_determinism.rs`; this suite pins the counts explicitly.)
 
 use qcir::{Bits, Circuit};
-use supersim::{ExecParams, RunResult, SuperSim, SuperSimConfig};
+use supersim::{ConfigError, ExecParams, RunResult, SuperSim, SuperSimConfig, SuperSimError};
 
 fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(a.report.num_variants, b.report.num_variants, "{label}");
@@ -64,6 +64,44 @@ fn sampled_batch_bit_identical_at_1_2_8_threads() {
     let seq_batch = SuperSim::new(base).run_batch(&circuits);
     for (i, (s, b)) in solo.iter().zip(&seq_batch).enumerate() {
         assert_bit_identical(s, b.as_ref().unwrap(), &format!("circuit {i} sequential"));
+    }
+}
+
+/// A plan of many evaluation chunks (472 variants, 30 chunks) folds its
+/// chunks as they land: in order on one worker, out of order on eight —
+/// always into the same bits, next to a sibling whose chunks interleave
+/// with its own on the shared queue.
+#[test]
+fn many_chunk_plan_folds_identically_at_1_2_8_threads() {
+    let circuits = vec![
+        workloads::hwea(8, 5, 3, 1).circuit,
+        workloads::hwea(5, 2, 1, 41).circuit,
+    ];
+    let base = SuperSimConfig {
+        shots: 60,
+        seed: 77,
+        mlft: true,
+        ..SuperSimConfig::default()
+    };
+    let solo: Vec<RunResult> = circuits
+        .iter()
+        .map(|c| SuperSim::new(base.clone()).run(c).unwrap())
+        .collect();
+    assert_eq!(solo[0].report.num_variants, 472);
+    for threads in [1usize, 2, 8] {
+        let batch = SuperSim::new(SuperSimConfig {
+            parallel: true,
+            threads,
+            ..base.clone()
+        })
+        .run_batch(&circuits);
+        for (i, (s, b)) in solo.iter().zip(&batch).enumerate() {
+            assert_bit_identical(
+                s,
+                b.as_ref().unwrap(),
+                &format!("circuit {i} at {threads} threads"),
+            );
+        }
     }
 }
 
@@ -215,4 +253,81 @@ fn degenerate_batches() {
     assert_eq!(one.len(), 1);
     let dist = one[0].as_ref().unwrap().distribution.as_ref().unwrap();
     assert!((dist.prob(&Bits::from_u64(0, 3)) - 0.5).abs() < 1e-9);
+}
+
+/// Zero shots in sampled mode is refused up front with a typed error on
+/// every entry point — not an MLFT normalization failure deep in the run,
+/// and not all-zero "marginals" with MLFT off. Exact mode ignores the
+/// shot budget and stays valid; a zero-shot sweep point leaves its
+/// siblings bit-identical to independent runs.
+#[test]
+fn zero_shots_is_a_typed_error_up_front() {
+    let zero_shots =
+        |e: &SuperSimError| matches!(e.root(), SuperSimError::Config(ConfigError::ZeroShots));
+    for mlft in [true, false] {
+        assert_eq!(
+            SuperSimConfig::builder().shots(0).mlft(mlft).build().err(),
+            Some(ConfigError::ZeroShots)
+        );
+    }
+    let exact = SuperSimConfig::builder()
+        .shots(0)
+        .exact(true)
+        .build()
+        .expect("exact mode ignores the shot budget");
+    let circuits = mixed_circuits();
+    let run = SuperSim::new(exact).run(&circuits[1]).unwrap();
+    for m in &run.marginals {
+        assert!((m[0] + m[1] - 1.0).abs() < 1e-9, "exact marginal {m:?}");
+    }
+
+    // A struct literal bypasses the builder; the run catches it.
+    for mlft in [true, false] {
+        let sim = SuperSim::new(SuperSimConfig {
+            shots: 0,
+            mlft,
+            ..SuperSimConfig::default()
+        });
+        let err = sim.run(&circuits[1]).unwrap_err();
+        assert!(zero_shots(&err), "run, mlft {mlft}: {err}");
+        for (i, r) in sim.run_batch(&circuits).iter().enumerate() {
+            let err = r.as_ref().unwrap_err();
+            assert!(matches!(err, SuperSimError::Job { job, .. } if *job == i));
+            assert!(zero_shots(err), "batch member {i}, mlft {mlft}: {err}");
+        }
+    }
+
+    let base = SuperSimConfig::builder()
+        .shots(150)
+        .seed(5)
+        .build()
+        .unwrap();
+    let sim = SuperSim::new(base.clone());
+    let plan = sim.plan(&circuits[0]).unwrap();
+    let err = sim
+        .executor()
+        .run_with(&plan, ExecParams::seeded(5).with_shots(0))
+        .unwrap_err();
+    assert!(zero_shots(&err), "run_with: {err}");
+    assert!(!supersim::is_transient(&err));
+
+    let points = [
+        ExecParams::seeded(5).with_shots(150),
+        ExecParams::seeded(6).with_shots(0),
+        ExecParams::seeded(7).with_shots(150),
+    ];
+    let sweep = sim.executor().run_sweep(&plan, &points);
+    assert!(zero_shots(sweep[1].as_ref().unwrap_err()));
+    for i in [0usize, 2] {
+        let solo = SuperSim::new(
+            base.clone()
+                .into_builder()
+                .seed(points[i].seed)
+                .build()
+                .unwrap(),
+        )
+        .run(&circuits[0])
+        .unwrap();
+        assert_bit_identical(&solo, sweep[i].as_ref().unwrap(), &format!("sibling {i}"));
+    }
 }
