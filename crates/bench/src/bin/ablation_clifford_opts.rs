@@ -3,8 +3,11 @@
 //! 1. *Fewer stitching calculations*: the sparse contraction skips cut
 //!    assignments whose Pauli slice is identically zero in some stabilizer
 //!    fragment — we report visited/total `4^k` terms.
-//! 2. *Fewer shots*: exact zero-shot Clifford fragment evaluation vs
-//!    sampling, comparing runtime at equal accuracy targets.
+//! 2. *Fewer shots*: fragment tensors built from sampled variants
+//!    (`EvalMode::Sampled`, where the pipeline's rule still enumerates
+//!    every support of at most `shots` points) against fully enumerated
+//!    ones (`EvalMode::Exact`), then the default pipeline at the same shot
+//!    budget with the number of variants the rule enumerated.
 
 use cutkit::{
     build_fragment_tensor, cut_circuit, CutStrategy, EvalMode, EvalOptions, Reconstructor,
@@ -55,27 +58,51 @@ fn main() {
     }
 
     println!();
-    println!("# ablation_clifford_opts part 2: sampled vs zero-shot Clifford fragments");
-    println!("qubits\tmode\tseconds");
+    println!("# ablation_clifford_opts part 2: sampled vs enumerated fragments");
+    println!("qubits\tmode\tseconds\tenumerated/variants");
     let sizes: &[usize] = if full {
         &[10, 14, 18, 22, 26, 30]
     } else {
         &[10, 14, 18]
     };
+    const SHOTS: usize = 2000;
     for &n in sizes {
         let w = workloads::hwea(n, 3, 1, 77 + n as u64);
-        for (label, exact_clifford) in [("sampled", false), ("zero-shot", true)] {
-            let cfg = SuperSimConfig {
-                shots: 2000,
-                exact_clifford,
-                joint_support_limit: 0, // marginals only: isolate evaluation cost
-                ..SuperSimConfig::default()
+        let cut = cut_circuit(&w.circuit, CutStrategy::default()).expect("cut fits");
+        for (label, mode) in [
+            ("sampled", EvalMode::Sampled { shots: SHOTS }),
+            ("enumerated", EvalMode::Exact),
+        ] {
+            let eval = EvalOptions {
+                mode,
+                ..Default::default()
             };
+            let mut rng = StdRng::seed_from_u64(7);
             let t0 = Instant::now();
-            match SuperSim::new(cfg).run(&w.circuit) {
-                Ok(_) => println!("{n}\t{label}\t{:.4}", t0.elapsed().as_secs_f64()),
-                Err(e) => println!("{n}\t{label}\tskip ({e})"),
+            let built: Result<Vec<_>, _> = cut
+                .fragments
+                .iter()
+                .map(|f| build_fragment_tensor(f, &eval, &TensorOptions::default(), &mut rng))
+                .collect();
+            match built {
+                Ok(_) => println!("{n}\t{label}\t{:.4}\t-", t0.elapsed().as_secs_f64()),
+                Err(e) => println!("{n}\t{label}\tskip ({e})\t-"),
             }
+        }
+        let cfg = SuperSimConfig::builder()
+            .shots(SHOTS)
+            .joint_support_limit(0) // marginals only: isolate evaluation cost
+            .build()
+            .expect("valid config");
+        let t0 = Instant::now();
+        match SuperSim::new(cfg).run(&w.circuit) {
+            Ok(r) => println!(
+                "{n}\tpipeline\t{:.4}\t{}/{}",
+                t0.elapsed().as_secs_f64(),
+                r.report.enumerated_variants,
+                r.report.num_variants
+            ),
+            Err(e) => println!("{n}\tpipeline\tskip ({e})\t-"),
         }
     }
 }

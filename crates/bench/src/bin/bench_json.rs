@@ -27,11 +27,11 @@
 //! rebuild against a fingerprint-keyed cache hit (same `Arc` returned).
 //!
 //! A `truncated_sweep` series exercises the error-budgeted recombination
-//! dial (`ExecParams::with_error_budget`) on a T-ladder plan: the exact
-//! sweep against three budgets, asserting the largest budget buys at
-//! least 2x recombination latency and that every point's reported
-//! skipped-mass bound dominates its measured L1 distance from the exact
-//! distribution.
+//! dial (`ExecParams::with_error_budget`) on the plan of a noisy T chain,
+//! whose variants are all sampled: the exact sweep against three budgets,
+//! asserting the largest budget buys at least 2x recombination latency and
+//! that every point's reported skipped-mass bound dominates its measured
+//! L1 distance from the exact distribution.
 //!
 //! Plus the §IX sparse-contraction ablation. Every engine result is
 //! checked bit-identical between thread counts before timing is reported.
@@ -48,10 +48,10 @@
 //! bench-regression gate.
 
 use cutkit::{
-    cut_circuit, reference_joint_btreemap, synthetic_dense_chain, CutStrategy, EvalMode,
+    cut_circuit, reference_joint_btreemap, synthetic_dense_chain, CutPoint, CutStrategy, EvalMode,
     EvalOptions, FragmentTensor, Reconstructor, TensorOptions,
 };
-use qcir::{Bits, Circuit};
+use qcir::{Bits, Circuit, NoiseChannel};
 use std::time::Instant;
 use supersim::{ExecParams, RunResult, SuperSim, SuperSimConfig};
 
@@ -472,21 +472,39 @@ fn main() {
     );
 
     // --- Error-budgeted recombination: the accuracy/latency dial -------
-    // One plan of a 3-qubit T ladder recombined exactly and under three
-    // error budgets (`ExecParams::with_error_budget`). The budget must
-    // buy recombination latency — at least 2x at the largest budget —
-    // and the reported skipped-mass bound must dominate the measured L1
-    // distance from the exact distribution, or the dial is lying about
-    // one of its two axes.
-    let trunc_ladder = workloads::t_ladder(3, 40);
+    // One plan of a noisy one-qubit T chain recombined exactly and under
+    // three error budgets (`ExecParams::with_error_budget`). The budget
+    // must buy recombination latency — at least 2x at the largest budget
+    // — and the reported skipped-mass bound must dominate the measured L1
+    // distance from the exact distribution, or the dial is lying about one
+    // of its two axes. A weak depolarizing channel after every `T`, with
+    // the chain cut after each channel, makes every fragment noisy, so
+    // every variant is sampled: the budget trims the thousands of
+    // small-weight assignments that shot noise leaves where the exact
+    // tensors are zero. (A noiseless T ladder's supports fit the shot
+    // budget, its tensors are enumerated, and the sparse sweep leaves a
+    // budget nothing to trim.)
+    let mut trunc_chain = Circuit::new(1);
+    let mut trunc_cuts = Vec::new();
+    for layer in 0..9 {
+        trunc_chain
+            .h(0)
+            .t(0)
+            .add_noise(NoiseChannel::Depolarize1(1e-3), &[0]);
+        if layer < 8 {
+            trunc_cuts.push(CutPoint {
+                qubit: 0,
+                after_op: trunc_chain.len() - 1,
+            });
+        }
+    }
     let trunc_sim = SuperSim::new(
         SuperSimConfig::builder()
-            .shots(400)
-            .cut_strategy(CutStrategy::IsolateNonClifford { max_cuts: 8 })
+            .cut_strategy(CutStrategy::Manual(trunc_cuts))
             .build()
             .unwrap(),
     );
-    let trunc_plan = trunc_sim.plan(&trunc_ladder.circuit).unwrap();
+    let trunc_plan = trunc_sim.plan(&trunc_chain).unwrap();
     // Best recombination time across reps (the series gates on the
     // recombine stage, not eval, which the budget does not touch).
     let best_recombine = |params: ExecParams| -> (f64, RunResult) {
@@ -503,6 +521,10 @@ fn main() {
     assert_eq!(
         trunc_exact.report.assignments_skipped, 0,
         "truncated_sweep: the zero-budget run must not skip anything"
+    );
+    assert_eq!(
+        trunc_exact.report.enumerated_variants, 0,
+        "truncated_sweep: every noisy variant must be sampled"
     );
     let exact_dist: std::collections::HashMap<Bits, f64> = trunc_exact
         .distribution
@@ -530,6 +552,11 @@ fn main() {
             l1 <= bound,
             "truncated_sweep: measured L1 {l1} above the reported bound {bound}"
         );
+        assert_eq!(
+            run.report.visited_assignments + run.report.assignments_skipped,
+            trunc_exact.report.visited_assignments,
+            "truncated_sweep: budget {budget} lost track of assignments"
+        );
         let speedup = trunc_exact_ms / ms;
         trunc_last_speedup = speedup;
         println!(
@@ -555,8 +582,8 @@ fn main() {
         "{{\"ops\": {}, \"t_gates\": {}, \"cuts\": {}, \
          \"exact_recombine_1t_ms\": {trunc_exact_ms:.3}, \
          \"exact_visited\": {}, \"points\": [\n{}\n  ]}}",
-        trunc_ladder.circuit.len(),
-        trunc_ladder.circuit.t_count(),
+        trunc_chain.len(),
+        trunc_chain.t_count(),
         trunc_exact.report.num_cuts,
         trunc_exact.report.visited_assignments,
         trunc_rows.join(",\n"),

@@ -185,6 +185,10 @@ struct JobState<'p> {
     /// Finished fragment tensors, populated when the last chunk folds;
     /// corrected in place by the per-fragment MLFT tasks.
     tensors: Vec<Mutex<Option<FragmentTensor>>>,
+    /// Variants whose rows were enumerated, read off the folded chunks
+    /// when the last one lands: stored (`Release`) before the job's next
+    /// stage is enqueued, loaded (`Acquire`) by its recombination task.
+    enumerated_variants: AtomicUsize,
     /// Per-fragment MLFT outcomes, folded in fragment order at the end.
     moved: Mutex<Vec<Option<Result<f64, TaskFailure>>>>,
     mlft_left: AtomicUsize,
@@ -242,6 +246,7 @@ impl<'p> JobState<'p> {
             chunks_left: AtomicUsize::new(num_chunks),
             fail_floor: AtomicUsize::new(usize::MAX),
             tensors: (0..fragments).map(|_| Mutex::new(None)).collect(),
+            enumerated_variants: AtomicUsize::new(0),
             moved: Mutex::new((0..fragments).map(|_| None).collect()),
             mlft_left: AtomicUsize::new(fragments),
             mlft_moved: Mutex::new(0.0),
@@ -610,6 +615,7 @@ fn run_task(config: &SuperSimConfig, states: &[JobState<'_>], queue: &Queue, tas
                     config,
                     s.plan,
                     tensors,
+                    s.enumerated_variants.load(Ordering::Acquire),
                     mlft_moved,
                     eval_time,
                     rec_threads,
@@ -650,6 +656,10 @@ fn finish_eval(config: &SuperSimConfig, s: &JobState<'_>, queue: &Queue, job: us
             );
             return;
         }
+    }
+    if let Some(chunk) = &folded {
+        s.enumerated_variants
+            .store(chunk.enumerated_variants(), Ordering::Release);
     }
     let tensors = merge_planned_chunks(
         &s.plan.cut.fragments,
@@ -749,7 +759,7 @@ pub(crate) fn build_plans(
 
 /// Plans and executes a batch of circuits (the backend of
 /// [`SuperSim::run_batch`](crate::SuperSim::run_batch)): each circuit is
-/// cut and planned up front (a cut-budget failure stays per-circuit),
+/// cut and planned up front (an invalid cut strategy stays per-circuit),
 /// then every successfully planned circuit executes on the shared pool.
 /// Every per-circuit error — planning or execution — is wrapped in
 /// [`SuperSimError::Job`] with the circuit's batch index and fingerprint.

@@ -130,6 +130,11 @@ pub struct RunReport {
     pub num_cuts: usize,
     /// Total fragment variants executed.
     pub num_variants: usize,
+    /// Variants whose rows were enumerated — their exact distributions —
+    /// rather than sampled, out of [`RunReport::num_variants`]: every
+    /// variant in exact mode; in sampled mode the noiseless ones whose
+    /// distribution has no more points than the shot budget.
+    pub enumerated_variants: usize,
     /// Wall time of the cutting stage. Runs that reuse a [`CutPlan`]
     /// report the plan's one-time build cost here, so a sweep's points all
     /// show the same (amortized) value.
@@ -179,12 +184,13 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} fragments ({} Clifford), {} cuts, {} variants; \
+            "{} fragments ({} Clifford), {} cuts, {} variants ({} enumerated); \
              cut {:?}, eval {:?}, recombine {:?}",
             self.num_fragments,
             self.clifford_fragments,
             self.num_cuts,
             self.num_variants,
+            self.enumerated_variants,
             self.cut_time,
             self.eval_time,
             self.recombine_time
@@ -488,8 +494,6 @@ pub(crate) fn eval_options(
                 shots: params.shots,
             }
         },
-        exact_clifford: config.exact_clifford,
-        exact_support_limit: config.exact_support_limit,
         supervisor,
     }
 }
@@ -534,6 +538,7 @@ pub(crate) fn finish_run(
     config: &SuperSimConfig,
     plan: &CutPlan,
     tensors: Vec<FragmentTensor>,
+    enumerated_variants: usize,
     mlft_moved: f64,
     eval_time: Duration,
     recombine_threads: usize,
@@ -575,6 +580,7 @@ pub(crate) fn finish_run(
             clifford_fragments: plan.clifford_fragments,
             num_cuts: plan.cut.num_cuts,
             num_variants: plan.num_variants,
+            enumerated_variants,
             cut_time: plan.cut_time,
             eval_time,
             recombine_time,

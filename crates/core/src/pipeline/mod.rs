@@ -71,7 +71,7 @@ pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 
 use cache::PlanCache;
 
-use cutkit::{CutBudgetError, CutStrategy, EvalError, MlftError};
+use cutkit::{CutError, CutStrategy, EvalError, MlftError};
 use faultkit::{CancelToken, Fault, FaultPlan, Interrupt, Stage, Supervisor};
 use qcir::Circuit;
 use std::fmt;
@@ -98,10 +98,6 @@ pub struct SuperSimConfig {
     /// Snap Clifford-fragment conditional Pauli expectations to
     /// `{-1, 0, +1}` (paper §IX optimization 1).
     pub clifford_snap: bool,
-    /// Evaluate Clifford fragments exactly even in sampled mode (the
-    /// zero-shot form of §IX optimization 1); requires supports within
-    /// `exact_support_limit`.
-    pub exact_clifford: bool,
     /// Skip identically-zero Pauli assignments during recombination
     /// (paper §IX optimization 2).
     pub sparse_contraction: bool,
@@ -127,9 +123,6 @@ pub struct SuperSimConfig {
     /// Build the full joint distribution only when the product of fragment
     /// supports stays below this.
     pub joint_support_limit: usize,
-    /// Largest affine-support dimension enumerated in exact Clifford
-    /// evaluation.
-    pub exact_support_limit: usize,
     /// Per-job wall-clock deadline: a job (one circuit of a batch, one
     /// sweep point, or one [`SuperSim::run`]) that exceeds it fails with
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
@@ -173,14 +166,12 @@ impl Default for SuperSimConfig {
             cut_strategy: CutStrategy::default(),
             mlft: true,
             clifford_snap: true,
-            exact_clifford: false,
             sparse_contraction: true,
             error_budget: 0.0,
             parallel: false,
             threads: 0,
             seed: 0,
             joint_support_limit: 2_000_000,
-            exact_support_limit: 16,
             job_deadline: None,
             cancel: None,
             batch_deadline: None,
@@ -308,12 +299,6 @@ impl SuperSimConfigBuilder {
         self
     }
 
-    /// Evaluate Clifford fragments exactly even in sampled mode.
-    pub fn exact_clifford(mut self, exact_clifford: bool) -> Self {
-        self.config.exact_clifford = exact_clifford;
-        self
-    }
-
     /// Skip identically-zero Pauli assignments during recombination.
     pub fn sparse_contraction(mut self, sparse: bool) -> Self {
         self.config.sparse_contraction = sparse;
@@ -352,12 +337,6 @@ impl SuperSimConfigBuilder {
     /// Joint-distribution support ceiling.
     pub fn joint_support_limit(mut self, limit: usize) -> Self {
         self.config.joint_support_limit = limit;
-        self
-    }
-
-    /// Largest affine-support dimension in exact Clifford evaluation.
-    pub fn exact_support_limit(mut self, limit: usize) -> Self {
-        self.config.exact_support_limit = limit;
         self
     }
 
@@ -427,8 +406,9 @@ impl SuperSimConfigBuilder {
 /// fingerprint; [`SuperSimError::root`] unwraps that context.
 #[derive(Debug)]
 pub enum SuperSimError {
-    /// The cutter could not respect the cut budget.
-    Cut(CutBudgetError),
+    /// The cut strategy is invalid for the circuit (a manual cut point off
+    /// its wire).
+    Cut(CutError),
     /// A fragment could not be evaluated.
     Eval(EvalError),
     /// The MLFT correction could not normalize a fragment (its tensor
@@ -592,8 +572,8 @@ pub(crate) fn fault_error(stage: Stage, fault: Fault, supervisor: &Supervisor) -
     }
 }
 
-impl From<CutBudgetError> for SuperSimError {
-    fn from(e: CutBudgetError) -> Self {
+impl From<CutError> for SuperSimError {
+    fn from(e: CutError) -> Self {
         SuperSimError::Cut(e)
     }
 }
@@ -674,7 +654,8 @@ impl SuperSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SuperSimError::Cut`] when cutting exceeds the cut budget.
+    /// Returns [`SuperSimError::Cut`] when a manual cut point does not lie
+    /// on its wire.
     pub fn plan(&self, circuit: &Circuit) -> Result<Arc<CutPlan>, SuperSimError> {
         Ok(self.plan_cached(circuit)?.0)
     }
@@ -701,9 +682,10 @@ impl SuperSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SuperSimError`] when cutting exceeds the cut budget or a
-    /// fragment cannot be evaluated (too wide for the statevector backend,
-    /// support too large for exact enumeration, noise in exact mode).
+    /// Returns [`SuperSimError`] when a manual cut point does not lie on its
+    /// wire or a fragment cannot be evaluated (too wide for the statevector
+    /// backend, support too large for exact enumeration, noise in exact
+    /// mode).
     pub fn run(&self, circuit: &Circuit) -> Result<RunResult, SuperSimError> {
         let (plan, cache_hit) = self.plan_cached(circuit)?;
         let mut result = self.executor().run(&plan)?;
@@ -945,25 +927,32 @@ mod tests {
         assert!((dist.total_mass() - 1.0).abs() < 1e-9);
     }
 
+    /// Under the default configuration every variant of a small circuit
+    /// fits the 5000 shots, so the sampled pipeline enumerates them all and
+    /// its marginals and joint are the statevector's to rounding.
     #[test]
-    fn exact_clifford_optimization_gives_exact_marginals() {
+    fn default_config_enumerates_small_fragments_exactly() {
         let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cx(1, 2).t(2);
-        let cfg = SuperSimConfig {
-            shots: 50,            // tiny shot budget...
-            exact_clifford: true, // ...but Clifford fragments evaluated exactly
-            mlft: false,
-            seed: 3,
-            ..SuperSimConfig::default()
-        };
-        let r = SuperSim::new(cfg).run(&c).unwrap();
+        c.h(0).cx(0, 1).cx(1, 2).t(2).h(2);
+        let r = SuperSim::new(SuperSimConfig::builder().seed(3).build().unwrap())
+            .run(&c)
+            .unwrap();
+        assert_eq!(r.report.enumerated_variants, r.report.num_variants);
+        assert!(r
+            .report
+            .render_summary()
+            .contains(&format!("({} enumerated)", r.report.num_variants)));
+        assert_matches_sv(
+            &c,
+            SuperSimConfig::builder().seed(3).build().unwrap(),
+            1e-12,
+            "enumerated",
+        );
         let sv = StateVec::run(&c).unwrap();
-        let sv_marg = metrics::Distribution::from_pairs(3, sv.distribution(1e-12));
-        // Only the tiny T fragment is sampled; since it has no circuit
-        // outputs of its own the marginals stay near-exact.
-        for q in 0..2 {
+        let sv_marg = metrics::Distribution::from_pairs(3, sv.distribution(1e-14));
+        for q in 0..3 {
             assert!(
-                (r.marginals[q][0] - sv_marg.marginal(q)[0]).abs() < 0.05,
+                (r.marginals[q][0] - sv_marg.marginal(q)[0]).abs() < 1e-12,
                 "qubit {q}"
             );
         }
@@ -1122,6 +1111,39 @@ mod tests {
         let manual_loaded = CutPlan::from_text(&manual.to_text()).unwrap();
         assert_eq!(manual_loaded.strategy(), manual.strategy());
         assert_eq!(manual_loaded.fingerprint(), manual.fingerprint());
+    }
+
+    /// Edited snapshots that used to panic the loader are typed errors: a
+    /// manual cut point off its wire, and a gate with a repeated operand.
+    /// The same cut point through `SuperSim::plan` is a `Cut` error.
+    #[test]
+    fn malformed_plan_snapshots_are_typed_errors() {
+        let off_wire = "supersim-plan v1\nstrategy manual 1:0\nqubits 2\nh 0\ncx 0 1\n";
+        let point = cutkit::CutPoint {
+            qubit: 1,
+            after_op: 0,
+        };
+        match CutPlan::from_text(off_wire) {
+            Err(PlanLoadError::Cut(CutError::InvalidCutPoint(p))) => assert_eq!(p, point),
+            other => panic!("expected an invalid cut point, got {other:?}"),
+        }
+        match CutPlan::from_text("supersim-plan v1\nstrategy none\nqubits 2\ncx 1 1\n") {
+            Err(PlanLoadError::Circuit(e)) => {
+                assert_eq!(e.line, 2);
+                assert!(e.message.contains("duplicate"), "{e}");
+            }
+            other => panic!("expected a circuit parse error, got {other:?}"),
+        }
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let sim = SuperSim::new(SuperSimConfig {
+            cut_strategy: CutStrategy::Manual(vec![point]),
+            ..SuperSimConfig::default()
+        });
+        assert!(matches!(
+            sim.run(&c),
+            Err(SuperSimError::Cut(CutError::InvalidCutPoint(p))) if p == point
+        ));
     }
 
     /// Evaluation failures in a batch stay per-circuit: the failing

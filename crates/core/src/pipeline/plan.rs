@@ -17,7 +17,7 @@
 //! [`Executor`]: crate::Executor
 
 use cutkit::{
-    cut_circuit, CutBudgetError, CutCircuit, CutPoint, CutStrategy, Fragment, FragmentEvalPlan,
+    cut_circuit, CutCircuit, CutError, CutPoint, CutStrategy, Fragment, FragmentEvalPlan,
 };
 use qcir::text::ParseCircuitError;
 use qcir::{Circuit, IndexPlan};
@@ -103,9 +103,9 @@ impl CutPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`CutBudgetError`] when the cutter cannot respect the cut
-    /// budget.
-    pub fn build(circuit: &Circuit, strategy: CutStrategy) -> Result<CutPlan, CutBudgetError> {
+    /// Returns [`CutError`] when a manual cut point does not lie on its
+    /// wire.
+    pub fn build(circuit: &Circuit, strategy: CutStrategy) -> Result<CutPlan, CutError> {
         let t0 = Instant::now();
         let cut = cut_circuit(circuit, strategy.clone())?;
         let eval_plans: Vec<FragmentEvalPlan> =
@@ -229,8 +229,8 @@ impl CutPlan {
     /// # Errors
     ///
     /// Returns [`PlanLoadError`] when the header or strategy line is
-    /// malformed, the circuit text fails to parse, or rebuilding exceeds
-    /// the cut budget (possible only if the snapshot was edited).
+    /// malformed, the circuit text fails to parse, or a manual cut point
+    /// does not lie on its wire (possible only if the snapshot was edited).
     pub fn from_text(src: &str) -> Result<CutPlan, PlanLoadError> {
         let mut lines = src.lines();
         let header = lines.next().unwrap_or("");
@@ -312,9 +312,9 @@ pub enum PlanLoadError {
     },
     /// The embedded circuit text failed to parse.
     Circuit(ParseCircuitError),
-    /// Rebuilding the plan exceeded the cut budget (possible only when a
+    /// A manual cut point does not lie on its wire (possible only when a
     /// snapshot is edited to a different circuit or strategy).
-    Cut(CutBudgetError),
+    Cut(CutError),
 }
 
 impl fmt::Display for PlanLoadError {

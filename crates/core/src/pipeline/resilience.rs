@@ -122,7 +122,7 @@ impl RetryPolicy {
 /// Whether a pipeline failure is worth retrying: panics and deadline
 /// trips (a stalled worker surfaces as the latter), injected faults
 /// carrying the `faultkit` transient marker, and circuit-breaker denials.
-/// Everything else — cut-budget, evaluation, MLFT, cancellation, and
+/// Everything else — invalid cut points, evaluation, MLFT, cancellation, and
 /// (ladder permitting, degradation-handled) admission failures — is
 /// permanent: re-running the identical job deterministically reproduces
 /// the identical error.

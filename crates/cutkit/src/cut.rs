@@ -160,27 +160,27 @@ impl CutCircuit {
     }
 }
 
-/// Error returned when a circuit cannot be cut within the configured
-/// budget.
+/// Error returned when a circuit cannot be cut as requested.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutBudgetError {
-    /// Cuts required after maximal merging.
-    pub required: usize,
-    /// The configured maximum.
-    pub max_cuts: usize,
+pub enum CutError {
+    /// A [`CutStrategy::Manual`] point names a qubit outside the circuit
+    /// or an operation that does not act on that qubit.
+    InvalidCutPoint(CutPoint),
 }
 
-impl std::fmt::Display for CutBudgetError {
+impl std::fmt::Display for CutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "circuit requires {} cuts, exceeding the budget of {} (reconstruction is 4^k)",
-            self.required, self.max_cuts
-        )
+        match self {
+            CutError::InvalidCutPoint(p) => write!(
+                f,
+                "cut point {}:{} does not lie on a wire: operation {} does not act on qubit {}",
+                p.qubit, p.after_op, p.after_op, p.qubit
+            ),
+        }
     }
 }
 
-impl std::error::Error for CutBudgetError {}
+impl std::error::Error for CutError {}
 
 /// Simple union-find over operation indices.
 struct UnionFind {
@@ -220,47 +220,43 @@ impl UnionFind {
 
 /// Cuts a circuit according to `strategy`.
 ///
+/// [`CutStrategy::IsolateNonClifford`] always succeeds: merging fragments
+/// can take any circuit down to zero cuts, so every budget is met.
+///
 /// # Errors
 ///
-/// Returns [`CutBudgetError`] when isolating the non-Clifford operations
-/// requires more cuts than the strategy's budget even after merging all
-/// fragments that share a cut.
-///
-/// # Panics
-///
-/// With [`CutStrategy::Manual`], panics if a cut point references an
-/// operation that does not act on the given qubit.
-pub fn cut_circuit(circuit: &Circuit, strategy: CutStrategy) -> Result<CutCircuit, CutBudgetError> {
+/// Returns [`CutError::InvalidCutPoint`] when a [`CutStrategy::Manual`]
+/// point names a qubit outside the circuit or an operation that does not
+/// act on that qubit.
+pub fn cut_circuit(circuit: &Circuit, strategy: CutStrategy) -> Result<CutCircuit, CutError> {
     match strategy {
         CutStrategy::None => Ok(single_fragment(circuit)),
-        CutStrategy::IsolateNonClifford { max_cuts } => isolate(circuit, max_cuts),
-        CutStrategy::Manual(points) => Ok(manual(circuit, &points)),
+        CutStrategy::IsolateNonClifford { max_cuts } => Ok(isolate(circuit, max_cuts)),
+        CutStrategy::Manual(points) => manual(circuit, &points),
     }
 }
 
 /// Cuts exactly at the requested positions.
-fn manual(circuit: &Circuit, points: &[CutPoint]) -> CutCircuit {
+fn manual(circuit: &Circuit, points: &[CutPoint]) -> Result<CutCircuit, CutError> {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
-    if ops.is_empty() {
-        return single_fragment(circuit);
-    }
     let mut wires: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, op) in ops.iter().enumerate() {
         for q in &op.qubits {
             wires[q.index()].push(i);
         }
     }
-    let cut_set: std::collections::HashSet<(usize, usize)> = points
+    if let Some(&p) = points
         .iter()
-        .map(|p| {
-            assert!(
-                p.qubit < n && wires[p.qubit].contains(&p.after_op),
-                "cut point {p:?} does not lie on the wire"
-            );
-            (p.qubit, p.after_op)
-        })
-        .collect();
+        .find(|p| wires.get(p.qubit).is_none_or(|w| !w.contains(&p.after_op)))
+    {
+        return Err(CutError::InvalidCutPoint(p));
+    }
+    if ops.is_empty() {
+        return Ok(single_fragment(circuit));
+    }
+    let cut_set: std::collections::HashSet<(usize, usize)> =
+        points.iter().map(|p| (p.qubit, p.after_op)).collect();
     let mut uf = UnionFind::new(ops.len());
     for (q, wire) in wires.iter().enumerate() {
         for pair in wire.windows(2) {
@@ -269,7 +265,7 @@ fn manual(circuit: &Circuit, points: &[CutPoint]) -> CutCircuit {
             }
         }
     }
-    build_fragments(circuit, &wires, &mut uf).expect("manual fragmentation cannot fail")
+    Ok(build_fragments(circuit, &wires, &mut uf))
 }
 
 /// Wraps the whole circuit as one fragment with no cuts.
@@ -290,11 +286,11 @@ fn single_fragment(circuit: &Circuit) -> CutCircuit {
     }
 }
 
-fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutBudgetError> {
+fn isolate(circuit: &Circuit, max_cuts: usize) -> CutCircuit {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
     if ops.is_empty() {
-        return Ok(single_fragment(circuit));
+        return single_fragment(circuit);
     }
 
     // Wires: op indices per qubit in program order.
@@ -343,16 +339,6 @@ fn isolate(circuit: &Circuit, max_cuts: usize) -> Result<CutCircuit, CutBudgetEr
             break;
         };
         uf.union(a, b);
-        if pair_counts.len() == 1 {
-            // Everything merged into one component next iteration.
-            let cuts = count_cuts(&wires, &mut uf);
-            if cuts > max_cuts {
-                return Err(CutBudgetError {
-                    required: cuts,
-                    max_cuts,
-                });
-            }
-        }
     }
 
     build_fragments(circuit, &wires, &mut uf)
@@ -378,11 +364,7 @@ struct Segment {
     global_qubit: usize,
 }
 
-fn build_fragments(
-    circuit: &Circuit,
-    wires: &[Vec<usize>],
-    uf: &mut UnionFind,
-) -> Result<CutCircuit, CutBudgetError> {
+fn build_fragments(circuit: &Circuit, wires: &[Vec<usize>], uf: &mut UnionFind) -> CutCircuit {
     let ops = circuit.ops();
     let n = circuit.num_qubits();
 
@@ -512,7 +494,7 @@ fn build_fragments(
         cut.validate();
         true
     });
-    Ok(cut)
+    cut
 }
 
 #[cfg(test)]
@@ -695,17 +677,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not lie on the wire")]
-    fn manual_cut_off_wire_panics() {
+    fn manual_cut_off_wire_is_an_error() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let _ = cut_circuit(
-            &c,
-            CutStrategy::Manual(vec![CutPoint {
-                qubit: 1,
-                after_op: 0, // op 0 (H) does not touch qubit 1
-            }]),
-        );
+        for (qubit, after_op, circuit) in [
+            (1, 0, &c),               // op 0 (H) does not touch qubit 1
+            (2, 1, &c),               // no qubit 2
+            (0, 2, &c),               // no op 2
+            (0, 0, &Circuit::new(1)), // no op at all
+        ] {
+            let point = CutPoint { qubit, after_op };
+            assert_eq!(
+                cut_circuit(circuit, CutStrategy::Manual(vec![point])).unwrap_err(),
+                CutError::InvalidCutPoint(point)
+            );
+        }
+    }
+
+    /// A zero budget merges everything that shares a wire: the ladder
+    /// comes back as one uncut fragment, not as an error.
+    #[test]
+    fn zero_cut_budget_merges_down_to_no_cuts() {
+        let c = workloads::t_ladder(3, 20).circuit;
+        let cut = cut_circuit(&c, CutStrategy::IsolateNonClifford { max_cuts: 0 }).unwrap();
+        cut.validate();
+        assert_eq!(cut.num_cuts, 0);
+        assert_eq!(cut.fragments.len(), 1);
     }
 
     #[test]

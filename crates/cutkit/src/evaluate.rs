@@ -4,6 +4,24 @@
 //! go to the stabilizer simulator ([`stabsim::TableauSim`] /
 //! [`stabsim::FrameSim`] when noisy), everything else goes to the exact
 //! statevector simulator ([`svsim::StateVec`]).
+//!
+//! # Enumerate or sample
+//!
+//! A variant's rows are its exact distribution whenever those rows are no
+//! more than the shots sampling would draw (the paper's §IX "fewer shots"
+//! optimization, taken as a rule rather than an option):
+//!
+//! * a noiseless Clifford variant whose affine support has `2^dim ≤ shots`
+//!   points (and `dim ≤ 16`) emits every point at `2^-dim`;
+//! * a noiseless non-Clifford variant whose statevector has at most
+//!   `shots` probabilities above `1e-14` emits those probabilities.
+//!
+//! Larger supports and noisy variants ([`stabsim::FrameSim`],
+//! [`svsim::StateVec::run_noisy`] trajectories) are sampled. Exact mode
+//! enumerates every variant and fails on a Clifford support past `dim 16`.
+//! Enumerated rows carry no shot noise, so the exact zeros of stabilizer
+//! and `T` tensors survive into the contraction, where the sparse sweep
+//! skips the Pauli assignments they kill.
 
 use crate::cut::Fragment;
 use crate::variants::{variant_circuit, Variant};
@@ -29,14 +47,6 @@ pub enum EvalMode {
 pub struct EvalOptions {
     /// Evaluation mode.
     pub mode: EvalMode,
-    /// Evaluate Clifford fragments exactly even in sampled mode (the
-    /// strongest form of the paper's §IX "fewer shots" optimization:
-    /// `⟨P⟩ ∈ {-1,0,+1}` read off the tableau at zero shots). Requires the
-    /// support to fit `exact_support_limit`.
-    pub exact_clifford: bool,
-    /// Largest affine-support dimension enumerated exactly (`2^dim`
-    /// outcomes).
-    pub exact_support_limit: usize,
     /// Supervision context, consulted once per evaluation chunk
     /// ([`crate::evaluate_planned_chunk`]): cooperative cancellation and
     /// deadlines surface as [`EvalError::Interrupted`], scheduled fault
@@ -50,12 +60,19 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             mode: EvalMode::Sampled { shots: 5000 },
-            exact_clifford: false,
-            exact_support_limit: 16,
             supervisor: Supervisor::new(),
         }
     }
 }
+
+/// Largest affine-support dimension a Clifford variant is enumerated at
+/// (`2^16` outcomes): the hard limit in exact mode, and a cap on top of the
+/// shot budget in sampled mode.
+const MAX_ENUMERATED_DIM: usize = 16;
+
+/// Probabilities at or below this are dropped from an enumerated
+/// statevector distribution.
+const SV_PROBABILITY_TOL: f64 = 1e-14;
 
 /// Errors surfaced while evaluating a fragment variant.
 #[derive(Debug, Clone)]
@@ -63,12 +80,10 @@ pub enum EvalError {
     /// A non-Clifford fragment is too wide for dense simulation.
     FragmentTooWide(usize),
     /// Exact mode requested but the Clifford fragment's output support is
-    /// too large to enumerate.
+    /// too large to enumerate (more than `2^16` points).
     SupportTooLarge {
         /// Support dimension (the distribution has `2^dim` points).
         dim: usize,
-        /// The configured limit.
-        limit: usize,
     },
     /// Exact mode cannot evaluate noisy fragments.
     NoiseInExactMode,
@@ -92,9 +107,10 @@ impl fmt::Display for EvalError {
                     "non-Clifford fragment with {n} qubits exceeds statevector limit"
                 )
             }
-            EvalError::SupportTooLarge { dim, limit } => write!(
+            EvalError::SupportTooLarge { dim } => write!(
                 f,
-                "Clifford fragment support dimension {dim} exceeds exact enumeration limit {limit}"
+                "Clifford fragment support dimension {dim} exceeds exact enumeration limit \
+                 {MAX_ENUMERATED_DIM}"
             ),
             EvalError::NoiseInExactMode => {
                 write!(f, "noise channels cannot be evaluated in exact mode")
@@ -109,9 +125,9 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Reusable per-worker evaluation scratch for [`evaluate_variant_into`]:
-/// the outcome tally (and its hash table), the sampling scratch row, and
-/// nothing else — everything the sampled hot paths would otherwise
-/// allocate afresh per variant.
+/// the outcome tally (and its hash table), the row that sampling and
+/// enumeration write each outcome through, and nothing else — everything
+/// the hot paths would otherwise allocate afresh per variant.
 pub struct EvalScratch {
     counts: metrics::OutcomeCounts,
     row: Bits,
@@ -135,8 +151,10 @@ impl Default for EvalScratch {
 }
 
 /// Evaluates one variant of a fragment, returning a weighted list of
-/// outcomes over the fragment's local qubits (probabilities for exact mode,
-/// empirical frequencies for sampled mode).
+/// outcomes over the fragment's local qubits: the variant's exact
+/// probabilities when its distribution is enumerated (always in exact
+/// mode; in sampled mode whenever it has no more points than the shot
+/// budget), empirical frequencies otherwise.
 ///
 /// Allocates its scratch and output buffers afresh; hot loops that
 /// evaluate many variants should use [`evaluate_variant_into`] with
@@ -167,10 +185,14 @@ pub fn evaluate_variant(
 
 /// [`evaluate_variant`] into caller-provided buffers: `out` is replaced by
 /// the variant's weighted outcomes (on an error its contents are
-/// unspecified); `scratch` carries the tally table and sampling row across
-/// calls so the per-variant hot loop re-allocates neither, and the sampled
-/// paths overwrite the `Bits` rows `out` already holds instead of cloning
-/// one per outcome.
+/// unspecified); `scratch` carries the tally table and the row buffer
+/// across calls so the per-variant hot loop re-allocates neither, and
+/// every path overwrites the `Bits` rows `out` already holds instead of
+/// cloning one per outcome.
+///
+/// Returns `true` when the rows were enumerated — the variant's exact
+/// distribution — and `false` when they are sampled frequencies (see the
+/// module docs for which variants enumerate).
 ///
 /// # Errors
 ///
@@ -184,12 +206,13 @@ pub fn evaluate_variant_into(
     rng: &mut impl Rng,
     scratch: &mut EvalScratch,
     out: &mut Vec<(Bits, f64)>,
-) -> Result<(), EvalError> {
+) -> Result<bool, EvalError> {
     let circuit = variant_circuit(fragment, variant);
-    let clifford = fragment.is_clifford; // prep/rotation ops are Clifford
     let noisy = circuit.has_noise();
 
-    if clifford {
+    if fragment.is_clifford {
+        // Prep/rotation ops are Clifford, so the variant stays on the
+        // stabilizer backends.
         if noisy {
             let EvalMode::Sampled { shots } = options.mode else {
                 return Err(EvalError::NoiseInExactMode);
@@ -197,80 +220,94 @@ pub fn evaluate_variant_into(
             let samples =
                 stabsim::FrameSim::sample(&circuit, shots, rng).map_err(EvalError::NonClifford)?;
             count_samples_into(&samples, scratch, out);
-            return Ok(());
+            return Ok(false);
         }
         let support = stabsim::TableauSim::run(&circuit, rng)
             .map_err(EvalError::NonClifford)?
             .support();
         let dim = support.dim();
-        // Exact mode enumerates the support; so does sampled mode when the
-        // zero-shot optimization (`exact_clifford`) is on and it fits.
-        let enumerate = options.mode == EvalMode::Exact || options.exact_clifford;
-        if enumerate && dim <= options.exact_support_limit {
-            let p = 1.0 / (1u64 << dim) as f64;
-            out.clear();
-            out.extend(support.enumerate().into_iter().map(|b| (b, p)));
-            return Ok(());
-        }
-        // A support too large to enumerate is a hard error in exact mode;
-        // the merely opportunistic zero-shot path falls through to
-        // sampling.
-        let EvalMode::Sampled { shots } = options.mode else {
-            return Err(EvalError::SupportTooLarge {
-                dim,
-                limit: options.exact_support_limit,
-            });
-        };
-        // Bulk sampling through the counting path reuses the worker's
-        // tally table and scratch row instead of allocating per variant
-        // (let alone per shot).
-        scratch.counts.clear();
-        support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row);
-        counts_to_frequencies_into(&scratch.counts, shots, out);
-        Ok(())
-    } else {
-        if circuit.num_qubits() > svsim::MAX_QUBITS {
-            return Err(EvalError::FragmentTooWide(circuit.num_qubits()));
-        }
         match options.mode {
-            EvalMode::Exact => {
-                if noisy {
-                    return Err(EvalError::NoiseInExactMode);
-                }
-                let sv = svsim::StateVec::run(&circuit)
-                    .map_err(|_| EvalError::FragmentTooWide(circuit.num_qubits()))?;
-                out.clear();
-                out.extend(sv.distribution(1e-14));
-                Ok(())
+            EvalMode::Exact if dim > MAX_ENUMERATED_DIM => {
+                return Err(EvalError::SupportTooLarge { dim });
             }
-            EvalMode::Sampled { shots } => {
-                let sv = if noisy {
-                    svsim::StateVec::run_noisy(&circuit, rng)
-                } else {
-                    svsim::StateVec::run(&circuit)
-                }
-                .map_err(|_| EvalError::FragmentTooWide(circuit.num_qubits()))?;
-                let nq = circuit.num_qubits();
-                if (1..=20).contains(&nq) {
-                    // Index-tally sampling: same RNG stream and outcome
-                    // multiset as `sample`, without materializing a `Bits`
-                    // per shot. Gated on width so the 2^n tally stays small.
-                    scratch.counts.clear();
-                    if scratch.row.len() != nq {
-                        scratch.row = Bits::zeros(nq);
-                    }
-                    for (idx, count) in sv.sample_index_counts(shots, rng) {
-                        scratch.row.copy_from_words(&[idx]);
-                        scratch.counts.record_n(&scratch.row, count);
-                    }
-                    counts_to_frequencies_into(&scratch.counts, shots, out);
-                } else {
-                    count_samples_into(&sv.sample(shots, rng), scratch, out);
-                }
-                Ok(())
+            EvalMode::Sampled { shots } if dim > MAX_ENUMERATED_DIM || (1usize << dim) > shots => {
+                // Bulk sampling through the counting path reuses the
+                // worker's tally table and scratch row instead of
+                // allocating per variant (let alone per shot).
+                scratch.counts.clear();
+                support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row);
+                counts_to_frequencies_into(&scratch.counts, shots, out);
+                return Ok(false);
             }
+            _ => {}
         }
+        let p = 1.0 / (1u64 << dim) as f64;
+        let mut n = 0;
+        support.enumerate_into(&mut scratch.row, |point| {
+            set_row(out, n, point, p);
+            n += 1;
+        });
+        out.truncate(n);
+        return Ok(true);
     }
+
+    let nq = circuit.num_qubits();
+    if nq > svsim::MAX_QUBITS {
+        return Err(EvalError::FragmentTooWide(nq));
+    }
+    let sv = match options.mode {
+        EvalMode::Exact if noisy => return Err(EvalError::NoiseInExactMode),
+        EvalMode::Sampled { .. } if noisy => svsim::StateVec::run_noisy(&circuit, rng),
+        _ => svsim::StateVec::run(&circuit),
+    }
+    .map_err(|_| EvalError::FragmentTooWide(nq))?;
+    let probabilities = || {
+        sv.amplitudes()
+            .iter()
+            .map(|a| a.norm_sqr())
+            .enumerate()
+            .filter(|&(_, p)| p > SV_PROBABILITY_TOL)
+    };
+    let shots = match options.mode {
+        // A noisy statevector is one sampled trajectory, never the
+        // variant's distribution.
+        EvalMode::Sampled { shots } if noisy || probabilities().nth(shots).is_some() => shots,
+        _ => {
+            if scratch.row.len() != nq {
+                scratch.row = Bits::zeros(nq);
+            }
+            let mut n = 0;
+            for (idx, p) in probabilities() {
+                // `nq ≤ MAX_QUBITS < 64`: a row is one word, or none at
+                // zero width.
+                let words = [idx as u64];
+                scratch
+                    .row
+                    .copy_from_words(&words[..scratch.row.as_words().len()]);
+                set_row(out, n, &scratch.row, p);
+                n += 1;
+            }
+            out.truncate(n);
+            return Ok(true);
+        }
+    };
+    if (1..=20).contains(&nq) {
+        // Index-tally sampling: same RNG stream and outcome multiset as
+        // `sample`, without materializing a `Bits` per shot. Gated on
+        // width so the 2^n tally stays small.
+        scratch.counts.clear();
+        if scratch.row.len() != nq {
+            scratch.row = Bits::zeros(nq);
+        }
+        for (idx, count) in sv.sample_index_counts(shots, rng) {
+            scratch.row.copy_from_words(&[idx]);
+            scratch.counts.record_n(&scratch.row, count);
+        }
+        counts_to_frequencies_into(&scratch.counts, shots, out);
+    } else {
+        count_samples_into(&sv.sample(shots, rng), scratch, out);
+    }
+    Ok(false)
 }
 
 /// Collapses samples into `(outcome, frequency)` pairs in deterministic
@@ -288,10 +325,7 @@ fn count_samples_into(samples: &[Bits], scratch: &mut EvalScratch, out: &mut Vec
 
 /// Converts an outcome tally to frequencies, replacing `out`'s contents in
 /// lexicographic order (bit-identical to the former `BTreeMap<Bits,
-/// usize>` path). Rows `out` already holds are overwritten in place — a
-/// word copy when the width matches, as it does from one variant of a
-/// fragment to the next — so a worker allocates a row only when a variant
-/// has more distinct outcomes than any before it.
+/// usize>` path).
 fn counts_to_frequencies_into(
     counts: &metrics::OutcomeCounts,
     shots: usize,
@@ -300,18 +334,26 @@ fn counts_to_frequencies_into(
     let total = shots.max(1) as f64;
     out.truncate(counts.len());
     for (n, (b, c)) in counts.iter_sorted().enumerate() {
-        let freq = c as f64 / total;
-        match out.get_mut(n) {
-            Some((row, p)) => {
-                if row.len() == b.len() {
-                    row.copy_from(b);
-                } else {
-                    row.clone_from(b);
-                }
-                *p = freq;
+        set_row(out, n, b, c as f64 / total);
+    }
+}
+
+/// Sets row `n` of `out` — at most one past its end — to `(bits, p)`. A
+/// row `out` already holds is overwritten in place, a word copy when the
+/// width matches, as it does from one variant of a fragment to the next,
+/// so a worker allocates a row only when a variant has more outcomes than
+/// any before it.
+fn set_row(out: &mut Vec<(Bits, f64)>, n: usize, bits: &Bits, p: f64) {
+    match out.get_mut(n) {
+        Some((row, weight)) => {
+            if row.len() == bits.len() {
+                row.copy_from(bits);
+            } else {
+                row.clone_from(bits);
             }
-            None => out.push((b.clone(), freq)),
+            *weight = p;
         }
+        None => out.push((bits.clone(), p)),
     }
 }
 
@@ -409,31 +451,128 @@ mod tests {
         }
     }
 
+    /// Under the default options (5000 shots) a small Clifford support is
+    /// enumerated: every row carries the exact probability `2^-dim`.
     #[test]
-    fn exact_clifford_override_in_sampled_mode() {
+    fn default_options_enumerate_small_clifford_supports() {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1).t(1);
         let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
         let cliff = cut.fragments.iter().find(|f| f.is_clifford).unwrap();
-        let opts = EvalOptions {
-            mode: EvalMode::Sampled { shots: 10 },
-            exact_clifford: true,
-            exact_support_limit: 16,
-            ..Default::default()
-        };
-        let mut r = rng();
-        let v = &enumerate_variants(cliff)[0];
-        let data = evaluate_variant(cliff, v, &opts, &mut r).unwrap();
-        // Exact probabilities despite only 10 shots configured: all entries
-        // must be exact powers of 1/2^dim.
-        let total: f64 = data.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        for (_, p) in &data {
-            let inv = 1.0 / p;
-            assert!(
-                (inv - inv.round()).abs() < 1e-9,
-                "non-dyadic probability {p}"
-            );
+        for v in enumerate_variants(cliff) {
+            let mut out = Vec::new();
+            let enumerated = evaluate_variant_into(
+                cliff,
+                &v,
+                &EvalOptions::default(),
+                &mut rng(),
+                &mut EvalScratch::new(),
+                &mut out,
+            )
+            .unwrap();
+            assert!(enumerated);
+            let p = 1.0 / out.len() as f64;
+            assert!(out.len().is_power_of_two());
+            assert!(out.iter().all(|&(_, q)| q == p), "non-uniform rows {out:?}");
+        }
+    }
+
+    /// Evaluates one variant into fresh buffers, returning the rows and
+    /// whether they were enumerated.
+    fn rows(fragment: &Fragment, variant: &Variant, shots: usize) -> (Vec<(Bits, f64)>, bool) {
+        let mut out = Vec::new();
+        let enumerated = evaluate_variant_into(
+            fragment,
+            variant,
+            &EvalOptions {
+                mode: EvalMode::Sampled { shots },
+                ..Default::default()
+            },
+            &mut rng(),
+            &mut EvalScratch::new(),
+            &mut out,
+        )
+        .unwrap();
+        (out, enumerated)
+    }
+
+    /// The Clifford branch at its edge: `shots = 2^dim` enumerates exactly
+    /// what exact mode returns, `shots = 2^dim − 1` samples.
+    #[test]
+    fn clifford_support_enumerates_at_two_to_the_dim_shots() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).h(2).cx(1, 2).t(2);
+        let cut = cut_circuit(&c, CutStrategy::default()).unwrap();
+        let cliff = cut.fragments.iter().find(|f| f.is_clifford).unwrap();
+        let mut checked = 0;
+        for v in enumerate_variants(cliff) {
+            let support = stabsim::TableauSim::run(&variant_circuit(cliff, &v), &mut rng())
+                .unwrap()
+                .support();
+            let points = 1usize << support.dim();
+            if points < 4 {
+                continue;
+            }
+            let exact = evaluate_variant(
+                cliff,
+                &v,
+                &EvalOptions {
+                    mode: EvalMode::Exact,
+                    ..Default::default()
+                },
+                &mut rng(),
+            )
+            .unwrap();
+            assert_eq!(rows(cliff, &v, points), (exact, true));
+            let (sampled, enumerated) = rows(cliff, &v, points - 1);
+            assert!(!enumerated, "{points} points at {} shots", points - 1);
+            let total: f64 = sampled.iter().map(|(_, p)| p).sum();
+            assert!((total - 1.0).abs() < 1e-12);
+            checked += 1;
+        }
+        assert!(
+            checked > 0,
+            "no variant has a support of four or more points"
+        );
+    }
+
+    /// The statevector branch at its edge: as many shots as nonzero
+    /// probabilities enumerates them, one fewer samples.
+    #[test]
+    fn statevector_enumerates_at_its_support_size() {
+        let mut c = Circuit::new(2);
+        c.h(0).h(1).t(0).cx(0, 1);
+        let cut = cut_circuit(&c, CutStrategy::None).unwrap();
+        let fragment = &cut.fragments[0];
+        let variant = &enumerate_variants(fragment)[0];
+        let exact = svsim::StateVec::run(&c).unwrap().distribution(1e-14);
+        assert_eq!(exact.len(), 4);
+        assert_eq!(rows(fragment, variant, 4), (exact, true));
+        let (sampled, enumerated) = rows(fragment, variant, 3);
+        assert!(!enumerated);
+        assert!(sampled.iter().all(|&(_, p)| {
+            let hits = p * 3.0;
+            (hits - hits.round()).abs() < 1e-12
+        }));
+    }
+
+    /// Noise makes a variant's rows one trajectory's or one frame's draw,
+    /// so noisy fragments sample however large the shot budget is.
+    #[test]
+    fn noisy_fragments_still_sample() {
+        for clifford in [true, false] {
+            let mut c = Circuit::new(1);
+            c.h(0).add_noise(qcir::NoiseChannel::BitFlip(0.1), &[0]);
+            if !clifford {
+                c.t(0);
+            }
+            let cut = cut_circuit(&c, CutStrategy::None).unwrap();
+            let fragment = &cut.fragments[0];
+            assert_eq!(fragment.is_clifford, clifford);
+            let (out, enumerated) = rows(fragment, &enumerate_variants(fragment)[0], 1000);
+            assert!(!enumerated, "clifford = {clifford}");
+            let total: f64 = out.iter().map(|(_, p)| p).sum();
+            assert!((total - 1.0).abs() < 1e-12);
         }
     }
 

@@ -18,11 +18,15 @@
 //!    joint distributions, single-qubit marginals, or machine-precision
 //!    probabilities of individual bitstrings.
 //!
-//! The Clifford-specific optimizations of paper §IX are implemented as
-//! toggles: `⟨P⟩` snapping to `{-1,0,+1}` ([`TensorOptions::clifford_snap`]),
-//! zero-shot exact Clifford evaluation ([`EvalOptions::exact_clifford`]),
-//! and zero-Pauli pruning in the contraction
-//! ([`Reconstructor::with_sparse`]).
+//! The Clifford-specific optimizations of paper §IX: fewer shots — in
+//! sampled mode a variant is enumerated instead of sampled whenever its
+//! distribution has no more points than the shot budget (a Clifford
+//! support of `2^dim ≤ shots` points, a statevector with at most `shots`
+//! nonzero probabilities), and `⟨P⟩` snapping to `{-1,0,+1}`
+//! ([`TensorOptions::clifford_snap`]) for the supports that are still
+//! sampled; fewer stitching calculations — zero-Pauli pruning in the
+//! contraction ([`Reconstructor::with_sparse`]), which the exact zeros of
+//! enumerated tensors let fire.
 //!
 //! ```
 //! use qcir::Circuit;
@@ -41,7 +45,7 @@ mod recombine;
 mod tensor;
 mod variants;
 
-pub use cut::{cut_circuit, CutBudgetError, CutCircuit, CutPoint, CutStrategy, Fragment};
+pub use cut::{cut_circuit, CutCircuit, CutError, CutPoint, CutStrategy, Fragment};
 pub use evaluate::{
     evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
 };

@@ -23,6 +23,16 @@
 //! T[Z] = (p₀−p₁)/2    T[Y] = pᵢ − T[I]
 //! ```
 //!
+//! In sampled mode a variant contributes its exact distribution instead of
+//! shot frequencies whenever that distribution has no more points than the
+//! shot budget: a noiseless Clifford variant with `2^dim ≤ shots` support
+//! points, a noiseless statevector variant with at most `shots`
+//! probabilities above `1e-14` (see [`crate::evaluate_variant`]). A
+//! fragment whose variants all enumerate has an exact tensor: its vanishing
+//! Pauli slices are zero, not shot noise, so the sparse contraction prunes
+//! every assignment they kill, and the Clifford snap and MLFT have nothing
+//! to repair on it. [`EvalChunk::enumerated_variants`] counts them.
+//!
 //! # Interned accumulation layout
 //!
 //! [`FragmentTensor`] and the evaluation-stage accumulators key outcomes
@@ -621,7 +631,8 @@ impl WorkerScratch {
 }
 
 /// Evaluates one (fragment, variant) work item and folds it into `m`, the
-/// chunk's accumulator for that fragment.
+/// chunk's accumulator for that fragment. Returns whether the variant's
+/// rows were enumerated rather than sampled.
 fn evaluate_item(
     fragment: &Fragment,
     plan: &FragmentEvalPlan,
@@ -630,10 +641,10 @@ fn evaluate_item(
     eval: &EvalOptions,
     scratch: &mut WorkerScratch,
     m: &mut TensorAccum,
-) -> Result<(), EvalError> {
+) -> Result<bool, EvalError> {
     let mut rng = variant_rng(base_seed, vi);
     let variant = &plan.variants[vi];
-    evaluate_variant_into(
+    let enumerated = evaluate_variant_into(
         fragment,
         variant,
         eval,
@@ -642,7 +653,7 @@ fn evaluate_item(
         &mut scratch.data,
     )?;
     fold_variant(m, variant, plan, scratch);
-    Ok(())
+    Ok(enumerated)
 }
 
 /// Folds the variant outcome data in `scratch.data` into the prep-indexed
@@ -967,11 +978,12 @@ const VARIANTS_PER_CHUNK: usize = 16;
 
 /// The accumulated result of one evaluation chunk (or, after
 /// [`EvalChunk::absorb`], of a run of consecutive chunks): per-fragment
-/// partial accumulators, folded in item order within the chunk. Opaque —
-/// produced by [`evaluate_planned_chunk`] and consumed by
-/// [`merge_planned_chunks`].
+/// partial accumulators, folded in item order within the chunk, and how
+/// many of its variants were enumerated. Opaque — produced by
+/// [`evaluate_planned_chunk`] and consumed by [`merge_planned_chunks`].
 pub struct EvalChunk {
     items: Vec<(usize, TensorAccum)>,
+    enumerated: usize,
 }
 
 impl EvalChunk {
@@ -983,12 +995,19 @@ impl EvalChunk {
     /// left-to-right sum per fragment, and a fragment's first partial is
     /// moved either way).
     pub fn absorb(&mut self, next: EvalChunk) {
+        self.enumerated += next.enumerated;
         for (fi, m) in next.items {
             match self.items.last_mut() {
                 Some((last, acc)) if *last == fi => merge_accumulator(acc, m),
                 _ => self.items.push((fi, m)),
             }
         }
+    }
+
+    /// Variants of the chunk (or of the absorbed run of chunks) whose rows
+    /// were enumerated — their exact distributions — rather than sampled.
+    pub fn enumerated_variants(&self) -> usize {
+        self.enumerated
     }
 }
 
@@ -1062,6 +1081,7 @@ fn evaluate_chunk_with_scratch(
     }
 
     let mut out: Vec<(usize, TensorAccum)> = Vec::new();
+    let mut enumerated = 0;
     for flat in start..end {
         while flat >= offset + plans[fi].num_variants() {
             offset += plans[fi].num_variants();
@@ -1071,7 +1091,7 @@ fn evaluate_chunk_with_scratch(
             out.push((fi, TensorAccum::new(plans[fi].dim)));
         }
         let (_, m) = out.last_mut().expect("pushed above");
-        evaluate_item(
+        enumerated += usize::from(evaluate_item(
             &fragments[fi],
             &plans[fi],
             flat - offset,
@@ -1079,9 +1099,12 @@ fn evaluate_chunk_with_scratch(
             eval,
             scratch,
             m,
-        )?;
+        )?);
     }
-    Ok(EvalChunk { items: out })
+    Ok(EvalChunk {
+        items: out,
+        enumerated,
+    })
 }
 
 /// Folds one chunk's partial accumulators into the per-fragment maps. A

@@ -89,7 +89,7 @@ fn noise_token(c: NoiseChannel) -> String {
 /// # Errors
 ///
 /// Returns [`ParseCircuitError`] on malformed input (unknown gate, bad
-/// parameter, missing or out-of-range qubits, missing header).
+/// parameter, missing, out-of-range or repeated qubits, missing header).
 pub fn from_text(src: &str) -> Result<Circuit, ParseCircuitError> {
     let err = |line: usize, message: &str| ParseCircuitError {
         line,
@@ -120,9 +120,12 @@ pub fn from_text(src: &str) -> Result<Circuit, ParseCircuitError> {
             .map(str::parse)
             .collect::<Result<_, _>>()
             .map_err(|_| err(line_no, "invalid qubit index"))?;
-        for &q in &qubits {
+        for (k, &q) in qubits.iter().enumerate() {
             if q >= c.num_qubits() {
                 return Err(err(line_no, &format!("qubit {q} out of range")));
+            }
+            if qubits[..k].contains(&q) {
+                return Err(err(line_no, &format!("duplicate qubit operand {q}")));
             }
         }
         let (name, param) = split_param(head, line_no)?;
@@ -288,6 +291,14 @@ mod tests {
         assert!(e.message.contains("wrong number"));
         let e = from_text("qubits 2\n!bitflip(2) 0 1").unwrap_err();
         assert!(e.message.contains("wrong number"));
+        for src in [
+            "qubits 2\nh 0\ncx 0 0\n",
+            "qubits 2\nh 1\n!depolarize2(0.1) 1 1",
+        ] {
+            let e = from_text(src).unwrap_err();
+            assert_eq!(e.line, 3);
+            assert!(e.message.contains("duplicate qubit operand"), "{e}");
+        }
     }
 
     #[test]

@@ -237,24 +237,27 @@ impl AffineSupport {
         }
     }
 
-    /// Enumerates all `2^dim` support points.
+    /// Visits all `2^dim` support points in Gray-code order (one direction
+    /// flipped per step, starting at the base), each through `row`: the
+    /// row is overwritten point by point, so enumerating allocates nothing
+    /// beyond re-shaping `row` when its width differs from the support's.
     ///
     /// # Panics
     ///
     /// Panics if `dim > 24` (guard against accidental exponential blowup).
-    pub fn enumerate(&self) -> Vec<Bits> {
+    pub fn enumerate_into(&self, row: &mut Bits, mut visit: impl FnMut(&Bits)) {
         let r = self.dim();
         assert!(r <= 24, "support too large to enumerate (dim {r})");
-        let mut out = Vec::with_capacity(1 << r);
-        // Gray-code walk: flip one direction at a time.
-        let mut current = self.base.clone();
-        out.push(current.clone());
-        for k in 1u64..(1 << r) {
-            let flip = k.trailing_zeros() as usize;
-            current.xor_assign(&self.directions[flip]);
-            out.push(current.clone());
+        if row.len() == self.base.len() {
+            row.copy_from(&self.base);
+        } else {
+            row.clone_from(&self.base);
         }
-        out
+        visit(row);
+        for k in 1u64..(1 << r) {
+            row.xor_assign(&self.directions[k.trailing_zeros() as usize]);
+            visit(row);
+        }
     }
 
     /// Membership test (reduces `x ⊕ base` against the directions).

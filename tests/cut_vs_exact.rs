@@ -146,24 +146,81 @@ fn every_clifford_optimization_combination_is_consistent() {
     let sv = StateVec::run(&c).unwrap();
     for sparse in [false, true] {
         for snap in [false, true] {
-            for exact_clifford in [false, true] {
-                let cfg = SuperSimConfig {
-                    exact: true,
-                    sparse_contraction: sparse,
-                    clifford_snap: snap,
-                    exact_clifford,
-                    ..SuperSimConfig::default()
-                };
-                let result = SuperSim::new(cfg).run(&c).unwrap();
-                let dist = result.distribution.as_ref().unwrap();
-                for x in 0..16usize {
-                    let b = Bits::from_u64(x as u64, 4);
-                    assert!(
-                        (dist.prob(&b) - sv.probability_of_index(x)).abs() < 1e-8,
-                        "sparse={sparse} snap={snap} exact_clifford={exact_clifford} at {b}"
-                    );
-                }
+            let cfg = SuperSimConfig {
+                exact: true,
+                sparse_contraction: sparse,
+                clifford_snap: snap,
+                ..SuperSimConfig::default()
+            };
+            let result = SuperSim::new(cfg).run(&c).unwrap();
+            let dist = result.distribution.as_ref().unwrap();
+            for x in 0..16usize {
+                let b = Bits::from_u64(x as u64, 4);
+                assert!(
+                    (dist.prob(&b) - sv.probability_of_index(x)).abs() < 1e-8,
+                    "sparse={sparse} snap={snap} at {b}"
+                );
             }
+        }
+    }
+}
+
+/// Sampled mode at the default 5000 shots on seeded random Clifford+T
+/// circuits (≤ 8 qubits, ≤ 3 `T`): every fragment support fits the shot
+/// budget, so every variant is enumerated, and the marginals and the joint
+/// equal the uncut statevector's to rounding — bit-identically at 1, 2
+/// and 8 threads.
+#[test]
+fn sampled_mode_is_exact_when_every_support_fits_the_shots() {
+    let config = |threads: usize| {
+        let builder = SuperSimConfig::builder().seed(11);
+        match threads {
+            1 => builder,
+            t => builder.parallel(true).threads(t),
+        }
+        .build()
+        .unwrap()
+    };
+    for seed in 0..10u64 {
+        let n = 2 + (seed % 7) as usize;
+        let mut c = workloads::random_clifford(n, n, seed);
+        let mut rng = StdRng::seed_from_u64(100 + seed);
+        workloads::inject_t_gates(&mut c, 1 + (seed % 3) as usize, &mut rng);
+
+        let result = SuperSim::new(config(1)).run(&c).unwrap();
+        let report = &result.report;
+        assert!(report.num_cuts > 0, "seed {seed}: nothing was cut");
+        assert_eq!(
+            report.enumerated_variants, report.num_variants,
+            "seed {seed}: a variant was sampled"
+        );
+        let sv = StateVec::run(&c).unwrap();
+        let dist = result.distribution.as_ref().expect("joint available");
+        let mut marginals = vec![[0.0; 2]; n];
+        for x in 0..1usize << n {
+            let p = sv.probability_of_index(x);
+            let b = Bits::from_u64(x as u64, n);
+            assert!(
+                (dist.prob(&b) - p).abs() < 1e-12,
+                "seed {seed}: p({b}) = {} vs {p}",
+                dist.prob(&b)
+            );
+            for (q, m) in marginals.iter_mut().enumerate() {
+                m[usize::from(b.get(q))] += p;
+            }
+        }
+        for (q, (got, want)) in result.marginals.iter().zip(&marginals).enumerate() {
+            assert!(
+                (got[0] - want[0]).abs() < 1e-12 && (got[1] - want[1]).abs() < 1e-12,
+                "seed {seed}, qubit {q}: {got:?} vs {want:?}"
+            );
+        }
+        for threads in [2, 8] {
+            let pooled = SuperSim::new(config(threads)).run(&c).unwrap();
+            assert!(
+                pooled.bit_identical_to(&result),
+                "seed {seed}: {threads} threads changed the result"
+            );
         }
     }
 }

@@ -21,11 +21,16 @@ fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
     assert!(a.bit_identical_to(b), "{label}: runs are not bit-identical");
 }
 
+/// The first circuit has Clifford supports of more than 180 points, so at
+/// the fixtures' 180 shots some of its variants are sampled, and their shot
+/// noise leaves small-weight assignments for a budget to skip. Enumerated
+/// tensors have exact zeros instead, which the sparse sweep prunes before
+/// a budget sees them.
 fn mixed_circuits() -> Vec<Circuit> {
     let mut deep = Circuit::new(2);
     deep.h(0).t(0).cx(0, 1).h(1).t(1).h(0);
     vec![
-        workloads::hwea(5, 2, 1, 41).circuit,
+        workloads::hwea(7, 2, 2, 44).circuit,
         deep,
         workloads::qaoa_sk(4, 1, 1, 43).circuit,
         workloads::ghz(6), // pure Clifford: no cuts, nothing to truncate
@@ -118,10 +123,12 @@ fn fixed_budget_is_bit_identical_across_paths_and_threads() {
         .iter()
         .map(|c| SuperSim::new(budgeted_config(budget)).run(c).unwrap())
         .collect();
-    // The budget must bite somewhere or this test is vacuous.
+    // The budget must bite somewhere or this test is vacuous — and it can
+    // only bite where variants were sampled.
     assert!(
-        solo.iter().any(|r| r.report.assignments_skipped > 0),
-        "budget {budget} skipped nothing on any circuit"
+        solo.iter().any(|r| r.report.assignments_skipped > 0
+            && r.report.enumerated_variants < r.report.num_variants),
+        "budget {budget} skipped nothing on any sampled circuit"
     );
     for r in &solo {
         assert!(r.report.recombine_error_bound <= budget + 1e-12);
@@ -191,7 +198,7 @@ fn fixed_budget_is_bit_identical_across_paths_and_threads() {
 /// `0.0` forces the exact sweep back under a budgeted config.
 #[test]
 fn exec_params_budget_overrides_config_both_ways() {
-    let c = workloads::hwea(5, 2, 1, 41).circuit;
+    let c = mixed_circuits().swap_remove(0);
     let budget = 0.2;
     let sim = SuperSim::new(
         SuperSimConfig::builder()
@@ -204,6 +211,7 @@ fn exec_params_budget_overrides_config_both_ways() {
     let plan = sim.plan(&c).unwrap();
     let base = ExecParams::from_config(sim.config());
     let exact = sim.executor().run_with(&plan, base).unwrap();
+    assert!(exact.report.enumerated_variants < exact.report.num_variants);
     assert_eq!(exact.report.assignments_skipped, 0);
     assert_eq!(exact.report.recombine_error_bound, 0.0);
     let budgeted = sim

@@ -99,11 +99,13 @@ fn identical_seeds_give_identical_results() {
     }
 }
 
+/// At 20 shots some of the circuit's Clifford supports are larger than
+/// the budget and are sampled, so the seed shows in the estimates.
 #[test]
 fn different_seeds_differ_in_sampled_mode() {
     let w = workloads::hwea(6, 3, 1, 7);
     let mk = |seed| SuperSimConfig {
-        shots: 200,
+        shots: 20,
         seed,
         mlft: false,
         clifford_snap: false,
@@ -111,6 +113,7 @@ fn different_seeds_differ_in_sampled_mode() {
     };
     let a = SuperSim::new(mk(1)).run(&w.circuit).unwrap();
     let b = SuperSim::new(mk(2)).run(&w.circuit).unwrap();
+    assert!(a.report.enumerated_variants < a.report.num_variants);
     assert_ne!(
         a.marginals, b.marginals,
         "different seeds should perturb low-shot estimates"
@@ -233,7 +236,8 @@ fn batch_bit_identical_to_independent_runs_at_matrix_thread_count() {
 /// distinct (isolated) RNG streams.
 #[test]
 fn sweep_bit_identical_to_independent_runs_at_matrix_thread_count() {
-    let w = workloads::hwea(6, 3, 2, 31);
+    // Supports past 250 points: half the variants are sampled at 250 shots.
+    let w = workloads::hwea(8, 3, 2, 31);
     let base = SuperSimConfig {
         shots: 250,
         seed: 0,
@@ -270,6 +274,7 @@ fn sweep_bit_identical_to_independent_runs_at_matrix_thread_count() {
     }
     // Seed isolation: points 0 and 1 differ only in seed and must not
     // share outcomes.
+    assert!(solo[0].report.enumerated_variants < solo[0].report.num_variants);
     assert_ne!(
         solo[0].marginals, solo[1].marginals,
         "distinct seeds must perturb sampled estimates"
@@ -279,24 +284,28 @@ fn sweep_bit_identical_to_independent_runs_at_matrix_thread_count() {
 /// `cutkit::evaluate_variant` — the one place the pipeline reaches the
 /// tableau — returns for every Clifford variant of a cut workload exactly
 /// what the frozen oracle path computes from the same seed (bit-at-a-time
-/// tableau, then the per-shot sampling loop in sampled mode or the
-/// enumerated support in exact mode): same outcomes, same order, same
-/// weight bits, same RNG position afterwards.
+/// tableau, then the enumerated support when it has no more points than
+/// the shots — always in exact mode — or the per-shot sampling loop
+/// otherwise): same outcomes, same order, same weight bits, same RNG
+/// position afterwards. Both sampled-mode branches are exercised.
 #[test]
 fn clifford_evaluation_matches_reference_bit_exact() {
     use cutkit::{cut_circuit, enumerate_variants, variant_circuit, CutStrategy};
     use cutkit::{evaluate_variant, EvalMode, EvalOptions};
     use rand::Rng;
-    const SHOTS: usize = 700;
     let w = workloads::hwea(6, 3, 2, 19);
     let cut = cut_circuit(&w.circuit, CutStrategy::default()).unwrap();
-    let mut checked = 0;
+    let (mut sampled, mut enumerated) = (0, 0);
     for (fi, fragment) in cut.fragments.iter().enumerate() {
         if !fragment.is_clifford {
             continue;
         }
         for (vi, variant) in enumerate_variants(fragment).iter().enumerate() {
-            for mode in [EvalMode::Sampled { shots: SHOTS }, EvalMode::Exact] {
+            for mode in [
+                EvalMode::Sampled { shots: 700 },
+                EvalMode::Sampled { shots: 7 },
+                EvalMode::Exact,
+            ] {
                 let seed = 640 + (fi * 1000 + vi) as u64;
                 let mut rng = StdRng::seed_from_u64(seed);
                 let opts = EvalOptions {
@@ -310,24 +319,29 @@ fn clifford_evaluation_matches_reference_bit_exact() {
                 let support = oracles::ReferenceTableauSim::run(&circuit, &mut orng)
                     .unwrap()
                     .support();
+                let points = 1usize << support.dim();
                 let want: Vec<(Bits, f64)> = match mode {
-                    EvalMode::Sampled { .. } => {
+                    EvalMode::Sampled { shots } if points > shots => {
+                        sampled += 1;
                         let mut counts = metrics::OutcomeCounts::new();
                         oracles::sample_counts_scratch_frozen(
                             &support,
-                            SHOTS,
+                            shots,
                             &mut orng,
                             &mut counts,
                             &mut Bits::zeros(0),
                         );
                         counts
                             .iter_sorted()
-                            .map(|(b, c)| (b.clone(), c as f64 / SHOTS as f64))
+                            .map(|(b, c)| (b.clone(), c as f64 / shots as f64))
                             .collect()
                     }
-                    EvalMode::Exact => {
-                        let p = 1.0 / (1u64 << support.dim()) as f64;
-                        support.enumerate().into_iter().map(|b| (b, p)).collect()
+                    _ => {
+                        enumerated += 1;
+                        let p = 1.0 / points as f64;
+                        let mut rows = Vec::new();
+                        support.enumerate_into(&mut Bits::zeros(0), |b| rows.push((b.clone(), p)));
+                        rows
                     }
                 };
                 assert_eq!(got.len(), want.len(), "fragment {fi} variant {vi} {mode:?}");
@@ -343,11 +357,11 @@ fn clifford_evaluation_matches_reference_bit_exact() {
                     orng.random::<u64>(),
                     "fragment {fi} variant {vi} {mode:?}: RNG positions diverged"
                 );
-                checked += 1;
             }
         }
     }
-    assert!(checked > 0, "workload has no Clifford variant");
+    assert!(sampled > 0, "no Clifford variant was sampled");
+    assert!(enumerated > 0, "workload has no Clifford variant");
 }
 
 #[test]
