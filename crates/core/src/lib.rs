@@ -31,10 +31,12 @@
 //! # Cross-circuit threading model
 //!
 //! One pool, sized by [`SuperSimConfig::threads`], serves everything.
-//! Single runs parallelize within each stage; batches and sweeps
-//! parallelize across circuits (each batch recombination contracts
-//! single-threaded — recombination is bit-identical for any thread
-//! count, so this is purely a scheduling choice). **Determinism:** for a
+//! A single run is a one-job batch: its evaluation chunks and MLFT
+//! fragments spread over the pool, and its recombination contracts on the
+//! configured thread count. Batches and sweeps parallelize across
+//! circuits (a batch recombination contracts on the pool's share per
+//! unfinished job — recombination is bit-identical for any thread count,
+//! so this is purely a scheduling choice). **Determinism:** for a
 //! given seed, every path — sequential, parallel, batched — produces
 //! bit-identical results at every thread count, and batch/sweep output is
 //! bit-identical to independent sequential [`SuperSim::run`] calls; work

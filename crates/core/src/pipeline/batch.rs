@@ -77,6 +77,7 @@ use cutkit::{
 };
 use faultkit::{into_inner_or_recover, lock_or_recover, wait_or_recover, Fault, Stage, Supervisor};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -728,22 +729,18 @@ pub(crate) fn build_plans(
         .map(|c| cache.get(c, strategy).map(|p| (Ok(p), true)))
         .collect();
     let missing: Vec<usize> = (0..circuits.len()).filter(|&i| out[i].is_none()).collect();
-    let workers = worker_threads(config).min(missing.len()).max(1);
-    if workers <= 1 {
-        for &i in &missing {
-            out[i] = Some((build(&circuits[i]), false));
-        }
-    } else {
-        let slots: Vec<Mutex<Option<Result<Arc<CutPlan>, SuperSimError>>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        let queue = runtime::CounterQueue::new(missing.len());
-        runtime::Pool::global().run_queue(workers, &queue, |_, j| {
-            *lock_or_recover(&slots[j]) = Some(build(&circuits[missing[j]]));
-        });
-        for (&i, slot) in missing.iter().zip(slots) {
-            let built = into_inner_or_recover(slot).expect("every circuit gets planned");
-            out[i] = Some((built, false));
-        }
+    // A planning error stays with its circuit, so the fold itself never
+    // fails.
+    let Ok(built) = runtime::fold_ordered(
+        worker_threads(config),
+        missing.len(),
+        Vec::with_capacity(missing.len()),
+        || (),
+        |j, _| Ok::<_, Infallible>(build(&circuits[missing[j]])),
+        |built, plan| built.push(plan),
+    );
+    for (&i, plan) in missing.iter().zip(built) {
+        out[i] = Some((plan, false));
     }
     // Publish the fresh builds in circuit order (duplicate circuits in
     // one batch each build once here and converge on a single entry).

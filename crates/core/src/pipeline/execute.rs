@@ -247,7 +247,6 @@ pub struct RunResult {
     tensors: Vec<FragmentTensor>,
     num_cuts: usize,
     n_qubits: usize,
-    sparse: bool,
     /// Contraction pool size for follow-up queries (1 = sequential,
     /// 0 = one worker per core), mirroring the config this run used.
     threads: usize,
@@ -267,7 +266,6 @@ impl RunResult {
     /// Panics if `bits.len()` differs from the circuit width.
     pub fn probability_of(&self, bits: &Bits) -> f64 {
         Reconstructor::new(&self.tensors, self.num_cuts, self.n_qubits)
-            .with_sparse(self.sparse)
             .with_threads(self.threads)
             .with_error_budget(self.error_budget)
             .probability_of(bits)
@@ -297,7 +295,6 @@ impl RunResult {
     /// Panics if a qubit index is out of range.
     pub fn expectation_z(&self, subset: &[usize]) -> f64 {
         Reconstructor::new(&self.tensors, self.num_cuts, self.n_qubits)
-            .with_sparse(self.sparse)
             .with_threads(self.threads)
             .with_error_budget(self.error_budget)
             .expectation_z(subset)
@@ -547,7 +544,6 @@ pub(crate) fn finish_run(
 ) -> Result<RunResult, SuperSimError> {
     let t2 = Instant::now();
     let rec = Reconstructor::new(&tensors, plan.cut.num_cuts, plan.cut.original_qubits)
-        .with_sparse(config.sparse_contraction)
         .with_threads(recombine_threads)
         .with_output_plans(&plan.output_plans)
         .with_supervisor(supervisor.clone())
@@ -596,7 +592,6 @@ pub(crate) fn finish_run(
         tensors,
         num_cuts: plan.cut.num_cuts,
         n_qubits: plan.cut.original_qubits,
-        sparse: config.sparse_contraction,
         threads: contraction_pool(config),
         error_budget,
     })

@@ -28,21 +28,22 @@
 //!
 //! # Threading model
 //!
-//! With [`SuperSimConfig::parallel`] enabled, worker pools are sized by
-//! [`SuperSimConfig::threads`] (`0` = one worker per available core):
+//! With [`SuperSimConfig::parallel`] enabled, the pool is sized by
+//! [`SuperSimConfig::threads`] (`0` = one worker per available core);
+//! without it every stage runs on the calling thread.
 //!
-//! * **Single runs** schedule every (fragment × variant) pair onto one
-//!   shared evaluation pool ([`cutkit::evaluate_fragment_tensors`]), ride
-//!   the same pool for MLFT ([`cutkit::correct_tensors`]), and contract
-//!   the `4^k` assignment range in fixed-size chunks
-//!   ([`cutkit::Reconstructor::with_threads`]).
 //! * **Batches and sweeps** flatten all circuits' work into one pool
 //!   spanning every stage: evaluation chunks of all circuits interleave
 //!   freely; a circuit moves to MLFT the moment its own last chunk lands,
 //!   and to recombination the moment its last fragment is corrected.
-//!   Cross-circuit parallelism replaces intra-stage parallelism (each
-//!   batch recombination contracts single-threaded), which keeps the pool
-//!   busy without nesting pools.
+//!   Cross-circuit parallelism replaces intra-stage parallelism (a batch
+//!   recombination contracts on the pool's share per unfinished job),
+//!   which keeps the pool busy without nesting pools.
+//! * **Single runs** are one-job batches on the same scheduler: their
+//!   evaluation chunks and MLFT fragments are the pool's tasks, and their
+//!   recombination contracts the `4^k` assignment range in fixed-size
+//!   chunks on the configured thread count
+//!   ([`cutkit::Reconstructor::with_threads`]).
 //!
 //! **Determinism-in-seed guarantee:** every path produces bit-identical
 //! results for a given seed regardless of thread count, and batch/sweep
@@ -98,9 +99,6 @@ pub struct SuperSimConfig {
     /// Snap Clifford-fragment conditional Pauli expectations to
     /// `{-1, 0, +1}` (paper §IX optimization 1).
     pub clifford_snap: bool,
-    /// Skip identically-zero Pauli assignments during recombination
-    /// (paper §IX optimization 2).
-    pub sparse_contraction: bool,
     /// Recombination error budget — the accuracy/latency dial (see the
     /// crate docs). The `4^k` sweep may skip cut assignments as long as
     /// the accumulated weight bound of everything skipped stays within
@@ -166,7 +164,6 @@ impl Default for SuperSimConfig {
             cut_strategy: CutStrategy::default(),
             mlft: true,
             clifford_snap: true,
-            sparse_contraction: true,
             error_budget: 0.0,
             parallel: false,
             threads: 0,
@@ -299,12 +296,6 @@ impl SuperSimConfigBuilder {
         self
     }
 
-    /// Skip identically-zero Pauli assignments during recombination.
-    pub fn sparse_contraction(mut self, sparse: bool) -> Self {
-        self.config.sparse_contraction = sparse;
-        self
-    }
-
     /// Recombination error budget — the accuracy/latency dial (see
     /// [`SuperSimConfig::error_budget`]). Validated at build time: must
     /// be finite and non-negative.
@@ -407,7 +398,7 @@ impl SuperSimConfigBuilder {
 #[derive(Debug)]
 pub enum SuperSimError {
     /// The cut strategy is invalid for the circuit (a manual cut point off
-    /// its wire).
+    /// its wire, or more cuts than the recombination accepts).
     Cut(CutError),
     /// A fragment could not be evaluated.
     Eval(EvalError),
@@ -655,7 +646,8 @@ impl SuperSim {
     /// # Errors
     ///
     /// Returns [`SuperSimError::Cut`] when a manual cut point does not lie
-    /// on its wire.
+    /// on its wire or the plan has more than
+    /// [`cutkit::MAX_CONTRACTION_CUTS`] cuts.
     pub fn plan(&self, circuit: &Circuit) -> Result<Arc<CutPlan>, SuperSimError> {
         Ok(self.plan_cached(circuit)?.0)
     }
@@ -682,8 +674,8 @@ impl SuperSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SuperSimError`] when a manual cut point does not lie on its
-    /// wire or a fragment cannot be evaluated (too wide for the statevector
+    /// Returns [`SuperSimError`] when the circuit cannot be cut as
+    /// configured (see [`SuperSim::plan`]) or a fragment cannot be evaluated (too wide for the statevector
     /// backend, support too large for exact enumeration, noise in exact
     /// mode).
     pub fn run(&self, circuit: &Circuit) -> Result<RunResult, SuperSimError> {
@@ -1144,6 +1136,64 @@ mod tests {
             sim.run(&c),
             Err(SuperSimError::Cut(CutError::InvalidCutPoint(p))) if p == point
         ));
+    }
+
+    /// A plan with more cuts than the contraction accepts is refused when
+    /// it is built — a permanent `Cut` error on every entry point — instead
+    /// of evaluating every variant and panicking in recombination.
+    #[test]
+    fn too_many_cuts_is_a_permanent_planning_error() {
+        let mut c = Circuit::new(1);
+        for _ in 0..15 {
+            c.h(0).t(0);
+        }
+        let too_many = CutError::TooManyCuts { cuts: 14, max: 13 };
+        let after_each_t = |n: usize| {
+            (0..n)
+                .map(|i| cutkit::CutPoint {
+                    qubit: 0,
+                    after_op: 2 * i + 1,
+                })
+                .collect::<Vec<_>>()
+        };
+        let uncut = CutPlan::build(&c, CutStrategy::None).unwrap().to_text();
+        let manual_line = after_each_t(14)
+            .iter()
+            .fold("strategy manual".to_string(), |line, p| {
+                format!("{line} {}:{}", p.qubit, p.after_op)
+            });
+        for (strategy, line) in [
+            (CutStrategy::Manual(after_each_t(14)), manual_line),
+            (
+                CutStrategy::IsolateNonClifford { max_cuts: 14 },
+                "strategy isolate 14".to_string(),
+            ),
+        ] {
+            let sim = SuperSim::new(SuperSimConfig {
+                cut_strategy: strategy.clone(),
+                ..SuperSimConfig::default()
+            });
+            let batch = sim.run_batch(std::slice::from_ref(&c)).pop().unwrap();
+            let batch = batch.unwrap_err();
+            assert!(
+                matches!(batch, SuperSimError::Job { job: 0, .. }),
+                "{batch}"
+            );
+            for err in [sim.plan(&c).unwrap_err(), sim.run(&c).unwrap_err(), batch] {
+                assert!(
+                    matches!(err.root(), SuperSimError::Cut(e) if *e == too_many),
+                    "{strategy:?}: {err}"
+                );
+                assert!(!is_transient(&err), "{strategy:?}: {err}");
+            }
+            match CutPlan::from_text(&uncut.replace("strategy none", &line)) {
+                Err(PlanLoadError::Cut(e)) => assert_eq!(e, too_many),
+                other => panic!("{strategy:?}: expected a cut error, got {other:?}"),
+            }
+        }
+        // At the limit the plan is accepted.
+        let plan = CutPlan::build(&c, CutStrategy::Manual(after_each_t(13))).unwrap();
+        assert_eq!(plan.num_cuts(), cutkit::MAX_CONTRACTION_CUTS);
     }
 
     /// Evaluation failures in a batch stay per-circuit: the failing

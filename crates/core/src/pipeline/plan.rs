@@ -104,7 +104,7 @@ impl CutPlan {
     /// # Errors
     ///
     /// Returns [`CutError`] when a manual cut point does not lie on its
-    /// wire.
+    /// wire or the plan has more cuts than the recombination accepts.
     pub fn build(circuit: &Circuit, strategy: CutStrategy) -> Result<CutPlan, CutError> {
         let t0 = Instant::now();
         let cut = cut_circuit(circuit, strategy.clone())?;
@@ -229,8 +229,8 @@ impl CutPlan {
     /// # Errors
     ///
     /// Returns [`PlanLoadError`] when the header or strategy line is
-    /// malformed, the circuit text fails to parse, or a manual cut point
-    /// does not lie on its wire (possible only if the snapshot was edited).
+    /// malformed, the circuit text fails to parse, or the strategy cannot
+    /// cut the circuit (possible only if the snapshot was edited).
     pub fn from_text(src: &str) -> Result<CutPlan, PlanLoadError> {
         let mut lines = src.lines();
         let header = lines.next().unwrap_or("");
@@ -312,8 +312,9 @@ pub enum PlanLoadError {
     },
     /// The embedded circuit text failed to parse.
     Circuit(ParseCircuitError),
-    /// A manual cut point does not lie on its wire (possible only when a
-    /// snapshot is edited to a different circuit or strategy).
+    /// The strategy cannot cut the circuit: a manual cut point off its
+    /// wire, or more cuts than the recombination accepts (possible only
+    /// when a snapshot is edited to a different circuit or strategy).
     Cut(CutError),
 }
 

@@ -12,6 +12,7 @@
 //! "cut a non-Clifford gate from the middle" trade-off) to respect the
 //! `4^k` reconstruction budget.
 
+use crate::recombine::MAX_CONTRACTION_CUTS;
 use qcir::Circuit;
 use std::collections::HashMap;
 
@@ -166,6 +167,14 @@ pub enum CutError {
     /// A [`CutStrategy::Manual`] point names a qubit outside the circuit
     /// or an operation that does not act on that qubit.
     InvalidCutPoint(CutPoint),
+    /// The plan has more cuts than the `4^k` contraction accepts
+    /// ([`MAX_CONTRACTION_CUTS`]); no run of it could recombine.
+    TooManyCuts {
+        /// Cuts the strategy placed.
+        cuts: usize,
+        /// The contraction's limit.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for CutError {
@@ -175,6 +184,11 @@ impl std::fmt::Display for CutError {
                 f,
                 "cut point {}:{} does not lie on a wire: operation {} does not act on qubit {}",
                 p.qubit, p.after_op, p.after_op, p.qubit
+            ),
+            CutError::TooManyCuts { cuts, max } => write!(
+                f,
+                "{cuts} cuts exceed the {max} the 4^k recombination accepts; \
+                 lower the cut budget"
             ),
         }
     }
@@ -220,20 +234,30 @@ impl UnionFind {
 
 /// Cuts a circuit according to `strategy`.
 ///
-/// [`CutStrategy::IsolateNonClifford`] always succeeds: merging fragments
-/// can take any circuit down to zero cuts, so every budget is met.
+/// [`CutStrategy::IsolateNonClifford`] meets every budget: merging
+/// fragments can take any circuit down to zero cuts.
 ///
 /// # Errors
 ///
 /// Returns [`CutError::InvalidCutPoint`] when a [`CutStrategy::Manual`]
 /// point names a qubit outside the circuit or an operation that does not
-/// act on that qubit.
+/// act on that qubit, and [`CutError::TooManyCuts`] when the cut circuit
+/// has more than [`MAX_CONTRACTION_CUTS`] cuts (a manual plan with that
+/// many points, or an isolation budget above the limit that the circuit's
+/// non-Clifford gates use up).
 pub fn cut_circuit(circuit: &Circuit, strategy: CutStrategy) -> Result<CutCircuit, CutError> {
-    match strategy {
-        CutStrategy::None => Ok(single_fragment(circuit)),
-        CutStrategy::IsolateNonClifford { max_cuts } => Ok(isolate(circuit, max_cuts)),
-        CutStrategy::Manual(points) => manual(circuit, &points),
+    let cut = match strategy {
+        CutStrategy::None => single_fragment(circuit),
+        CutStrategy::IsolateNonClifford { max_cuts } => isolate(circuit, max_cuts),
+        CutStrategy::Manual(points) => manual(circuit, &points)?,
+    };
+    if cut.num_cuts > MAX_CONTRACTION_CUTS {
+        return Err(CutError::TooManyCuts {
+            cuts: cut.num_cuts,
+            max: MAX_CONTRACTION_CUTS,
+        });
     }
+    Ok(cut)
 }
 
 /// Cuts exactly at the requested positions.

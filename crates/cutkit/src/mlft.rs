@@ -59,7 +59,6 @@ use crate::tensor::FragmentTensor;
 use qcir::{Bits, Pauli};
 use qmath::{psd_project_with_trace, CMat, C64};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Identity-Pauli mass below which a fragment cannot be normalized.
@@ -290,78 +289,33 @@ pub fn correct_tensor(tensor: &mut FragmentTensor, opts: &MlftOptions) -> Result
 /// threads (fragments are corrected independently, so the stage
 /// parallelizes the same way fragment evaluation does).
 ///
-/// The summed Frobenius movement folds in fragment-index order on every
-/// path, so the result is **bit-identical for any thread count**.
+/// The summed Frobenius movement folds in fragment-index order
+/// ([`runtime::fold_ordered`]), so the result is **bit-identical for any
+/// thread count**.
 ///
 /// # Errors
 ///
 /// Returns the error of the first failing fragment in fragment-index
-/// order — the same error for any thread count. (On the parallel path,
-/// fragments after that failure may or may not have been corrected when
-/// the early exit lands; callers receiving an error must discard the
-/// tensors.)
+/// order — the same error for any thread count. (Fragments after that
+/// failure may or may not have been corrected by then; callers receiving
+/// an error must discard the tensors.)
 pub fn correct_tensors(
     tensors: &mut [FragmentTensor],
     opts: &MlftOptions,
     threads: usize,
 ) -> Result<f64, MlftError> {
     let n = tensors.len();
-    let threads = runtime::worker_count(threads.max(1), n);
-    if threads <= 1 {
-        let mut moved = 0.0;
-        for t in tensors.iter_mut() {
-            moved += correct_tensor(t, opts)?;
-        }
-        return Ok(moved);
-    }
-    // Pooled workers over per-fragment slots; each slot is claimed by
-    // exactly one worker (the injectable claim queue hands out distinct
-    // indices), so the mutexes are uncontended handles for &mut access,
-    // never waited on.
+    // Each fragment index is claimed once, so the mutexes are uncontended
+    // handles for `&mut` access from whichever worker claims it.
     let slots: Vec<Mutex<&mut FragmentTensor>> = tensors.iter_mut().map(Mutex::new).collect();
-    let failed = AtomicBool::new(false);
-    let queue = FailFastQueue {
-        inner: runtime::CounterQueue::new(n),
-        failed: &failed,
-    };
-    let results: Mutex<Vec<(usize, Result<f64, MlftError>)>> = Mutex::new(Vec::new());
-    runtime::Pool::global().run_queue(threads, &queue, |_w, i| {
-        let mut t = faultkit::lock_or_recover(&slots[i]);
-        let r = correct_tensor(&mut t, opts);
-        if r.is_err() {
-            failed.store(true, Ordering::Relaxed);
-        }
-        faultkit::lock_or_recover(&results).push((i, r));
-    });
-    let mut results = faultkit::into_inner_or_recover(results);
-    results.sort_by_key(|&(i, _)| i);
-    let mut moved = 0.0;
-    for (_, r) in results {
-        moved += r?;
-    }
-    Ok(moved)
-}
-
-/// A [`runtime::TaskQueue`] that stops handing out new fragments once a
-/// failure is recorded. The failure flag gates **new claims only**; a
-/// claimed fragment is always processed. Claims are handed out in index
-/// order, so every index below a processed failure has a recorded result,
-/// and the first error in index order is identical to the sequential
-/// path's.
-struct FailFastQueue<'a> {
-    inner: runtime::CounterQueue,
-    failed: &'a AtomicBool,
-}
-
-impl runtime::TaskQueue for FailFastQueue<'_> {
-    type Task = usize;
-
-    fn next(&self) -> Option<usize> {
-        if self.failed.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.inner.next()
-    }
+    runtime::fold_ordered(
+        runtime::worker_count(threads.max(1), n),
+        n,
+        0.0,
+        || (),
+        |i, _| correct_tensor(&mut faultkit::lock_or_recover(&slots[i]), opts),
+        |moved, m| *moved += m,
+    )
 }
 
 #[cfg(test)]

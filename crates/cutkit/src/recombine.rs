@@ -71,11 +71,10 @@
 //! accumulation because every read path emits in sorted key order.
 
 use crate::tensor::FragmentTensor;
-use faultkit::{into_inner_or_recover, lock_or_recover, Fault, Stage, Supervisor};
+use faultkit::{Fault, Stage, Supervisor};
 use metrics::Distribution;
 use qcir::{Bits, IndexPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Hard cap on cuts for dense `4^k` contraction.
 pub const MAX_CONTRACTION_CUTS: usize = 13;
@@ -149,9 +148,8 @@ pub struct Reconstructor<'a> {
     /// session-level plan so repeated joint reconstructions skip rebuilding
     /// them.
     output_plans: Option<&'a [IndexPlan]>,
-    /// Supervision context, consulted once per contraction chunk on both
-    /// the sequential and the parallel path (see
-    /// [`Reconstructor::with_supervisor`]).
+    /// Supervision context, consulted once per contraction chunk at every
+    /// thread count (see [`Reconstructor::with_supervisor`]).
     supervisor: Supervisor,
     /// Accumulated-skip L1 budget for the truncated sweep (0 = exact; see
     /// [`Reconstructor::with_error_budget`]).
@@ -159,9 +157,10 @@ pub struct Reconstructor<'a> {
     /// Lazily-built record of a budgeted sweep's visited set. Skip
     /// decisions are a pure function of the tensors and the budget —
     /// never of the query — so the first budgeted query's sweep is
-    /// recorded and every later query of this reconstructor replays it
-    /// body-only, skipping the `4^k` iteration entirely. `None` inside
-    /// the cell means the set was measured too large to retain. Purely a
+    /// recorded (at any thread count) and every later query of this
+    /// reconstructor replays it body-only, skipping the `4^k` iteration
+    /// entirely. `None` inside the cell means the set was measured too
+    /// large to retain. Purely a
     /// performance cache: replayed queries reproduce the recorded sweep's
     /// exact call sequence, so results are bit-identical with or without
     /// it. Clones share the cache (it depends only on shared state);
@@ -374,12 +373,6 @@ impl<'a> Reconstructor<'a> {
         (1u64 << (2 * self.num_cuts)).div_ceil(ASSIGNMENTS_PER_CHUNK)
     }
 
-    /// Resolved worker count for a contraction over `num_chunks` chunks
-    /// (the shared heuristic: 0 = auto, clamped to the chunk count).
-    fn effective_threads(&self, num_chunks: u64) -> usize {
-        runtime::worker_count(self.threads, num_chunks.min(usize::MAX as u64) as usize)
-    }
-
     /// Contracts one chunk of the assignment range into `acc`, returning
     /// the chunk's [`SweepStats`].
     ///
@@ -393,21 +386,19 @@ impl<'a> Reconstructor<'a> {
     /// an amortized 4/3 base-4 digits, and each changed cut digit touches
     /// only the two tensor ends of that cut — instead of recomputing every
     /// tensor's composite index per assignment.
-    /// When `record` is provided (the sequential path's first budgeted
-    /// sweep), the chunk's visited offsets and stats are appended as a
-    /// [`ChunkRecord`] — unless the constant-mask test skipped the chunk
-    /// outright, which replay mirrors by having no record at all.
+    /// When `record` is set (a budgeted sweep whose visited set is not
+    /// cached yet), the chunk also returns its [`ChunkRecord`].
     #[allow(clippy::too_many_arguments)]
     fn run_chunk<A>(
         &self,
         chunk: u64,
         chunk_budget: f64,
         acc: &mut A,
-        chunk_start: &(impl Fn(&mut A, &[usize]) + Sync),
-        body: &(impl Fn(&mut A, &[usize]) + Sync),
+        chunk_start: &impl Fn(&mut A, &[usize]),
+        body: &impl Fn(&mut A, &[usize]),
         scratch: &mut SweepScratch,
-        record: Option<&mut Vec<ChunkRecord>>,
-    ) -> SweepStats {
+        record: bool,
+    ) -> (SweepStats, Option<ChunkRecord>) {
         let k = self.num_cuts;
         let total = 1u64 << (2 * k);
         let start = chunk * ASSIGNMENTS_PER_CHUNK;
@@ -433,20 +424,18 @@ impl<'a> Reconstructor<'a> {
                 .zip(indices.iter())
                 .any(|((&constant, mask), &idx)| constant && !mask.test(idx))
         {
-            if let Some(records) = record {
-                records.push(ChunkRecord {
-                    chunk,
-                    masked: true,
-                    visited: Vec::new(),
-                    stats: SweepStats::default(),
-                });
-            }
-            return SweepStats::default();
+            let masked = record.then(|| ChunkRecord {
+                chunk,
+                masked: true,
+                visited: Vec::new(),
+                stats: SweepStats::default(),
+            });
+            return (SweepStats::default(), masked);
         }
         chunk_start(acc, indices);
         let mut stats = SweepStats::default();
         let budgeted = chunk_budget > 0.0;
-        let mut visited_offsets = record.as_ref().map(|_| Vec::new());
+        let mut visited_offsets = record.then(Vec::new);
         let mut kappa = start;
         loop {
             // Exact skip: a zero slice maximum means every term of this
@@ -510,87 +499,35 @@ impl<'a> Reconstructor<'a> {
                 }
             }
         }
-        if let (Some(records), Some(visited)) = (record, visited_offsets) {
-            records.push(ChunkRecord {
-                chunk,
-                masked: false,
-                visited,
-                stats,
-            });
-        }
-        stats
+        let record = visited_offsets.map(|visited| ChunkRecord {
+            chunk,
+            masked: false,
+            visited,
+            stats,
+        });
+        (stats, record)
     }
 
     /// The chunked contraction driver: runs `body` over every surviving
     /// assignment, accumulating into per-chunk accumulators created by
-    /// `init` and merged in chunk order by `merge`. Returns the final
-    /// accumulator and the sweep's [`SweepStats`].
+    /// `init`, and merges them in chunk order by `merge` — on
+    /// [`runtime::fold_ordered`], so the float association and the
+    /// reported fault are the same for every thread count. Returns the
+    /// final accumulator and the sweep's [`SweepStats`].
     ///
-    /// The sequential path (one worker) uses the identical chunk/merge
-    /// structure, so results are bit-identical regardless of thread count.
-    fn run_contraction<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, |_, _| {}, body, |_| {}, merge)
-    }
-
-    /// [`Reconstructor::run_contraction`] with a chunk-start hook: called
-    /// once per chunk, after the chunk's first assignment indices are in
-    /// place and before any `body` call, on both the sequential and the
-    /// parallel path. Accumulators use it to precompute values that are
-    /// constant within the chunk (the constant prefix/suffix product
-    /// hoists of the marginal sweeps) without changing any per-assignment
-    /// float association — results stay bit-identical.
-    fn run_contraction_hoisted<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        chunk_start: impl Fn(&mut A, &[usize]) + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, chunk_start, body, |_| {}, merge)
-    }
-
-    /// [`Reconstructor::run_contraction`] with a per-chunk `finish` hook:
-    /// runs on each chunk accumulator right after its chunk completes (on
-    /// both paths) — the hook that lets accumulators drop per-chunk
-    /// scratch before entering the ordered merge. Used by queries whose
-    /// per-chunk accumulators are large; the streaming merge bounds how
-    /// many of them are ever retained (see
-    /// [`run_contraction_full`](Reconstructor::run_contraction_full)), so
-    /// no worker cap is needed any more.
-    fn run_contraction_finished<A: Send>(
-        &self,
-        init: impl Fn() -> A + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        finish: impl Fn(&mut A) + Sync,
-        merge: impl FnMut(&mut A, A) + Send,
-    ) -> Result<(A, SweepStats), Fault> {
-        self.run_contraction_full(init, |_, _| {}, body, finish, merge)
-    }
-
-    /// The fully-general chunked contraction driver: chunk-start hook,
-    /// per-chunk finish hook, streaming ordered merge on the persistent
-    /// worker pool.
-    ///
-    /// The parallel path streams finished chunk accumulators into one
-    /// central [`runtime::OrderedMerger`] that folds them **in chunk
-    /// order** — the identical float association to the sequential loop —
-    /// while retaining at most a merge-window's worth of accumulators at
-    /// a time, so memory no longer scales with `num_chunks ×
-    /// accumulator size` and no query needs a worker cap.
+    /// Two per-chunk hooks: `chunk_start` runs after the chunk's first
+    /// assignment indices are in place and before any `body` call
+    /// (accumulators precompute what is constant within the chunk — the
+    /// prefix/suffix product hoists of the marginal sweeps — without
+    /// changing any per-assignment float association); `finish` runs on
+    /// the chunk accumulator once its chunk completes (large accumulators
+    /// drop their scratch before waiting in the merge).
     ///
     /// The attached [`Supervisor`] is consulted once per chunk, before the
-    /// chunk's sweep. On an interrupt the driver reports the fault of the
-    /// *lowest-indexed* faulting chunk: the parallel path records faults
-    /// under a monotone failure floor (`fetch_min` over chunk indices), so
-    /// a chunk below the true minimum faulting index can never be skipped
-    /// and the reported fault is schedule-independent for deterministic
-    /// fault sources (injection, pre-set cancellation).
-    fn run_contraction_full<A: Send>(
+    /// chunk's sweep; an interrupt reports the fault of the lowest-indexed
+    /// faulting chunk. A budgeted sweep records its visited set on first
+    /// use and every later query of this reconstructor replays it.
+    fn run_contraction<A: Send>(
         &self,
         init: impl Fn() -> A + Sync,
         chunk_start: impl Fn(&mut A, &[usize]) + Sync,
@@ -598,8 +535,8 @@ impl<'a> Reconstructor<'a> {
         finish: impl Fn(&mut A) + Sync,
         mut merge: impl FnMut(&mut A, A) + Send,
     ) -> Result<(A, SweepStats), Fault> {
-        let num_chunks = self.num_chunks();
-        let threads = self.effective_threads(num_chunks);
+        // At most `4^13 / 4096` chunks (`MAX_CONTRACTION_CUTS`).
+        let num_chunks = self.num_chunks() as usize;
         // Each chunk gets an even, fixed share of the error budget; the
         // share depends only on `k` and the budget, never on the worker
         // count, which is what keeps truncated results bit-identical for
@@ -609,150 +546,54 @@ impl<'a> Reconstructor<'a> {
         } else {
             0.0
         };
-        let new_scratch = || SweepScratch {
-            indices: vec![0usize; self.tensors.len()],
-            digits: vec![0u8; self.num_cuts],
-        };
-        let acc = init();
-        if threads <= 1 {
-            let mut acc = acc;
-            let mut stats = SweepStats::default();
-            let mut scratch = new_scratch();
-            if chunk_budget > 0.0 {
-                // Replay a previously recorded budgeted sweep: body-only,
-                // no `4^k` re-iteration. The recorded call sequence is
-                // exactly the fresh sweep's, so results are bit-identical.
-                if let Some(Some(records)) = self.skip_cache.get() {
-                    return self.replay_records(
-                        records,
-                        acc,
-                        init,
-                        chunk_start,
-                        body,
-                        finish,
-                        merge,
-                    );
-                }
+        if chunk_budget > 0.0 {
+            // Replay a previously recorded budgeted sweep: body-only, no
+            // `4^k` re-iteration. The recorded call sequence is exactly
+            // the fresh sweep's, so results are bit-identical.
+            if let Some(Some(records)) = self.skip_cache.get() {
+                return self.replay_records(records, init, chunk_start, body, finish, merge);
             }
-            // Record the visited set on the first budgeted sweep so later
-            // queries of this reconstructor can replay it.
-            let mut records = if chunk_budget > 0.0 && self.skip_cache.get().is_none() {
-                Some(Vec::new())
-            } else {
-                None
-            };
-            for chunk in 0..num_chunks {
-                self.supervisor.check(Stage::Recombine, chunk as usize)?;
+        }
+        let record = chunk_budget > 0.0 && self.skip_cache.get().is_none();
+        // The chunk stats and records ride the ordered merge with the
+        // chunk accumulators, so the float `skipped_bound` folds in strict
+        // chunk order and the records come out in chunk order.
+        let (acc, stats, records) = runtime::fold_ordered(
+            runtime::worker_count(self.threads, num_chunks),
+            num_chunks,
+            (init(), SweepStats::default(), Vec::new()),
+            || SweepScratch {
+                indices: vec![0usize; self.tensors.len()],
+                digits: vec![0u8; self.num_cuts],
+            },
+            |chunk, scratch| {
+                self.supervisor.check(Stage::Recombine, chunk)?;
                 let mut chunk_acc = init();
-                stats.absorb(self.run_chunk(
-                    chunk,
+                let (stats, record) = self.run_chunk(
+                    chunk as u64,
                     chunk_budget,
                     &mut chunk_acc,
                     &chunk_start,
                     &body,
-                    &mut scratch,
-                    records.as_mut(),
-                ));
+                    scratch,
+                    record,
+                );
                 finish(&mut chunk_acc);
-                merge(&mut acc, chunk_acc);
-            }
-            if let Some(records) = records {
-                let total: usize = records.iter().map(|r| r.visited.len()).sum();
-                let _ = self
-                    .skip_cache
-                    .set((total <= SKIP_CACHE_MAX_VISITED).then_some(records));
-            }
-            Ok((acc, stats))
-        } else {
-            let next = AtomicU64::new(0);
-            // Lowest chunk index that hit a supervision fault; chunks above
-            // the floor are skipped, chunks at or below it still run, so
-            // the floor only ever tightens toward the true minimum.
-            let fail_floor = AtomicU64::new(u64::MAX);
-            let first_fault: Mutex<Option<(u64, Fault)>> = Mutex::new(None);
-            // The chunk stats ride the ordered merge alongside the chunk
-            // accumulators, so the float `skipped_bound` folds in strict
-            // chunk order — an atomic counter would make the truncation
-            // bound schedule-dependent.
-            let mut merge_with_stats = |central: &mut (A, SweepStats), chunk: (A, SweepStats)| {
-                merge(&mut central.0, chunk.0);
-                central.1.absorb(chunk.1);
-            };
-            let merger = runtime::OrderedMerger::new(
-                threads,
-                (acc, SweepStats::default()),
-                &mut merge_with_stats,
-            );
-            enum ChunkOutcome<A> {
-                Done(A, SweepStats),
-                Fault(Fault),
-            }
-            runtime::Pool::global().run(threads, |_| {
-                let mut scratch = new_scratch();
-                loop {
-                    let chunk = next.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= num_chunks {
-                        break;
-                    }
-                    if chunk > fail_floor.load(Ordering::Relaxed) {
-                        // Skipped by the early exit: the claimed index
-                        // still must be resolved so the ordered merge can
-                        // drain past it. Claims from `next` are monotone,
-                        // so every later claim sits above the floor too —
-                        // stop this worker here.
-                        merger.skip(chunk);
-                        break;
-                    }
-                    // Everything that can fault *or panic* (injected
-                    // faults fire inside the supervisor check) runs under
-                    // `catch_unwind` so the claimed index is resolved
-                    // before any unwind — sibling workers blocked on the
-                    // merge window must never be stranded.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if let Err(fault) = self.supervisor.check(Stage::Recombine, chunk as usize)
-                        {
-                            return ChunkOutcome::Fault(fault);
-                        }
-                        let mut chunk_acc = init();
-                        let stats = self.run_chunk(
-                            chunk,
-                            chunk_budget,
-                            &mut chunk_acc,
-                            &chunk_start,
-                            &body,
-                            &mut scratch,
-                            None,
-                        );
-                        finish(&mut chunk_acc);
-                        ChunkOutcome::Done(chunk_acc, stats)
-                    }));
-                    match outcome {
-                        Ok(ChunkOutcome::Done(chunk_acc, stats)) => {
-                            merger.submit(chunk, (chunk_acc, stats));
-                        }
-                        Ok(ChunkOutcome::Fault(fault)) => {
-                            fail_floor.fetch_min(chunk, Ordering::Relaxed);
-                            let mut slot = lock_or_recover(&first_fault);
-                            if slot.as_ref().is_none_or(|(c, _)| chunk < *c) {
-                                *slot = Some((chunk, fault));
-                            }
-                            merger.skip(chunk);
-                            break;
-                        }
-                        Err(payload) => {
-                            merger.skip(chunk);
-                            // The pool re-raises the payload on the
-                            // calling thread once the job completes.
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                }
-            });
-            if let Some((_, fault)) = into_inner_or_recover(first_fault) {
-                return Err(fault);
-            }
-            Ok(merger.finish())
+                Ok((chunk_acc, stats, record))
+            },
+            |(acc, stats, records), (chunk_acc, chunk_stats, record)| {
+                merge(acc, chunk_acc);
+                stats.absorb(chunk_stats);
+                records.extend(record);
+            },
+        )?;
+        if record {
+            let total: usize = records.iter().map(|r: &ChunkRecord| r.visited.len()).sum();
+            let _ = self
+                .skip_cache
+                .set((total <= SKIP_CACHE_MAX_VISITED).then_some(records));
         }
+        Ok((acc, stats))
     }
 
     /// Replays a recorded budgeted sweep: the identical chunk-start /
@@ -762,17 +603,16 @@ impl<'a> Reconstructor<'a> {
     /// identically — but touching only the recorded assignments instead
     /// of walking the full `4^k` range. Supervision checkpoints still run
     /// per replayed chunk, under the chunk's original index.
-    #[allow(clippy::too_many_arguments)]
     fn replay_records<A>(
         &self,
         records: &[ChunkRecord],
-        mut acc: A,
         init: impl Fn() -> A,
         chunk_start: impl Fn(&mut A, &[usize]),
         body: impl Fn(&mut A, &[usize]),
         finish: impl Fn(&mut A),
         mut merge: impl FnMut(&mut A, A),
     ) -> Result<(A, SweepStats), Fault> {
+        let mut acc = init();
         let mut stats = SweepStats::default();
         let mut indices = vec![0usize; self.tensors.len()];
         for rec in records {
@@ -806,6 +646,7 @@ impl<'a> Reconstructor<'a> {
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let (mass, _) = expect_unsupervised(self.run_contraction(
             || 0.0f64,
+            |_, _| {},
             |mass, indices| {
                 let mut prod = 1.0;
                 for (t, &idx) in totals.iter().zip(indices) {
@@ -813,6 +654,7 @@ impl<'a> Reconstructor<'a> {
                 }
                 *mass += prod;
             },
+            |_| {},
             |mass, chunk| *mass += chunk,
         ));
         mass
@@ -926,13 +768,14 @@ impl<'a> Reconstructor<'a> {
         // the sequential fallback it forced on large supports, are gone:
         // every support size runs parallel. Merge order is still strict
         // chunk order, so results stay bit-identical for any thread count.
-        let (acc, stats) = self.run_contraction_finished(
+        let (acc, stats) = self.run_contraction(
             || JointAcc {
                 weights: vec![0.0; support],
                 touched: vec![0u64; support.div_ceil(64)],
                 partial: Vec::new(),
                 next: Vec::new(),
             },
+            |_, _| {},
             |acc, indices| {
                 // Outer product of the fragments' b-slices, propagating
                 // mixed-radix outcome ids.
@@ -1078,7 +921,7 @@ impl<'a> Reconstructor<'a> {
         }
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let (cp, cs) = (self.const_prefix, self.const_suffix);
-        let (acc, stats) = self.run_contraction_hoisted(
+        let (acc, stats) = self.run_contraction(
             || GroupedAcc {
                 weights: totals.iter().map(|t| vec![0.0f64; t.len()]).collect(),
                 mass: 0.0,
@@ -1114,6 +957,7 @@ impl<'a> Reconstructor<'a> {
                     acc.weights[f][indices[f]] += acc.prefix[f] * acc.suffix[f + 1];
                 }
             },
+            |_| {},
             |acc, chunk| {
                 for (w, c) in acc.weights.iter_mut().zip(&chunk.weights) {
                     for (a, b) in w.iter_mut().zip(c) {
@@ -1170,7 +1014,7 @@ impl<'a> Reconstructor<'a> {
             })
             .collect();
         let (cp, cs) = (self.const_prefix, self.const_suffix);
-        let (acc, stats) = self.run_contraction_hoisted(
+        let (acc, stats) = self.run_contraction(
             || DirectAcc {
                 marg: vec![[0.0f64; 2]; self.n_qubits],
                 mass: 0.0,
@@ -1208,6 +1052,7 @@ impl<'a> Reconstructor<'a> {
                     }
                 }
             },
+            |_| {},
             |acc, chunk| {
                 for (m, c) in acc.marg.iter_mut().zip(&chunk.marg) {
                     m[0] += c[0];
@@ -1242,6 +1087,7 @@ impl<'a> Reconstructor<'a> {
         }
         let (p, _) = expect_unsupervised(self.run_contraction(
             || 0.0f64,
+            |_, _| {},
             |p, indices| {
                 let mut prod = 1.0;
                 for (s, &idx) in slices.iter().zip(indices) {
@@ -1252,6 +1098,7 @@ impl<'a> Reconstructor<'a> {
                 }
                 *p += prod;
             },
+            |_| {},
             |p, chunk| *p += chunk,
         ));
         p
@@ -1270,7 +1117,13 @@ impl<'a> Reconstructor<'a> {
     /// incur (skip decisions are query-independent). Cheap relative to a
     /// real query: no accumulator work, just the sweep itself.
     pub fn sweep_stats(&self) -> SweepStats {
-        let ((), stats) = expect_unsupervised(self.run_contraction(|| (), |_, _| {}, |_, _| {}));
+        let ((), stats) = expect_unsupervised(self.run_contraction(
+            || (),
+            |_, _| {},
+            |_, _| {},
+            |_| {},
+            |_, _| {},
+        ));
         stats
     }
 
@@ -1323,6 +1176,7 @@ impl<'a> Reconstructor<'a> {
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let ((num, mass), _) = expect_unsupervised(self.run_contraction(
             || (0.0f64, 0.0f64),
+            |_, _| {},
             |acc, indices| {
                 let mut sprod = 1.0;
                 let mut tprod = 1.0;
@@ -1333,6 +1187,7 @@ impl<'a> Reconstructor<'a> {
                 acc.0 += sprod;
                 acc.1 += tprod;
             },
+            |_| {},
             |acc, chunk| {
                 acc.0 += chunk.0;
                 acc.1 += chunk.1;
@@ -1920,5 +1775,81 @@ mod tests {
         assert!(rebudgeted.skip_cache.get().is_none());
         let resparsed = r.clone().with_sparse(false);
         assert!(resparsed.skip_cache.get().is_none());
+    }
+
+    /// A pooled budgeted sweep records the same visited set a sequential
+    /// one does, and its replay answers bit-identically.
+    #[test]
+    fn pooled_budgeted_sweep_records_and_replays() {
+        let k = 7;
+        let (tensors, n) = synthetic_dense_chain(k, 1);
+        let budget = Reconstructor::new(&tensors, k, n)
+            .with_error_budget(1e18)
+            .sweep_stats()
+            .skipped_bound
+            * 0.25;
+        let seq = Reconstructor::new(&tensors, k, n).with_error_budget(budget);
+        let (seq_joint, seq_stats) = seq.try_joint_with_stats(10_000_000).unwrap();
+        let par = seq.clone().with_error_budget(budget).with_threads(2);
+        let (par_joint, par_stats) = par.try_joint_with_stats(10_000_000).unwrap();
+        let recorded = |r: &Reconstructor<'_>| -> Vec<(u64, bool, Vec<u16>)> {
+            let Some(Some(records)) = r.skip_cache.get() else {
+                panic!("the budgeted sweep recorded nothing");
+            };
+            records
+                .iter()
+                .map(|c| (c.chunk, c.masked, c.visited.clone()))
+                .collect()
+        };
+        assert_eq!(recorded(&seq), recorded(&par));
+        assert_eq!(joint_pairs(&seq_joint), joint_pairs(&par_joint));
+        assert_eq!(seq_stats, par_stats);
+        let (replayed, replay_stats) = par.try_joint_with_stats(10_000_000).unwrap();
+        assert_eq!(joint_pairs(&seq_joint), joint_pairs(&replayed));
+        assert_eq!(seq_stats, replay_stats);
+    }
+
+    /// Supervision faults on a 16-chunk sweep: the query reports the
+    /// lowest faulting chunk at every thread count, and an injected panic
+    /// reaches the caller and leaves the global pool contracting
+    /// bit-identically.
+    #[test]
+    fn contraction_reports_the_earliest_fault_and_survives_a_panic() {
+        use faultkit::{FaultKind, FaultPlan};
+        let k = 8;
+        let (tensors, n) = synthetic_dense_chain(k, 1);
+        let supervised = |plan: FaultPlan, threads: usize| {
+            Reconstructor::new(&tensors, k, n)
+                .with_threads(threads)
+                .with_supervisor(Supervisor::new().with_faults(Arc::new(plan)))
+        };
+        assert_eq!(supervised(FaultPlan::new(), 1).num_chunks(), 16);
+        let faults = FaultPlan::new()
+            .inject(0, Stage::Recombine, 3, FaultKind::Error)
+            .inject(0, Stage::Recombine, 9, FaultKind::Error);
+        let chunk_3 = Fault::Injected(format!("job 0 stage {} task 3", Stage::Recombine));
+        for threads in [1usize, 2, 8] {
+            let r = supervised(faults.clone(), threads);
+            assert_eq!(r.try_marginals(), Err(chunk_3.clone()), "{threads} threads");
+            assert_eq!(
+                r.try_joint(10_000_000).map(|_| ()),
+                Err(chunk_3.clone()),
+                "{threads} threads"
+            );
+        }
+
+        let clean = Reconstructor::new(&tensors, k, n).marginals();
+        let panicking = FaultPlan::new().inject(0, Stage::Recombine, 5, FaultKind::Panic);
+        for threads in [1usize, 2, 8] {
+            let r = supervised(panicking.clone(), threads);
+            // The query runs on its own thread, whose join reports the
+            // panic the query re-raised.
+            let panicked = std::thread::scope(|s| s.spawn(|| r.try_marginals()).join().is_err());
+            assert!(panicked, "{threads} threads: the panic was lost");
+            let after = Reconstructor::new(&tensors, k, n)
+                .with_threads(8)
+                .marginals();
+            assert_eq!(clean, after, "after a panic at {threads} threads");
+        }
     }
 }

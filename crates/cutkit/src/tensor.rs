@@ -61,8 +61,8 @@
 //!    for it is not worth its code); the first chunk to reach a fragment
 //!    is moved in, not merged. A partial is `support × dim` doubles — 1 MiB
 //!    on a 128-outcome `dim = 1024` fragment — so whoever produces chunks
-//!    merges each as soon as its predecessors are in (the pooled path's
-//!    ordered merger, [`EvalChunk::absorb`] for an outside scheduler)
+//!    merges each as soon as its predecessors are in ([`runtime::fold_ordered`]
+//!    here, [`EvalChunk::absorb`] for an outside scheduler)
 //!    instead of keeping one per chunk until the last: tens of MiB
 //!    allocated and released per run cost page faults by the thousand
 //!    whenever the allocator hands the memory back in between.
@@ -118,8 +118,7 @@ use crate::variants::{enumerate_variants, Variant};
 use metrics::InternPool;
 use qcir::{Bits, IndexPlan};
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Single-qubit conversion from preparation-state probabilities (columns:
 /// `|0⟩, |1⟩, |+⟩, |+i⟩`) to Pauli coefficients (rows: `I, X, Y, Z`).
@@ -458,7 +457,9 @@ pub fn build_fragment_tensor(
     rng: &mut impl Rng,
 ) -> Result<FragmentTensor, EvalError> {
     let base_seed: u64 = rng.random();
-    build_fragment_tensor_threaded(fragment, eval, opts, base_seed, 1)
+    let mut tensors =
+        evaluate_fragment_tensors(std::slice::from_ref(fragment), eval, opts, &[base_seed], 1)?;
+    Ok(tensors.pop().expect("one tensor per fragment"))
 }
 
 /// Derives the RNG for one variant from the fragment's base seed.
@@ -813,16 +814,16 @@ fn finalize_fragment_tensor(
 /// Items are processed in fixed-size chunks ([`VARIANTS_PER_CHUNK`], a
 /// constant independent of the worker count): each chunk folds its
 /// variants, in item order, into one accumulator per fragment it spans,
-/// and chunk partials are merged in chunk order. The sequential path uses
-/// the identical structure, which makes the result **bit-identical for
-/// any `threads` value** (including 1) given the same `base_seeds`, while
-/// bounding retained accumulators to one per chunk. A variant touches only
-/// the `2^qo` columns it writes (the compact fold of the module docs).
+/// and chunk partials are merged in chunk order by [`runtime::fold_ordered`]
+/// whatever the worker count, which makes the result **bit-identical for
+/// any `threads` value** (including 1) given the same `base_seeds`. A
+/// variant touches only the `2^qo` columns it writes (the compact fold of
+/// the module docs).
 ///
 /// # Errors
 ///
-/// Propagates the [`EvalError`] of the earliest failing chunk (in chunk
-/// order) among the work that ran before the pool stopped.
+/// Propagates the [`EvalError`] of the earliest failing chunk in chunk
+/// order, on every schedule.
 ///
 /// # Panics
 ///
@@ -871,98 +872,17 @@ pub fn evaluate_fragment_tensors_planned(
         "one evaluation plan per fragment required"
     );
     let num_chunks = planned_num_chunks(plans);
-    let threads = runtime::worker_count(threads.max(1), num_chunks);
-
-    let maps: Vec<TensorAccum> = plans.iter().map(|p| TensorAccum::new(p.dim)).collect();
-
-    let maps = if threads <= 1 {
-        // Sequential path: evaluate and fold one chunk at a time (peak
-        // retention: one chunk accumulator). Chunk decomposition and merge
-        // order match the parallel path exactly, so results are
-        // bit-identical for any thread count.
-        let mut maps = maps;
-        let mut scratch = WorkerScratch::new();
-        for ci in 0..num_chunks {
-            let chunk =
-                evaluate_chunk_with_scratch(fragments, plans, eval, base_seeds, ci, &mut scratch)?;
-            merge_planned_chunk(&mut maps, chunk);
-        }
-        maps
-    } else {
-        // Parallel path: pooled workers claim chunks dynamically and
-        // stream finished chunk accumulators into one central merger that
-        // folds them **in chunk order** — the same merge association as
-        // the sequential loop, with peak retention bounded by the merge
-        // window instead of the full chunk set.
-        let next = AtomicUsize::new(0);
-        // Early-exit failure floor: the smallest failing chunk index seen
-        // so far. Only chunks *above* the floor are skipped, so every
-        // chunk below the earliest failure is always evaluated and the
-        // reported error is the earliest failing chunk in chunk order —
-        // schedule-independent, identical to the sequential path. (A bare
-        // "failed" flag would let a worker holding an earlier chunk skip
-        // it after observing a later chunk's failure.)
-        let fail_floor = AtomicUsize::new(usize::MAX);
-        let first_error: Mutex<Option<(usize, EvalError)>> = Mutex::new(None);
-        let merger = runtime::OrderedMerger::new(
-            threads,
-            maps,
-            |maps: &mut Vec<TensorAccum>, chunk: EvalChunk| merge_planned_chunk(maps, chunk),
-        );
-        runtime::Pool::global().run(threads, |_| {
-            let mut scratch = WorkerScratch::new();
-            loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                if ci >= num_chunks {
-                    break;
-                }
-                if ci > fail_floor.load(Ordering::Relaxed) {
-                    // Skipped by the early exit: the claimed index still
-                    // has to be resolved or the ordered merge would stall.
-                    merger.skip(ci as u64);
-                    continue;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    evaluate_chunk_with_scratch(
-                        fragments,
-                        plans,
-                        eval,
-                        base_seeds,
-                        ci,
-                        &mut scratch,
-                    )
-                }));
-                match r {
-                    Ok(Ok(chunk)) => merger.submit(ci as u64, chunk),
-                    Ok(Err(e)) => {
-                        fail_floor.fetch_min(ci, Ordering::Relaxed);
-                        let mut slot = faultkit::lock_or_recover(&first_error);
-                        match &*slot {
-                            Some((i, _)) if *i <= ci => {}
-                            _ => *slot = Some((ci, e)),
-                        }
-                        merger.skip(ci as u64);
-                    }
-                    Err(payload) => {
-                        // Resolve the claimed index before re-raising so
-                        // sibling workers blocked on the merge window are
-                        // not stranded; the pool re-raises the payload on
-                        // the calling thread once the job completes.
-                        merger.skip(ci as u64);
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            }
-        });
-        let maps = merger.finish();
-        if let Some((_, e)) = faultkit::into_inner_or_recover(first_error) {
-            // First error in chunk order wins; the partially merged maps
-            // are discarded.
-            return Err(e);
-        }
-        maps
-    };
-
+    let maps = runtime::fold_ordered(
+        runtime::worker_count(threads.max(1), num_chunks),
+        num_chunks,
+        plans
+            .iter()
+            .map(|p| TensorAccum::new(p.dim))
+            .collect::<Vec<_>>(),
+        WorkerScratch::new,
+        |ci, scratch| evaluate_chunk_with_scratch(fragments, plans, eval, base_seeds, ci, scratch),
+        |maps, chunk| merge_planned_chunk(maps, chunk),
+    )?;
     Ok(maps
         .into_iter()
         .zip(fragments)
@@ -1147,31 +1067,6 @@ pub fn merge_planned_chunks(
         .zip(fragments)
         .map(|(m, fragment)| finalize_fragment_tensor(fragment, m, eval, opts))
         .collect()
-}
-
-/// Builds the tomographic tensor of a fragment, evaluating variants on up
-/// to `threads` worker threads (the paper's §X parallelization of
-/// per-variant simulation). Deterministic for a given `base_seed`
-/// regardless of thread count.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] from fragment evaluation.
-pub fn build_fragment_tensor_threaded(
-    fragment: &Fragment,
-    eval: &EvalOptions,
-    opts: &TensorOptions,
-    base_seed: u64,
-    threads: usize,
-) -> Result<FragmentTensor, EvalError> {
-    let mut tensors = evaluate_fragment_tensors(
-        std::slice::from_ref(fragment),
-        eval,
-        opts,
-        &[base_seed],
-        threads,
-    )?;
-    Ok(tensors.pop().expect("one tensor per fragment"))
 }
 
 /// In-place contraction of one base-4 axis (identified by its stride) with
@@ -1377,11 +1272,14 @@ mod tests {
             mode: EvalMode::Sampled { shots: 500 },
             ..Default::default()
         };
+        let one = |f: &Fragment, threads: usize| {
+            let fs = std::slice::from_ref(f);
+            evaluate_fragment_tensors(fs, &eval, &TensorOptions::default(), &[99], threads)
+                .unwrap()
+                .remove(0)
+        };
         for f in &cut.fragments {
-            let seq =
-                build_fragment_tensor_threaded(f, &eval, &TensorOptions::default(), 99, 1).unwrap();
-            let par =
-                build_fragment_tensor_threaded(f, &eval, &TensorOptions::default(), 99, 4).unwrap();
+            let (seq, par) = (one(f, 1), one(f, 4));
             assert_eq!(seq.support_len(), par.support_len());
             for (b, v) in seq.iter() {
                 for (i, &x) in v.iter().enumerate() {
@@ -1423,9 +1321,17 @@ mod tests {
                 }
             }
         }
-        // The single-fragment wrapper goes through the same pool.
+        // One fragment on its own folds the same chunks.
         for (fi, f) in cut.fragments.iter().enumerate() {
-            let one = build_fragment_tensor_threaded(f, &eval, &opts, seeds[fi], 3).unwrap();
+            let one = evaluate_fragment_tensors(
+                std::slice::from_ref(f),
+                &eval,
+                &opts,
+                &seeds[fi..=fi],
+                3,
+            )
+            .unwrap()
+            .remove(0);
             for (b, v) in one.iter() {
                 for (i, &x) in v.iter().enumerate() {
                     assert!(seq[fi].value(b, i) == x, "wrapper mismatch at {b}, idx {i}");

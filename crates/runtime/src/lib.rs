@@ -1,30 +1,23 @@
-//! Persistent worker pool and shared parallel-execution substrate.
+//! Persistent worker pool and the one ordered parallel loop built on it.
 //!
-//! Before this crate existed, parallelism was re-implemented four times
-//! across the workspace — `cutkit::tensor`, `cutkit::mlft`,
-//! `cutkit::recombine`, and the batch scheduler in `supersim` each owned a
-//! `std::thread::scope` plus a spawn loop, and every `run_batch` /
-//! `run_sweep` call paid the full thread-spawn cost again. This crate
-//! replaces all of them with one **persistent, lazily-grown pool**
-//! ([`Pool`]) plus the small set of primitives those sites actually
-//! shared:
+//! Every parallel stage of the pipeline has the same shape: `n`
+//! independent work items (evaluation chunks, fragments to correct,
+//! contraction chunks, circuits to plan) whose results fold into one
+//! accumulator. This crate owns that shape, so the rule that keeps it
+//! deterministic is written once:
 //!
-//! - [`Pool::run`] — the `thread::scope` replacement: executes a body
-//!   closure once per worker index on pooled threads and blocks until all
-//!   of them finish, propagating the first panic exactly like a scoped
-//!   spawn would.
-//! - [`TaskQueue`] / [`Pool::run_queue`] — the injectable task-source
-//!   abstraction: a pool does not know *what* it is draining, call sites
-//!   plug in an atomic counter ([`CounterQueue`]), the batch scheduler's
-//!   dependency-driven FIFO, or anything else that hands out tasks.
-//! - [`OrderedMerger`] — streaming, strictly index-ordered reduction:
-//!   workers submit per-chunk results as they finish and a single central
-//!   accumulator merges them **in chunk order**, so float association is
-//!   identical to a sequential run while peak retention stays bounded by
-//!   the merge window instead of the whole chunk set.
+//! - [`fold_ordered`] — runs `work(i)` for every `i in 0..n` on up to
+//!   `workers` workers, merges the results **in index order**, reports the
+//!   **lowest-index failure** on every schedule, and resolves a claimed
+//!   index before a panic unwinds past it. With one worker it is a plain
+//!   loop on the calling thread.
+//! - [`Pool`] — the **persistent, lazily-grown pool** `fold_ordered` runs
+//!   on. [`Pool::run`] executes a body once per worker index on pooled
+//!   threads and blocks until all finish, propagating the first panic like
+//!   a scoped spawn; besides `fold_ordered`, only the batch scheduler's
+//!   dependency-driven queue, which is not a fold, calls it directly.
 //! - [`worker_count`] — the one thread-count heuristic (request → env
-//!   override → hardware default → cap clamp) that was previously
-//!   copy-pasted at every spawn site.
+//!   override → hardware default → cap clamp).
 //!
 //! # Ownership and lifecycle
 //!
@@ -65,9 +58,9 @@
 //!
 //! Nothing in this crate makes scheduling observable to results: work
 //! decomposition stays a pure function of the job at every call site, and
-//! [`OrderedMerger`] commits merges in strict index order from a single
-//! accumulator, so outputs are bit-identical for every pool size —
-//! including `n = 1`, which bypasses the pool entirely.
+//! [`fold_ordered`] commits merges in strict index order into a single
+//! accumulator, so outputs are bit-identical for every worker count —
+//! including one, which bypasses the pool entirely.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -118,48 +111,104 @@ fn resolve_default(env: Option<&str>, fallback: impl FnOnce() -> usize) -> usize
 }
 
 // ---------------------------------------------------------------------------
-// Task-queue abstraction
+// The ordered parallel fold
 // ---------------------------------------------------------------------------
 
-/// An injectable source of tasks for [`Pool::run_queue`]: anything that
-/// can hand out "the next task, if any" to concurrent workers.
+/// Runs `work(i, &mut scratch)` for every `i in 0..n` on up to `workers`
+/// workers of the global [`Pool`] and folds each result into `acc` with
+/// `merge`, **in ascending `i`**.
 ///
-/// Implementations decide the scheduling policy (an atomic counter, a
-/// blocking dependency-driven FIFO, work stealing…); the pool only drains.
-/// `next` returning `None` tells the asking worker to stop — it is not
-/// required to be permanent for *other* workers, which lets blocking
-/// queues wake workers selectively.
-pub trait TaskQueue: Sync {
-    /// The task type handed to workers.
-    type Task;
-    /// Claims the next task, or `None` when this worker should exit.
-    fn next(&self) -> Option<Self::Task>;
-}
-
-/// The simplest [`TaskQueue`]: hands out `0..len` exactly once, in claim
-/// order. This is the classic atomic-counter claim loop shared by the
-/// plan-building and fragment-correction sites.
-pub struct CounterQueue {
-    next: AtomicUsize,
-    len: usize,
-}
-
-impl CounterQueue {
-    /// A queue over the index range `0..len`.
-    pub fn new(len: usize) -> CounterQueue {
-        CounterQueue {
-            next: AtomicUsize::new(0),
-            len,
+/// - **Order.** Results stream through an index-ordered merger, so the
+///   float association is the sequential loop's for every worker count,
+///   and at most `workers` unmerged results are held at a time.
+/// - **Errors.** A failure at index `i` stops claims past `i`; every index
+///   below the lowest failure still runs, so the error returned is the
+///   lowest-index one on every schedule — the one the sequential loop
+///   stops at.
+/// - **Panics.** A panicking `work` resolves its claimed index before the
+///   unwind continues, so no sibling waits on the merge forever, and the
+///   panic is re-raised on the calling thread once every worker is done.
+/// - **Scratch.** `new_scratch` runs once per worker, never per index.
+///
+/// `workers <= 1` (after clamping to `n`) is a plain loop on the calling
+/// thread: no lock, no atomic, no allocation beyond the closures' own.
+///
+/// # Errors
+///
+/// The error of the lowest failing index; the partial accumulator is
+/// dropped.
+pub fn fold_ordered<T, A, S, E>(
+    workers: usize,
+    n: usize,
+    acc: A,
+    new_scratch: impl Fn() -> S + Sync,
+    work: impl Fn(usize, &mut S) -> Result<T, E> + Sync,
+    mut merge: impl FnMut(&mut A, T) + Send,
+) -> Result<A, E>
+where
+    T: Send,
+    A: Send,
+    E: Send,
+{
+    let workers = workers.min(n);
+    if workers <= 1 {
+        let mut acc = acc;
+        let mut scratch = new_scratch();
+        for i in 0..n {
+            let item = work(i, &mut scratch)?;
+            merge(&mut acc, item);
         }
+        return Ok(acc);
     }
-}
-
-impl TaskQueue for CounterQueue {
-    type Task = usize;
-
-    fn next(&self) -> Option<usize> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.len).then_some(i)
+    let next = AtomicUsize::new(0);
+    // Lowest failing index so far. Indices above it are not run, indices
+    // at or below it always are, so it only tightens toward the true
+    // minimum. (A bare "failed" flag would let a worker skip an index
+    // below the failure it observed.) `Relaxed` suffices for it and for
+    // `next`: neither publishes data — errors travel under the mutex,
+    // items through the merger — and every value the floor ever holds is
+    // a failing index, so a stale read only skips indices above a failure.
+    let fail_floor = AtomicUsize::new(usize::MAX);
+    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let merger = OrderedMerger::new(workers, acc, merge);
+    Pool::global().run(workers, |_| {
+        let mut scratch = new_scratch();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            if i > fail_floor.load(Ordering::Relaxed) {
+                // Claims are monotone, so every later one lies past the
+                // floor too; the claimed index must still be resolved or
+                // the merge could not drain past it.
+                merger.skip(i as u64);
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| work(i, &mut scratch))) {
+                Ok(Ok(item)) => merger.submit(i as u64, item),
+                Ok(Err(e)) => {
+                    fail_floor.fetch_min(i, Ordering::Relaxed);
+                    {
+                        let mut slot = lock_or_recover(&first_error);
+                        if slot.as_ref().is_none_or(|&(j, _)| i < j) {
+                            *slot = Some((i, e));
+                        }
+                    }
+                    merger.skip(i as u64);
+                    break;
+                }
+                Err(payload) => {
+                    fail_floor.fetch_min(i, Ordering::Relaxed);
+                    merger.skip(i as u64);
+                    resume_unwind(payload);
+                }
+            }
+        }
+    });
+    match into_inner_or_recover(first_error) {
+        Some((_, e)) => Err(e),
+        None => Ok(merger.finish()),
     }
 }
 
@@ -390,21 +439,6 @@ impl Pool {
         }
     }
 
-    /// Drains `queue` with `workers` concurrent workers, calling
-    /// `handler(worker_index, task)` for every task — [`Pool::run`] with
-    /// the claim loop factored behind the [`TaskQueue`] abstraction.
-    pub fn run_queue<Q, F>(&self, workers: usize, queue: &Q, handler: F)
-    where
-        Q: TaskQueue,
-        F: Fn(usize, Q::Task) + Sync,
-    {
-        self.run(workers, |w| {
-            while let Some(task) = queue.next() {
-                handler(w, task);
-            }
-        });
-    }
-
     fn spawn_worker(&self) {
         let shared = Arc::clone(&self.shared);
         let id = self.shared.spawned_total.fetch_add(1, Ordering::Relaxed);
@@ -478,15 +512,15 @@ fn worker_loop(shared: Arc<Shared>) {
 // Streaming ordered merge
 // ---------------------------------------------------------------------------
 
-/// A streaming, strictly index-ordered reduction shared by concurrent
-/// producers.
+/// The streaming, strictly index-ordered reduction behind
+/// [`fold_ordered`].
 ///
 /// Workers call [`submit`](OrderedMerger::submit) with `(index, item)` as
-/// chunks finish (in any order) or [`skip`](OrderedMerger::skip) for
-/// indices that produced nothing (failed or fault-skipped chunks — every
+/// items finish (in any order) or [`skip`](OrderedMerger::skip) for
+/// indices that produced nothing (failed or skipped items — every
 /// *claimed* index must be accounted for exactly once). A single central
 /// accumulator applies `merge(acc, item)` **in ascending index order**, so
-/// float association is identical to a sequential loop that merged chunk
+/// float association is identical to a sequential loop that merged the
 /// results one by one — that is the bit-identity guarantee.
 ///
 /// At most `window` indices are in flight: a submit for an index at or
@@ -496,7 +530,7 @@ fn worker_loop(shared: Arc<Shared>) {
 /// long as claimed indices are each resolved by their claimant: the
 /// holder of the smallest unresolved index is never blocked, and its
 /// submission advances the head.
-pub struct OrderedMerger<T, A, F: FnMut(&mut A, T)> {
+struct OrderedMerger<T, A, F: FnMut(&mut A, T)> {
     inner: Mutex<MergeState<T, A, F>>,
     space: Condvar,
 }
@@ -515,7 +549,7 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
     /// A merger over `acc` with the given in-flight `window` (clamped to
     /// at least 1; pass the worker count — any window yields identical
     /// results, it only bounds retention).
-    pub fn new(window: usize, acc: A, merge: F) -> OrderedMerger<T, A, F> {
+    fn new(window: usize, acc: A, merge: F) -> OrderedMerger<T, A, F> {
         let window = window.max(1) as u64;
         let mut slots = Vec::with_capacity(window as usize);
         slots.resize_with(window as usize, || None);
@@ -533,12 +567,12 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
 
     /// Submits the item for `index`, blocking while the index is more
     /// than `window` ahead of the merge head.
-    pub fn submit(&self, index: u64, item: T) {
+    fn submit(&self, index: u64, item: T) {
         self.place(index, Some(item));
     }
 
-    /// Resolves `index` with no item (failed / fault-skipped chunk).
-    pub fn skip(&self, index: u64) {
+    /// Resolves `index` with no item (a failed or skipped index).
+    fn skip(&self, index: u64) {
         self.place(index, None);
     }
 
@@ -583,7 +617,7 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
     /// Consumes the merger and returns the accumulator. Unresolved slots
     /// past the head are discarded (the error paths return before using
     /// the accumulator).
-    pub fn finish(self) -> A {
+    fn finish(self) -> A {
         into_inner_or_recover(self.inner).acc
     }
 }
@@ -591,7 +625,8 @@ impl<T, A, F: FnMut(&mut A, T)> OrderedMerger<T, A, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn worker_count_resolution() {
@@ -687,16 +722,142 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 6);
     }
 
+    /// Sums `i` for every index, as a fold that cannot fail.
+    fn index_sum(workers: usize, n: usize) -> usize {
+        fold_ordered(
+            workers,
+            n,
+            0,
+            || (),
+            |i, _| Ok::<_, ()>(i),
+            |acc, i| *acc += i,
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn counter_queue_hands_out_each_index_once() {
-        let pool = Pool::new();
-        let queue = CounterQueue::new(100);
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_queue(4, &queue, |_w, i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(queue.next(), None);
+    fn fold_ordered_merges_in_index_order() {
+        let n = 48;
+        for workers in [1usize, 2, 8] {
+            let order = fold_ordered(
+                workers,
+                n,
+                Vec::new(),
+                || (),
+                |i, _| {
+                    // Later indices often finish first.
+                    let micros = ((n - i) * 37 % 11) as u64 * 150;
+                    std::thread::sleep(std::time::Duration::from_micros(micros));
+                    Ok::<_, ()>(i)
+                },
+                |acc: &mut Vec<usize>, i| acc.push(i),
+            )
+            .unwrap();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn fold_ordered_reports_the_lowest_failing_index() {
+        for workers in [1usize, 2, 8] {
+            let high_failed = AtomicBool::new(false);
+            let result = fold_ordered(
+                workers,
+                64,
+                (),
+                || (),
+                |i, _| match i {
+                    2 => {
+                        // With eight workers index 5 is in the merge
+                        // window while 2 runs: let it fail first.
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while workers == 8
+                            && !high_failed.load(Ordering::Acquire)
+                            && Instant::now() < deadline
+                        {
+                            std::thread::yield_now();
+                        }
+                        Err(i)
+                    }
+                    5 => {
+                        high_failed.store(true, Ordering::Release);
+                        Err(i)
+                    }
+                    _ => Ok(()),
+                },
+                |_, ()| {},
+            );
+            assert_eq!(result, Err(2), "{workers} workers");
+            assert_eq!(
+                high_failed.load(Ordering::Acquire),
+                workers == 8,
+                "{workers} workers: index 5 runs only if a worker reached it"
+            );
+        }
+    }
+
+    #[test]
+    fn fold_ordered_reraises_panics_and_keeps_working() {
+        for workers in [1usize, 2, 8] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                fold_ordered(
+                    workers,
+                    32,
+                    (),
+                    || (),
+                    |i, _| {
+                        assert_ne!(i, 5, "boom");
+                        Ok::<_, ()>(())
+                    },
+                    |_, ()| {},
+                )
+            }));
+            assert!(result.is_err(), "{workers} workers: panic swallowed");
+            assert_eq!(index_sum(workers, 32), 31 * 32 / 2);
+        }
+    }
+
+    #[test]
+    fn fold_ordered_of_nothing_is_the_initial_accumulator() {
+        for workers in [1usize, 2, 8] {
+            let acc = fold_ordered(
+                workers,
+                0,
+                vec![7],
+                || (),
+                |_, _| Err::<(), _>("never called"),
+                |_: &mut Vec<i32>, ()| {},
+            );
+            assert_eq!(acc, Ok(vec![7]));
+        }
+    }
+
+    #[test]
+    fn fold_ordered_builds_at_most_one_scratch_per_worker() {
+        for workers in [1usize, 2, 8] {
+            let built = AtomicUsize::new(0);
+            let sum = fold_ordered(
+                workers,
+                100,
+                0,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |i, seen: &mut Vec<usize>| {
+                    seen.push(i);
+                    Ok::<_, ()>(i)
+                },
+                |acc, i| *acc += i,
+            )
+            .unwrap();
+            assert_eq!(sum, 99 * 100 / 2);
+            let built = built.load(Ordering::Relaxed);
+            assert!(
+                (1..=workers).contains(&built),
+                "{workers} workers built {built} scratches"
+            );
+        }
     }
 
     #[test]
