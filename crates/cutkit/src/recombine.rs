@@ -64,11 +64,17 @@
 //! [`Reconstructor::joint`]'s outer product addresses outcomes by dense
 //! mixed-radix ids over fragment entry indices: partial terms carry
 //! `(id, weight)` pairs instead of cloned bitstrings, per-chunk
-//! accumulators are flat id-indexed vectors, and chunk merges are vector
-//! adds. Bitstrings are decoded from ids exactly once, into the final
-//! [`Distribution`] (itself keyed by interned ids — see
-//! `metrics::intern`). Output stays bit-identical to ordered-map
-//! accumulation because every read path emits in sorted key order.
+//! accumulators are flat id-indexed vectors allocated by the chunk's first
+//! contracted assignment, and the first such chunk is moved into the
+//! result rather than added onto zeros; later chunks merge as vector adds.
+//! Each outcome is then built once: its id is decoded into a flat row of
+//! key words (the OR of one per-fragment row, each scattered once per
+//! query), all rows are sorted once in `Bits` order, and the
+//! [`Distribution`] is built over the sorted keys with
+//! `Distribution::from_sorted_distinct` — interned once, never compared,
+//! and read in that order without another sort. Output stays bit-identical
+//! to ordered-map accumulation: the same sums in the same order, emitted in
+//! sorted key order.
 
 use crate::tensor::FragmentTensor;
 use faultkit::{Fault, Stage, Supervisor};
@@ -673,10 +679,10 @@ impl<'a> Reconstructor<'a> {
     /// pairs — integer multiply-adds only — per-chunk accumulators are
     /// flat `Vec<f64>`s indexed by id, and chunk merges are id-indexed
     /// vector adds rather than ordered-map re-insertions. Ids are decoded
-    /// back into bitstrings exactly once, when the final accumulator is
-    /// converted into a [`Distribution`] (which emits in sorted key order,
-    /// keeping the result bit-identical to the former `BTreeMap`-keyed
-    /// accumulation for any thread count).
+    /// back into key words exactly once, sorted once, and handed to the
+    /// [`Distribution`] in that order (see the module docs), keeping the
+    /// result bit-identical to the former `BTreeMap`-keyed accumulation for
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -711,23 +717,28 @@ impl<'a> Reconstructor<'a> {
         &self,
         max_support: usize,
     ) -> Result<(Distribution, SweepStats), Fault> {
-        let support: usize = self
+        // Saturating: a product past `usize::MAX` must fail the limit
+        // check, not wrap under it.
+        let support = self
             .tensors
             .iter()
             .map(|t| t.support_len().max(1))
-            .product();
+            .fold(1usize, |a, b| a.saturating_mul(b));
         assert!(
             support <= max_support,
             "joint support {support} exceeds limit {max_support}"
         );
-        // Fragments with observed outcomes, with their entry tables in
-        // key order (the id digit of fragment `f` is the position of its
-        // entry in this table).
+        let nw = self.n_qubits.div_ceil(64);
+        // Fragments with observed outcomes, with their entries in key
+        // order (the id digit of fragment `f` is the position of its entry
+        // in this order). `rows` holds each entry's key scattered into the
+        // global word layout, `nw` words per entry: fragments own disjoint
+        // circuit outputs, so a joint key is the OR of one row per fragment.
         struct FragView<'t> {
             tensor_index: usize,
             support: usize,
-            entries: Vec<(&'t Bits, &'t [f64])>,
-            plan: &'t IndexPlan,
+            coeffs: Vec<&'t [f64]>,
+            rows: Vec<u64>,
         }
         // Scatter plans come shared from the session plan when available
         // (`with_output_plans`), else are built for this query.
@@ -745,38 +756,52 @@ impl<'a> Reconstructor<'a> {
             .iter()
             .enumerate()
             .filter(|(_, t)| t.support_len() > 0)
-            .map(|(fi, t)| FragView {
-                tensor_index: fi,
-                support: t.support_len(),
-                entries: t.iter().collect(),
-                plan: &plans[fi],
+            .map(|(fi, t)| {
+                // Every entry writes the same positions, so one scratch
+                // key serves the whole fragment.
+                let mut global = Bits::zeros(self.n_qubits);
+                let mut rows = Vec::with_capacity(t.support_len() * nw);
+                let coeffs = t
+                    .iter()
+                    .map(|(b, coeffs)| {
+                        plans[fi].scatter_into(b, &mut global);
+                        rows.extend_from_slice(global.as_words());
+                        coeffs
+                    })
+                    .collect();
+                FragView {
+                    tensor_index: fi,
+                    support: t.support_len(),
+                    coeffs,
+                    rows,
+                }
             })
             .collect();
-        // Per-chunk accumulator: dense id-indexed weights, a touched-id
+        // Per-chunk accumulator: dense id-indexed weights and a touched-id
         // bitset (a key whose weights cancel to exactly zero must still
         // appear in the output, as it did under ordered-map accumulation),
-        // and outer-product scratch dropped by `finish` before retention.
+        // both allocated by the chunk's first `body` call — so a chunk the
+        // constant mask skips allocates nothing — and outer-product scratch
+        // dropped by `finish` before the merge.
         struct JointAcc {
             weights: Vec<f64>,
             touched: Vec<u64>,
             partial: Vec<(usize, f64)>,
             next: Vec<(usize, f64)>,
         }
-        // The streaming ordered merge retains at most a merge-window's
-        // worth of chunk accumulators (window = worker count), not all
-        // `num_chunks` of them — so the old 64 MiB retention budget, and
-        // the sequential fallback it forced on large supports, are gone:
-        // every support size runs parallel. Merge order is still strict
-        // chunk order, so results stay bit-identical for any thread count.
         let (acc, stats) = self.run_contraction(
             || JointAcc {
-                weights: vec![0.0; support],
-                touched: vec![0u64; support.div_ceil(64)],
+                weights: Vec::new(),
+                touched: Vec::new(),
                 partial: Vec::new(),
                 next: Vec::new(),
             },
             |_, _| {},
             |acc, indices| {
+                if acc.weights.is_empty() {
+                    acc.weights = vec![0.0; support];
+                    acc.touched = vec![0u64; support.div_ceil(64)];
+                }
                 // Outer product of the fragments' b-slices, propagating
                 // mixed-radix outcome ids.
                 acc.partial.clear();
@@ -785,7 +810,7 @@ impl<'a> Reconstructor<'a> {
                     let idx = indices[view.tensor_index];
                     acc.next.clear();
                     acc.next.reserve(acc.partial.len() * view.support);
-                    for (j, &(_, coeffs)) in view.entries.iter().enumerate() {
+                    for (j, coeffs) in view.coeffs.iter().enumerate() {
                         let v = coeffs[idx];
                         if v == 0.0 {
                             continue;
@@ -809,34 +834,80 @@ impl<'a> Reconstructor<'a> {
                 acc.next = Vec::new();
             },
             |acc, chunk| {
-                // Id-indexed vector add. Untouched ids hold exactly +0.0,
-                // so the blanket add is a bitwise no-op for them.
-                for (a, c) in acc.weights.iter_mut().zip(&chunk.weights) {
-                    *a += c;
-                }
-                for (a, c) in acc.touched.iter_mut().zip(&chunk.touched) {
-                    *a |= c;
+                if acc.weights.is_empty() {
+                    // The first chunk that ran a body is moved in, not
+                    // added onto zeros: its sums started from +0.0, so they
+                    // are never −0.0 and `0.0 + w` would be `w` bit for bit.
+                    acc.weights = chunk.weights;
+                    acc.touched = chunk.touched;
+                } else if !chunk.weights.is_empty() {
+                    // Id-indexed vector add. Untouched ids hold exactly
+                    // +0.0, so the blanket add is a bitwise no-op for them.
+                    for (a, c) in acc.weights.iter_mut().zip(&chunk.weights) {
+                        *a += c;
+                    }
+                    for (a, c) in acc.touched.iter_mut().zip(&chunk.touched) {
+                        *a |= c;
+                    }
                 }
             },
         )?;
-        // Decode touched ids back into global bitstrings, once.
-        let mut dist = Distribution::with_support_capacity(
-            self.n_qubits,
-            acc.touched.iter().map(|w| w.count_ones() as usize).sum(),
-        );
-        for (id, &w) in acc.weights.iter().enumerate() {
-            if (acc.touched[id >> 6] >> (id & 63)) & 1 == 0 {
-                continue;
+        // Decode every touched id, in id order, into one flat row of `nw`
+        // key words beside its weight. A row is the OR of one
+        // pre-scattered row per fragment: the single-entry fragments' rows
+        // are the same for every id and start it, the others are picked by
+        // the id's mixed-radix digits. The dense accumulator is freed
+        // before any `Bits` key is built.
+        let JointAcc {
+            weights, touched, ..
+        } = acc;
+        let mut base = vec![0u64; nw];
+        for view in views.iter().filter(|v| v.support == 1) {
+            for (b, r) in base.iter_mut().zip(&view.rows) {
+                *b |= r;
             }
-            let mut global = Bits::zeros(self.n_qubits);
-            let mut rem = id;
-            for view in views.iter().rev() {
-                let j = rem % view.support;
-                rem /= view.support;
-                view.plan.scatter_into(view.entries[j].0, &mut global);
-            }
-            dist.add(global, w);
         }
+        let digits: Vec<&FragView<'_>> = views.iter().rev().filter(|v| v.support > 1).collect();
+        let count: usize = touched.iter().map(|w| w.count_ones() as usize).sum();
+        let mut keys: Vec<u64> = Vec::with_capacity(count * nw);
+        let mut unsorted: Vec<f64> = Vec::with_capacity(count);
+        for (wi, &word) in touched.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let id = wi * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let at = keys.len();
+                keys.extend_from_slice(&base);
+                let mut rem = id;
+                for view in &digits {
+                    let j = rem % view.support;
+                    rem /= view.support;
+                    for (k, r) in keys[at..].iter_mut().zip(&view.rows[j * nw..]) {
+                        *k |= r;
+                    }
+                }
+                unsorted.push(weights[id]);
+            }
+        }
+        drop((weights, touched));
+        // One sort in `Bits` order: every key has `n_qubits` bits, so that
+        // is the rows' lexicographic order from word 0. Word 0 leads the
+        // sort key and the full row breaks its ties; keys are distinct, so
+        // an unstable sort is deterministic.
+        let row = |i: usize| &keys[i * nw..(i + 1) * nw];
+        let mut order: Vec<(u64, usize)> = (0..count)
+            .map(|i| (row(i).first().copied().unwrap_or(0), i))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| row(a.1).cmp(row(b.1))));
+        let mut sorted = Vec::with_capacity(count);
+        let mut probs = Vec::with_capacity(count);
+        for &(_, i) in &order {
+            let mut b = Bits::zeros(self.n_qubits);
+            b.copy_from_words(row(i));
+            sorted.push(b);
+            probs.push(unsorted[i]);
+        }
+        let dist = Distribution::from_sorted_distinct(self.n_qubits, sorted, probs);
         Ok((dist, stats))
     }
 
@@ -1412,10 +1483,59 @@ mod tests {
         }
     }
 
+    /// `synthetic_dense_chain(k, 1)` with Pauli slices `zeroed` of the
+    /// last fragment set to zero. For `k ≥ 7` that fragment's only cut is
+    /// cut `k − 1`, whose digit is constant within every 4^6 chunk, so
+    /// zeroing slice `d` masks each chunk with that digit whole.
+    fn masked_chain(k: usize, zeroed: &[usize]) -> (Vec<FragmentTensor>, usize) {
+        let (mut tensors, n) = synthetic_dense_chain(k, 1);
+        let last = tensors.len() - 1;
+        let entries: Vec<(Bits, Vec<f64>)> = tensors[last]
+            .iter()
+            .map(|(b, v)| {
+                let mut v = v.to_vec();
+                for &d in zeroed {
+                    v[d] = 0.0;
+                }
+                (b.clone(), v)
+            })
+            .collect();
+        tensors[last] = FragmentTensor::from_dense_entries(
+            tensors[last].input_cuts().to_vec(),
+            tensors[last].output_cuts().to_vec(),
+            tensors[last].output_globals().to_vec(),
+            entries,
+        );
+        (tensors, n)
+    }
+
+    /// Sampled tensors of a cut `circuit` — keys as wide as the circuit.
+    fn reconstruct_sampled(c: &Circuit, shots: usize) -> (Vec<FragmentTensor>, usize, usize) {
+        let cut = cut_circuit(c, CutStrategy::default()).unwrap();
+        let eval = EvalOptions {
+            mode: EvalMode::Sampled { shots },
+            ..Default::default()
+        };
+        let seeds: Vec<u64> = (0..cut.fragments.len() as u64).map(|i| 500 + i).collect();
+        let tensors = crate::tensor::evaluate_fragment_tensors(
+            &cut.fragments,
+            &eval,
+            &TensorOptions::default(),
+            &seeds,
+            1,
+        )
+        .unwrap();
+        (tensors, cut.num_cuts, cut.original_qubits)
+    }
+
     /// The interned-id joint engine is bit-identical — same support, same
     /// emission order, same float bits — to the pre-change ordered-map
-    /// implementation, at 1, 2, and 8 threads, on real cut circuits and a
-    /// multi-chunk synthetic chain.
+    /// implementation, at 1, 2, and 8 threads: on real cut circuits, on
+    /// sampled 72- and 130-qubit circuits whose keys span two and three
+    /// words, on keys that tie in their first word, and on a multi-chunk
+    /// synthetic chain as is, with its first
+    /// chunk masked (the first non-empty chunk is moved in after an empty
+    /// merge) and with every chunk masked (an empty joint).
     #[test]
     fn joint_matches_btreemap_reference_bit_exact() {
         let mut a = Circuit::new(3);
@@ -1427,8 +1547,33 @@ mod tests {
             let (tensors, k, n) = reconstruct_exact(&c);
             cases.push((label.to_string(), tensors, k, n));
         }
+        for (label, w) in [
+            ("hwea(72,5,1,2)", workloads::hwea(72, 5, 1, 2)),
+            ("hwea(130,2,2,5)", workloads::hwea(130, 2, 2, 5)),
+        ] {
+            let (tensors, k, n) = reconstruct_sampled(&w.circuit, 300);
+            assert!(n > 64 && tensors.iter().any(|t| t.support_len() > 1));
+            cases.push((label.to_string(), tensors, k, n));
+        }
+        // Two cut-free fragments, one in word 0 and one across words 1–2:
+        // every first word repeats, so the order rests on the later words.
+        let corner = |globals: Vec<usize>, scale: f64| {
+            let entries = (0..4u64)
+                .map(|e| (Bits::from_u64(e, 2), vec![scale * (e + 1) as f64]))
+                .collect();
+            FragmentTensor::from_dense_entries(vec![], vec![], globals, entries)
+        };
+        let ties = vec![corner(vec![0, 63], 0.1), corner(vec![64, 129], 0.01)];
+        cases.push(("word-0 ties".to_string(), ties, 0, 130));
         let (chain, n) = synthetic_dense_chain(7, 1);
         cases.push(("chain-k7".to_string(), chain, 7, n));
+        let (head_masked, n) = masked_chain(7, &[0]);
+        cases.push(("chain-k7-head-masked".to_string(), head_masked, 7, n));
+        let (all_masked, n) = masked_chain(7, &[0, 1, 2, 3]);
+        assert!(Reconstructor::new(&all_masked, 7, n)
+            .joint(10_000_000)
+            .is_empty());
+        cases.push(("chain-k7-all-masked".to_string(), all_masked, 7, n));
         for (label, tensors, k, n) in &cases {
             for sparse in [true, false] {
                 let expect = reference_joint_btreemap(tensors, *k, *n, sparse);
@@ -1547,25 +1692,10 @@ mod tests {
     #[test]
     fn chunk_constant_mask_prefilter_prunes_whole_chunks() {
         let k = 8;
-        let (mut tensors, n) = synthetic_dense_chain(k, 1);
-        // Zero Pauli index 2 of the last fragment (input cut 7 — constant
-        // within every 4^6 chunk), so digit(cut 7) = 2 kills 1/4 of the
-        // range, one whole chunk at a time.
-        let last = tensors.len() - 1;
-        let zeroed: Vec<(Bits, Vec<f64>)> = tensors[last]
-            .iter()
-            .map(|(b, v)| {
-                let mut v = v.to_vec();
-                v[2] = 0.0;
-                (b.clone(), v)
-            })
-            .collect();
-        tensors[last] = FragmentTensor::from_dense_entries(
-            tensors[last].input_cuts().to_vec(),
-            tensors[last].output_cuts().to_vec(),
-            tensors[last].output_globals().to_vec(),
-            zeroed,
-        );
+        // Zero Pauli index 2 of the last fragment (input cut 7), so
+        // digit(cut 7) = 2 kills 1/4 of the range, one whole chunk at a
+        // time.
+        let (tensors, n) = masked_chain(k, &[2]);
         let sparse = Reconstructor::new(&tensors, k, n);
         let dense = Reconstructor::new(&tensors, k, n).with_sparse(false);
         let visited_dense = dense.visited_assignments();
@@ -1682,6 +1812,29 @@ mod tests {
         let dist = r.joint(1000);
         assert!((dist.prob(&Bits::parse("00").unwrap()) - 0.5).abs() < 1e-12);
         assert!((dist.prob(&Bits::parse("11").unwrap()) - 0.5).abs() < 1e-12);
+    }
+
+    /// Five cut-free fragments of 2^13 outcomes each: the support product
+    /// 2^65 overflows `usize`. It wraps to 0 unless the product
+    /// saturates, so the limit check must still refuse it, in debug and
+    /// release builds alike.
+    #[test]
+    #[should_panic(expected = "exceeds limit")]
+    fn joint_support_product_past_usize_is_refused() {
+        let tensors: Vec<FragmentTensor> = (0..5)
+            .map(|f| {
+                let entries = (0..1u64 << 13)
+                    .map(|e| (Bits::from_u64(e, 13), vec![1.0]))
+                    .collect();
+                FragmentTensor::from_dense_entries(
+                    vec![],
+                    vec![],
+                    (13 * f..13 * (f + 1)).collect(),
+                    entries,
+                )
+            })
+            .collect();
+        let _ = Reconstructor::new(&tensors, 0, 65).try_joint(2_000_000);
     }
 
     /// A nonzero budget skips real mass, the realized `skipped_bound`

@@ -61,6 +61,32 @@ impl InternPool {
         pool
     }
 
+    /// A pool over `keys`, which must be pairwise distinct: key `i` gets
+    /// id `i`. Each key is hashed once into a table sized for the whole
+    /// set, with no equality probing (distinctness is debug-asserted).
+    pub(crate) fn from_distinct(keys: Vec<Bits>) -> Self {
+        let mut pool = InternPool {
+            keys,
+            table: Vec::new(),
+        };
+        if !pool.keys.is_empty() {
+            pool.rebuild_table(Self::table_len_for(pool.keys.len()));
+        }
+        debug_assert!(
+            pool.keys
+                .iter()
+                .enumerate()
+                .all(|(id, k)| pool.get(k) == Some(id as u32)),
+            "from_distinct keys repeat"
+        );
+        pool
+    }
+
+    /// The keys, indexed by id, without copying them.
+    pub(crate) fn into_keys(self) -> Vec<Bits> {
+        self.keys
+    }
+
     /// Number of distinct keys interned so far.
     #[inline]
     pub fn len(&self) -> usize {

@@ -70,16 +70,6 @@ impl Distribution {
         }
     }
 
-    /// Creates an empty distribution sized for roughly `support` outcomes.
-    pub fn with_support_capacity(n_bits: usize, support: usize) -> Self {
-        Distribution {
-            n_bits,
-            pool: InternPool::with_capacity(support),
-            probs: Vec::with_capacity(support),
-            order: OnceLock::new(),
-        }
-    }
-
     /// Builds an empirical distribution from measurement samples.
     ///
     /// # Panics
@@ -109,6 +99,34 @@ impl Distribution {
             d.add(b, p);
         }
         d
+    }
+
+    /// Builds a distribution from outcomes already in strictly ascending
+    /// key order (so pairwise distinct), with `probs[i]` the probability
+    /// of `keys[i]`. The keys are moved, not copied, hashed once and never
+    /// compared, and the read order is known without a sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or an outcome width differs from
+    /// `n_bits`; the ordering is debug-asserted.
+    pub fn from_sorted_distinct(n_bits: usize, keys: Vec<Bits>, probs: Vec<f64>) -> Self {
+        assert_eq!(keys.len(), probs.len(), "one probability per outcome");
+        assert!(
+            keys.iter().all(|k| k.len() == n_bits),
+            "outcome width mismatch"
+        );
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "outcomes not strictly ascending"
+        );
+        let order = OnceLock::from((0..keys.len() as u32).collect::<Vec<u32>>());
+        Distribution {
+            n_bits,
+            pool: InternPool::from_distinct(keys),
+            probs,
+            order,
+        }
     }
 
     /// Number of bits per outcome.
@@ -200,29 +218,49 @@ impl Distribution {
     /// negative quasi-probabilities; this is the standard repair. Outcomes
     /// left with zero probability are dropped from the support.
     pub fn clip_and_normalize(&mut self) {
-        // Rebuild the pool over the surviving (positive) outcomes; the
-        // mass is summed in lexicographic order, matching the ordered-map
-        // semantics this type originally had bit for bit.
-        let order: Vec<u32> = self.order().to_vec();
-        let mut pool = InternPool::with_capacity(self.probs.len());
-        let mut probs = Vec::with_capacity(self.probs.len());
+        // Compact the surviving (positive) outcomes in place, in
+        // lexicographic order, and rebuild over them; the mass is summed
+        // in that order, matching the ordered-map semantics this type
+        // originally had bit for bit.
+        let n_bits = self.n_bits;
+        let (mut keys, mut probs) = std::mem::take(self).into_sorted();
+        let mut kept = 0;
         let mut mass = 0.0;
-        for id in order {
-            let p = self.probs[id as usize];
+        for i in 0..keys.len() {
+            let p = probs[i];
             if p > 0.0 {
-                pool.intern(self.pool.key(id));
-                probs.push(p);
+                keys.swap(kept, i);
+                probs[kept] = p;
+                kept += 1;
                 mass += p;
             }
         }
+        keys.truncate(kept);
+        probs.truncate(kept);
         if mass > 0.0 {
             for p in &mut probs {
                 *p /= mass;
             }
         }
-        self.pool = pool;
-        self.probs = probs;
-        self.order = OnceLock::new();
+        *self = Distribution::from_sorted_distinct(n_bits, keys, probs);
+    }
+
+    /// The outcomes and their probabilities in lexicographic order, moved
+    /// out without copying a key — and without permuting when the ids are
+    /// in that order already, as [`Distribution::from_sorted_distinct`]
+    /// leaves them.
+    fn into_sorted(mut self) -> (Vec<Bits>, Vec<f64>) {
+        let order = self.order.take().unwrap_or_else(|| self.pool.sorted_ids());
+        let mut all = self.pool.into_keys();
+        if order.iter().enumerate().all(|(i, &id)| id as usize == i) {
+            return (all, self.probs);
+        }
+        let keys = order
+            .iter()
+            .map(|&id| std::mem::replace(&mut all[id as usize], Bits::zeros(0)))
+            .collect();
+        let probs = order.iter().map(|&id| self.probs[id as usize]).collect();
+        (keys, probs)
     }
 
     /// The `[p(bit=0), p(bit=1)]` marginal of one bit position.
@@ -644,6 +682,72 @@ mod tests {
             d.clip_and_normalize();
             model.clip_and_normalize();
             check(&d, &model, "normalized");
+        }
+    }
+
+    /// `from_sorted_distinct` and the moving `clip_and_normalize` against
+    /// the ordered-map reference: random unsorted adds with repeated keys,
+    /// negative values, exact zeros, all-non-positive and empty inputs, and
+    /// a second clip. Iteration order and probability bits must match,
+    /// `prob()` must still find every outcome, and the read order must come
+    /// from the constructor instead of a sort.
+    #[test]
+    fn sorted_constructor_and_moving_clip_match_btreemap_reference() {
+        let n_bits = 70; // two-word keys
+        let mut rng = StdRng::seed_from_u64(77);
+        let key = |rng: &mut StdRng| {
+            let mut b = Bits::zeros(n_bits);
+            for i in [0usize, 1, 2, 63, 64, 69] {
+                b.set(i, rng.random::<bool>());
+            }
+            b
+        };
+        let order_is_identity = |d: &Distribution| {
+            d.order
+                .get()
+                .is_some_and(|o| o.iter().enumerate().all(|(i, &id)| id as usize == i))
+        };
+        let check = |d: &Distribution, model: &reference::Model, stage: &str| {
+            assert!(order_is_identity(d), "{stage}: read order was re-sorted");
+            assert_eq!(d.support_len(), model.probs.len(), "{stage}: support");
+            for ((db, dp), (mb, &mp)) in d.iter().zip(model.probs.iter()) {
+                assert_eq!(db, mb, "{stage}: iteration order");
+                assert_eq!(dp.to_bits(), mp.to_bits(), "{stage}: value at {db}");
+                assert_eq!(d.prob(mb).to_bits(), mp.to_bits(), "{stage}: prob({mb})");
+            }
+        };
+        for case in 0..120 {
+            let mut d = Distribution::new(n_bits);
+            let mut model = reference::Model::default();
+            let ops = if case == 0 {
+                0
+            } else {
+                rng.random::<u64>() % 40
+            };
+            for _ in 0..ops {
+                let b = key(&mut rng);
+                let w = match (case % 3, rng.random::<u64>() % 4) {
+                    (0, _) => -rng.random::<f64>(), // all non-positive
+                    (_, 0) => 0.0,
+                    (_, 1) => -0.0,
+                    _ => rng.random::<f64>() - 0.3,
+                };
+                d.add(b.clone(), w);
+                model.add(b, w);
+            }
+            let (keys, probs): (Vec<Bits>, Vec<f64>) =
+                model.probs.iter().map(|(b, &p)| (b.clone(), p)).unzip();
+            let sorted = Distribution::from_sorted_distinct(n_bits, keys, probs);
+            check(&sorted, &model, "from_sorted_distinct");
+            for pass in ["first clip", "second clip"] {
+                d.clip_and_normalize();
+                model.clip_and_normalize();
+                check(&d, &model, pass);
+                let absent = key(&mut rng);
+                if !model.probs.contains_key(&absent) {
+                    assert_eq!(d.prob(&absent), 0.0, "{pass}: absent outcome");
+                }
+            }
         }
     }
 

@@ -485,20 +485,61 @@ pub fn pauli_mul_phase_words(x1: &[u64], z1: &[u64], x2: &mut [u64], z2: &mut [u
     ((ones + 2 * twos) % 4) as u8
 }
 
-/// Precomputed word/shift tables for repeated [`Bits::extract`] /
-/// [`Bits::scatter_into`] over a fixed index list.
+/// A precompiled index list for repeated [`Bits::extract`] /
+/// [`Bits::scatter_into`] over the same positions.
 ///
 /// The cutting pipeline extracts the same index lists (a fragment's
 /// circuit-output positions, its global qubit positions) once per sampled
-/// outcome and once per cut assignment; a plan hoists the per-index
-/// division/mask arithmetic and the bounds checks out of those hot loops.
+/// outcome and once per fragment entry; a plan hoists the bounds checks
+/// and the index arithmetic out of those hot loops.
+///
+/// The list is stored as maximal [`Run`]s: stretches where consecutive
+/// plan positions map to consecutive domain positions, each at most 64
+/// bits long. A run moves as one masked, funnel-shifted word, so a
+/// contiguous index list costs one word operation per 64 bits instead of
+/// one per bit; a permuted list degrades to one-bit runs. When both the
+/// domain and the plan fit in one word, [`IndexPlan::extract_into`] is a
+/// branch-free shift-and-mask per run.
 #[derive(Clone, Debug)]
 pub struct IndexPlan {
     domain_len: usize,
-    /// Word index of each position in the domain-side bitstring.
-    word: Vec<u32>,
-    /// Bit shift of each position within its word.
-    shift: Vec<u8>,
+    len: usize,
+    runs: Vec<Run>,
+}
+
+/// `mask.count_ones()` consecutive plan positions starting at bit `pos`
+/// that map to consecutive domain positions starting at bit `dom`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    /// The low `len` bits set (`1 ≤ len ≤ 64`).
+    mask: u64,
+    dom: u32,
+    pos: u32,
+    len: u32,
+}
+
+/// The `len` bits of `words` starting at bit `at` (a funnel shift across
+/// at most two words), masked by `mask`.
+#[inline]
+fn read_run(words: &[u64], at: usize, len: u32, mask: u64) -> u64 {
+    let (w, s) = (at >> 6, (at & 63) as u32);
+    let mut v = words[w] >> s;
+    if s + len > 64 {
+        v |= words[w + 1] << (64 - s);
+    }
+    v & mask
+}
+
+/// Overwrites the `len` bits of `words` starting at bit `at` with `v`
+/// (already masked by `mask`), leaving every other bit untouched.
+#[inline]
+fn write_run(words: &mut [u64], at: usize, len: u32, mask: u64, v: u64) {
+    let (w, s) = (at >> 6, (at & 63) as u32);
+    words[w] = (words[w] & !(mask << s)) | (v << s);
+    if s + len > 64 {
+        let spill = 64 - s;
+        words[w + 1] = (words[w + 1] & !(mask >> spill)) | (v >> spill);
+    }
 }
 
 impl IndexPlan {
@@ -508,33 +549,42 @@ impl IndexPlan {
     ///
     /// Panics if any index is out of range.
     pub fn new(indices: &[usize], domain_len: usize) -> Self {
-        let mut word = Vec::with_capacity(indices.len());
-        let mut shift = Vec::with_capacity(indices.len());
-        for &i in indices {
+        let mut runs: Vec<Run> = Vec::new();
+        for (k, &i) in indices.iter().enumerate() {
             assert!(i < domain_len, "bit index {i} out of range {domain_len}");
-            word.push((i >> 6) as u32);
-            shift.push((i & 63) as u8);
+            match runs.last_mut() {
+                Some(r) if r.len < 64 && r.dom as usize + r.len as usize == i => {
+                    r.len += 1;
+                    r.mask = (r.mask << 1) | 1;
+                }
+                _ => runs.push(Run {
+                    mask: 1,
+                    dom: i as u32,
+                    pos: k as u32,
+                    len: 1,
+                }),
+            }
         }
         IndexPlan {
             domain_len,
-            word,
-            shift,
+            len: indices.len(),
+            runs,
         }
     }
 
     /// Number of planned indices.
     #[inline]
     pub fn len(&self) -> usize {
-        self.word.len()
+        self.len
     }
 
     /// Returns `true` when the plan covers no indices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.word.is_empty()
+        self.len == 0
     }
 
-    /// Equivalent of `src.extract(indices)` using the precomputed tables.
+    /// Equivalent of `src.extract(indices)` using the precomputed runs.
     ///
     /// # Panics
     ///
@@ -556,40 +606,48 @@ impl IndexPlan {
     /// Panics if `src.len()` differs from the plan's domain length.
     pub fn extract_into(&self, src: &Bits, out: &mut Bits) {
         assert_eq!(src.len, self.domain_len, "domain length mismatch");
-        let n = self.len();
-        out.len = n;
-        out.words.resize(n.div_ceil(64), 0);
-        let mut acc = 0u64;
-        let mut w = 0;
-        for k in 0..n {
-            let bit = (src.words[self.word[k] as usize] >> self.shift[k]) & 1;
-            acc |= bit << (k & 63);
-            if k & 63 == 63 {
-                out.words[w] = acc;
-                acc = 0;
-                w += 1;
-            }
+        out.len = self.len;
+        out.words.clear();
+        if self.len == 0 {
+            return;
         }
-        if n & 63 != 0 {
-            out.words[w] = acc;
+        if self.domain_len <= 64 && self.len <= 64 {
+            // Both sides are one word, so no run crosses a word boundary.
+            let w = src.words[0];
+            let mut acc = 0u64;
+            for r in &self.runs {
+                acc |= ((w >> r.dom) & r.mask) << r.pos;
+            }
+            out.words.push(acc);
+            return;
+        }
+        // Plan positions are distinct, so each run writes bits no other
+        // run touches and the zeroed words need no per-run clearing.
+        out.words.resize(self.len.div_ceil(64), 0);
+        for r in &self.runs {
+            let v = read_run(&src.words, r.dom as usize, r.len, r.mask);
+            let (w, s) = (r.pos as usize >> 6, r.pos & 63);
+            out.words[w] |= v << s;
+            if s + r.len > 64 {
+                out.words[w + 1] |= v >> (64 - s);
+            }
         }
     }
 
     /// Equivalent of `src.scatter_into(indices, target)` using the
-    /// precomputed tables.
+    /// precomputed runs. Runs apply in plan order, so a repeated index
+    /// keeps the last write, as in the per-bit loop.
     ///
     /// # Panics
     ///
     /// Panics if `src.len()` differs from the plan length or `target.len()`
     /// from the plan's domain length.
     pub fn scatter_into(&self, src: &Bits, target: &mut Bits) {
-        assert_eq!(src.len, self.len(), "source length mismatch");
+        assert_eq!(src.len, self.len, "source length mismatch");
         assert_eq!(target.len, self.domain_len, "domain length mismatch");
-        for k in 0..self.len() {
-            let bit = (src.words[k >> 6] >> (k & 63)) & 1;
-            let m = 1u64 << self.shift[k];
-            let w = &mut target.words[self.word[k] as usize];
-            *w = (*w & !m) | (bit << self.shift[k]);
+        for r in &self.runs {
+            let v = read_run(&src.words, r.pos as usize, r.len, r.mask);
+            write_run(&mut target.words, r.dom as usize, r.len, r.mask, v);
         }
     }
 }
@@ -806,6 +864,80 @@ mod tests {
         plan.scatter_into(&small, &mut a);
         small.scatter_into(&indices, &mut b);
         assert_eq!(a, b);
+    }
+
+    /// Random index lists mixing ascending runs longer than 64 bits, runs
+    /// across bits 63/64 and 127/128, descending, permuted and repeated
+    /// indices, over domains of 1 to 300 bits: the plan's runs must match
+    /// the per-bit reference on extract (into a scratch that held a longer
+    /// string before) and on scatter (where the last write of a repeated
+    /// index wins).
+    #[test]
+    fn index_plan_runs_match_per_bit_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut domains = vec![1usize, 2, 63, 64, 65, 127, 128, 129, 200, 300];
+        domains.extend((0..40).map(|_| 1 + next(300)));
+        let mut scratch = Bits::zeros(0);
+        for (case, &domain) in domains.iter().enumerate() {
+            for list in 0..8 {
+                let mut indices: Vec<usize> = Vec::new();
+                if list == 0 {
+                    indices.extend(0..domain);
+                }
+                for _ in 0..1 + next(6) {
+                    match next(5) {
+                        0 => {
+                            let start = next(domain);
+                            let end = (start + 1 + next(150)).min(domain);
+                            indices.extend(start..end);
+                        }
+                        1 => {
+                            let edge = [64usize, 128][next(2)];
+                            if edge < domain {
+                                let lo = edge - 1 - next(8);
+                                let hi = (edge + 1 + next(70)).min(domain);
+                                indices.extend(lo..hi);
+                            }
+                        }
+                        2 => {
+                            let top = next(domain);
+                            let bottom = top.saturating_sub(1 + next(20));
+                            indices.extend((bottom..=top).rev());
+                        }
+                        3 => indices.extend((0..1 + next(10)).map(|_| next(domain))),
+                        _ => {
+                            for _ in 0..next(5) {
+                                if !indices.is_empty() {
+                                    indices.push(indices[next(indices.len())]);
+                                }
+                            }
+                        }
+                    }
+                }
+                let plan = IndexPlan::new(&indices, domain);
+                assert_eq!(plan.len(), indices.len());
+                let src = patterned(domain, (case * 8 + list) as u64);
+                if list % 2 == 1 {
+                    scratch = Bits::from_bools(&[true; 320]);
+                }
+                plan.extract_into(&src, &mut scratch);
+                let want = reference::extract(&src, &indices);
+                assert_eq!(scratch, want, "extract domain {domain} indices {indices:?}");
+                assert_eq!(plan.extract(&src), want);
+                let small = patterned(indices.len(), 31 + list as u64);
+                let mut a = patterned(domain, 77 + case as u64);
+                let mut b = a.clone();
+                plan.scatter_into(&small, &mut a);
+                reference::scatter_into(&small, &indices, &mut b);
+                assert_eq!(a, b, "scatter domain {domain} indices {indices:?}");
+            }
+        }
     }
 
     #[test]
