@@ -20,24 +20,20 @@
 //!    execution takes its own [`ExecParams`] (seed, shot budget), so
 //!    parameterized sweeps ([`Executor::run_sweep`]) cut **once** and
 //!    execute many times — the CAFQA/VQE and fragment-tomography shape.
-//! 3. **Batch** ([`SuperSim::run_batch`]): many circuits flatten into
-//!    one worker pool spanning all circuits *and* all stages. Work is a
-//!    dependency-driven task queue of fixed (circuit × fragment ×
-//!    variant) evaluation chunks, per-fragment MLFT corrections, and
-//!    per-circuit recombinations: a circuit advances to its next stage
-//!    the moment its own last task lands, so there are no per-circuit
-//!    stage barriers and one slow circuit cannot serialize the batch.
+//! 3. **Batch** ([`SuperSim::run_batch`]): a fold over jobs. Each circuit
+//!    is one job — evaluation, MLFT, recombination, in that order — and
+//!    the jobs run side by side on one persistent worker pool, so one slow
+//!    circuit holds up only itself.
 //!
-//! # Cross-circuit threading model
+//! # Threading model
 //!
-//! One pool, sized by [`SuperSimConfig::threads`], serves everything.
-//! A single run is a one-job batch: its evaluation chunks and MLFT
-//! fragments spread over the pool, and its recombination contracts on the
-//! configured thread count. Batches and sweeps parallelize across
-//! circuits (a batch recombination contracts on the pool's share per
-//! unfinished job — recombination is bit-identical for any thread count,
-//! so this is purely a scheduling choice). **Determinism:** for a
-//! given seed, every path — sequential, parallel, batched — produces
+//! One pool, sized by [`SuperSimConfig::threads`] (`W` workers), serves
+//! everything, and every parallel loop is the same ordered fold
+//! ([`runtime::fold_ordered`]). A batch of `n` jobs folds over its jobs on
+//! `min(W, n)` workers, and each job's evaluation chunks, MLFT fragments
+//! and contraction chunks fold on `max(1, W / n)` workers nested inside.
+//! A single run is a one-job batch and keeps all `W`. **Determinism:** for
+//! a given seed, every path — sequential, parallel, batched — produces
 //! bit-identical results at every thread count, and batch/sweep output is
 //! bit-identical to independent sequential [`SuperSim::run`] calls; work
 //! decompositions are fixed and float folds happen in (circuit, fragment,
@@ -85,7 +81,7 @@
 //! # Resilience: retry, degrade, salvage
 //!
 //! [`SuperSim::run_batch_resilient`] and [`Executor::run_sweep_resilient`]
-//! wrap the batch scheduler in a [`ResiliencePolicy`] — the policy layer a
+//! wrap the batch driver in a [`ResiliencePolicy`] — the policy layer a
 //! cutting-as-a-service front-end needs over unreliable workers:
 //!
 //! * **Retry** ([`RetryPolicy`]): transient failures are re-enqueued with

@@ -4,10 +4,9 @@
 //! An [`Executor`] owns no state beyond a reference to the configuration;
 //! every run replays a prebuilt plan with a choice of [`ExecParams`]
 //! (seed + shot budget). [`Executor::run_sweep`] executes many parameter
-//! points against **one** plan on one shared worker pool (see the
-//! [`batch`](super::batch) scheduler) — the plan is built once, the cutter
-//! never re-runs, and points proceed through the pipeline stages
-//! independently.
+//! points against **one** plan as one fold over jobs (see
+//! [`batch`](super::batch)) — the plan is built once, the cutter never
+//! re-runs, and points proceed through the pipeline stages independently.
 
 use super::batch::{execute_jobs, BatchJob};
 use super::plan::CutPlan;
@@ -139,9 +138,8 @@ pub struct RunReport {
     /// report the plan's one-time build cost here, so a sweep's points all
     /// show the same (amortized) value.
     pub cut_time: Duration,
-    /// Wall time of fragment evaluation (all variants, including the MLFT
-    /// correction). On the batch scheduler this is wall-clock time during
-    /// which other circuits' work shares the pool.
+    /// Wall time of the job's own fragment evaluation and MLFT correction
+    /// (all variants). In a batch, other jobs may share the pool meanwhile.
     pub eval_time: Duration,
     /// Wall time of recombination.
     pub recombine_time: Duration,
@@ -247,8 +245,8 @@ pub struct RunResult {
     tensors: Vec<FragmentTensor>,
     num_cuts: usize,
     n_qubits: usize,
-    /// Contraction pool size for follow-up queries (1 = sequential,
-    /// 0 = one worker per core), mirroring the config this run used.
+    /// Contraction pool size for follow-up queries (1 = sequential): the
+    /// resolved worker count of the config this run used.
     threads: usize,
     /// Resolved recombination error budget of this run, reapplied to
     /// follow-up queries ([`RunResult::probability_of`],
@@ -357,12 +355,12 @@ impl<'c> Executor<'c> {
 
     /// [`Executor::run`] with explicit per-run parameters.
     ///
-    /// Runs as a single-job batch on the shared scheduler, so single runs
-    /// get the full supervision layer — panic isolation, deadlines,
-    /// cancellation, admission control, fault injection — with the same
-    /// task decomposition a batch uses (results are bit-identical either
-    /// way; see the [`batch`](super::batch) module docs). Single-run
-    /// errors are **not** wrapped in [`SuperSimError::Job`].
+    /// Runs as a single-job batch, so single runs get the full supervision
+    /// layer — panic isolation, deadlines, cancellation, admission
+    /// control, fault injection — through the same drivers a batch uses
+    /// (results are bit-identical either way; see the
+    /// [`batch`](super::batch) module docs). Single-run errors are **not**
+    /// wrapped in [`SuperSimError::Job`].
     ///
     /// # Errors
     ///
@@ -385,10 +383,8 @@ impl<'c> Executor<'c> {
     /// Executes one plan across many parameter points — the sweep shape of
     /// CAFQA/VQE and fragment tomography: cut once, execute many times.
     ///
-    /// All (point × fragment × variant) work items share **one** worker
-    /// pool spanning every point and every pipeline stage (evaluation,
-    /// MLFT, recombination), so a slow point cannot serialize the sweep
-    /// behind a stage barrier. Each point's output is **bit-identical** to
+    /// The points are the jobs of one fold over jobs on one worker pool,
+    /// each running evaluation, MLFT and recombination in order. Each point's output is **bit-identical** to
     /// an independent [`SuperSim::run`](crate::SuperSim::run) with that
     /// point's seed and shot budget, for every thread count: per-point RNG
     /// streams are derived exactly as single runs derive them, and every
@@ -398,8 +394,8 @@ impl<'c> Executor<'c> {
     ///
     /// Identical to [`SuperSim::run_batch`](crate::SuperSim::run_batch):
     /// failures stay per-point and are wrapped in [`SuperSimError::Job`]
-    /// (point index + circuit fingerprint); panics are isolated at task
-    /// boundaries ([`SuperSimError::Panicked`]); per-point and
+    /// (point index + circuit fingerprint); panics are isolated per point
+    /// ([`SuperSimError::Panicked`]); per-point and
     /// batch-wide deadlines, the cancel token, and admission control
     /// apply per point; surviving points stay bit-identical to
     /// independent runs on every schedule.
@@ -448,24 +444,14 @@ impl<'c> Executor<'c> {
     }
 }
 
-/// Worker-pool size shared by fragment evaluation, MLFT correction, and
-/// the batch scheduler: 1 when [`SuperSimConfig::parallel`] is off,
+/// Worker-pool size `W` that a batch splits between its fold over jobs
+/// and each job's folds: 1 when [`SuperSimConfig::parallel`] is off,
 /// otherwise the configured thread count resolved by
 /// [`runtime::worker_count`] (`0` = the auto count: `SUPERSIM_TEST_THREADS`
 /// when set, hardware parallelism otherwise).
 pub(crate) fn worker_threads(config: &SuperSimConfig) -> usize {
     if config.parallel {
         runtime::worker_count(config.threads, usize::MAX)
-    } else {
-        1
-    }
-}
-
-/// Contraction pool size recorded on results (and used by `run`'s own
-/// recombination): 1 sequential, 0 = all cores.
-pub(crate) fn contraction_pool(config: &SuperSimConfig) -> usize {
-    if config.parallel {
-        config.threads
     } else {
         1
     }
@@ -522,14 +508,12 @@ pub(crate) fn base_seeds(seed: u64, fragments: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The recombination stage + result assembly, shared by the single-run
-/// path and the batch scheduler's finish task. `recombine_threads` is a
-/// scheduling choice only — recombination is bit-identical for any thread
-/// count — so the batch scheduler contracts with one thread per finish
-/// task (its parallelism comes from running many circuits at once) while
-/// single runs use the configured pool. The job's supervisor is checked
-/// once per contraction chunk; an interrupt or injected error surfaces as
-/// the typed pipeline error with the job's elapsed time.
+/// The recombination stage + result assembly, the last step of every job.
+/// `recombine_threads` is a scheduling choice only — recombination is
+/// bit-identical for any thread count — and is the job's share of the
+/// batch's workers. The job's supervisor is checked once per contraction
+/// chunk; an interrupt or injected error surfaces as the typed pipeline
+/// error with the job's elapsed time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_run(
     config: &SuperSimConfig,
@@ -592,7 +576,7 @@ pub(crate) fn finish_run(
         tensors,
         num_cuts: plan.cut.num_cuts,
         n_qubits: plan.cut.original_qubits,
-        threads: contraction_pool(config),
+        threads: worker_threads(config),
         error_budget,
     })
 }

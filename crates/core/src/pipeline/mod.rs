@@ -10,13 +10,11 @@
 //! * [`execute`] — [`Executor`]: evaluate → MLFT → recombine against a
 //!   plan, with per-run [`ExecParams`] (seed, shot budget) and
 //!   [`Executor::run_sweep`] for parameter sweeps over one plan;
-//! * [`batch`] — the shared worker pool behind [`SuperSim::run_batch`]
-//!   and [`Executor::run_sweep`]: all (circuit × fragment × variant) work
-//!   items and all pipeline stages drain through one dependency-driven
-//!   task queue, so there are no per-circuit stage barriers and one slow
-//!   circuit cannot serialize a batch;
+//! * [`batch`] — the fold over jobs behind [`SuperSim::run_batch`],
+//!   [`Executor::run_sweep`] and [`Executor::run_with`]: admission, the
+//!   per-job supervisors, and each job's evaluate → MLFT → recombine;
 //! * [`resilience`] — the service-hardening layer over the batch
-//!   scheduler behind [`SuperSim::run_batch_resilient`] and
+//!   driver behind [`SuperSim::run_batch_resilient`] and
 //!   [`Executor::run_sweep_resilient`]: deterministic retries with seeded
 //!   backoff ([`RetryPolicy`]), partial-batch salvage and failed-only
 //!   resume ([`BatchOutcome`]), load-shedding degradation along an
@@ -32,18 +30,13 @@
 //! [`SuperSimConfig::threads`] (`0` = one worker per available core);
 //! without it every stage runs on the calling thread.
 //!
-//! * **Batches and sweeps** flatten all circuits' work into one pool
-//!   spanning every stage: evaluation chunks of all circuits interleave
-//!   freely; a circuit moves to MLFT the moment its own last chunk lands,
-//!   and to recombination the moment its last fragment is corrected.
-//!   Cross-circuit parallelism replaces intra-stage parallelism (a batch
-//!   recombination contracts on the pool's share per unfinished job),
-//!   which keeps the pool busy without nesting pools.
-//! * **Single runs** are one-job batches on the same scheduler: their
-//!   evaluation chunks and MLFT fragments are the pool's tasks, and their
-//!   recombination contracts the `4^k` assignment range in fixed-size
-//!   chunks on the configured thread count
-//!   ([`cutkit::Reconstructor::with_threads`]).
+//! * **Batches and sweeps** of `n` jobs on `W` workers are an ordered
+//!   fold over the jobs on `min(W, n)` workers ([`runtime::fold_ordered`]);
+//!   each job's evaluation chunks, MLFT fragments and contraction chunks
+//!   fold on `max(1, W / n)` workers nested inside it.
+//! * **Single runs** are one-job batches, so their three stages fold on
+//!   all `W` workers. The contraction splits the `4^k` assignment range
+//!   into fixed-size chunks ([`cutkit::Reconstructor::with_threads`]).
 //!
 //! **Determinism-in-seed guarantee:** every path produces bit-identical
 //! results for a given seed regardless of thread count, and batch/sweep
@@ -73,7 +66,7 @@ pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 use cache::PlanCache;
 
 use cutkit::{CutError, CutStrategy, EvalError, MlftError};
-use faultkit::{CancelToken, Fault, FaultPlan, Interrupt, Stage, Supervisor};
+use faultkit::{CancelToken, Fault, FaultPlan, Interrupt, Stage, Supervisor, TaskPanic};
 use qcir::Circuit;
 use std::fmt;
 use std::sync::Arc;
@@ -563,6 +556,37 @@ pub(crate) fn fault_error(stage: Stage, fault: Fault, supervisor: &Supervisor) -
     }
 }
 
+/// The pipeline error of a failed evaluation: a supervision fault becomes
+/// the typed fault error, a panicking chunk [`SuperSimError::Panicked`]
+/// naming it.
+pub(crate) fn eval_error(e: EvalError, supervisor: &Supervisor) -> SuperSimError {
+    match e {
+        EvalError::Interrupted(i) => fault_error(Stage::Eval, Fault::Interrupted(i), supervisor),
+        EvalError::Injected(site) => fault_error(Stage::Eval, Fault::Injected(site), supervisor),
+        EvalError::Panicked(p) => task_panicked(Stage::Eval, p),
+        e => SuperSimError::Eval(e),
+    }
+}
+
+/// The pipeline error of a failed MLFT correction, mapped like
+/// [`eval_error`].
+pub(crate) fn mlft_error(e: MlftError, supervisor: &Supervisor) -> SuperSimError {
+    match e {
+        MlftError::Interrupted(i) => fault_error(Stage::Mlft, Fault::Interrupted(i), supervisor),
+        MlftError::Injected(site) => fault_error(Stage::Mlft, Fault::Injected(site), supervisor),
+        MlftError::Panicked(p) => task_panicked(Stage::Mlft, p),
+        e => SuperSimError::Mlft(e),
+    }
+}
+
+fn task_panicked(stage: Stage, p: TaskPanic) -> SuperSimError {
+    SuperSimError::Panicked {
+        stage,
+        task: Some(p.task),
+        payload: p.payload,
+    }
+}
+
 impl From<CutError> for SuperSimError {
     fn from(e: CutError) -> Self {
         SuperSimError::Cut(e)
@@ -628,7 +652,7 @@ impl SuperSim {
     pub fn stats(&self) -> RunStats {
         RunStats {
             plan_cache: self.plan_cache.stats(),
-            pool: runtime::Pool::global().stats(),
+            pool: runtime::pool_stats(),
         }
     }
 
@@ -685,9 +709,8 @@ impl SuperSim {
         Ok(result)
     }
 
-    /// Runs the full pipeline on a batch of circuits, flattening all
-    /// (circuit × fragment × variant) work items into **one** worker pool
-    /// spanning every circuit and every pipeline stage (see the module
+    /// Runs the full pipeline on a batch of circuits: one job per circuit,
+    /// the jobs folded side by side on one worker pool (see the module
     /// docs).
     ///
     /// # Failure semantics
@@ -697,9 +720,9 @@ impl SuperSim {
     /// unwrap with [`SuperSimError::root`]):
     ///
     /// * **Panic isolation** — a panic inside any of a job's tasks
-    ///   (evaluation chunk, MLFT fragment, recombination) is caught at
-    ///   the task boundary and becomes that job's
-    ///   [`SuperSimError::Panicked`]; the pool, the other jobs, and their
+    ///   (evaluation chunk, MLFT fragment, recombination) is caught and
+    ///   becomes that job's [`SuperSimError::Panicked`], naming the lowest
+    ///   panicking chunk or fragment; the pool, the other jobs, and their
     ///   bit-identity to sequential runs all survive.
     /// * **Deadlines and cancellation** — per-job
     ///   ([`SuperSimConfig::job_deadline`], [`ExecParams::deadline`]) and
@@ -709,7 +732,7 @@ impl SuperSim {
     ///   [`SuperSimError::DeadlineExceeded`] /
     ///   [`SuperSimError::Cancelled`] with the job's elapsed wall time.
     /// * **Admission control** — each job's [`PlanCost`] is judged
-    ///   against [`SuperSimConfig::admission`] before enqueuing:
+    ///   against [`SuperSimConfig::admission`] before any job runs:
     ///   rejected jobs report [`SuperSimError::Rejected`] without
     ///   running; sequentialized jobs run alone (full pool) after the
     ///   pooled phase.
@@ -736,7 +759,7 @@ impl SuperSim {
     ///
     /// Retried and salvaged results are **bit-identical** to a clean
     /// single-pass run at every thread count (the driver re-submits jobs
-    /// through the same scheduler, and outputs depend only on per-job
+    /// through the same fold over jobs, and outputs depend only on per-job
     /// seeds); degraded results are bit-identical to a run executed
     /// directly at the escalated budget. Breaker evolution, attempt
     /// accounting, and backoff schedules are pure functions of

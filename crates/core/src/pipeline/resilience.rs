@@ -1,4 +1,4 @@
-//! Resilience policies over the batch scheduler: deterministic retries,
+//! Resilience policies over the batch driver: deterministic retries,
 //! partial-batch salvage/resume, load-shedding degradation, and a per-plan
 //! circuit breaker.
 //!
@@ -710,7 +710,14 @@ pub(crate) fn run_batch_resilient(
                 Ok(plan) => new_slot(Some(plan), cache_hit, params, i, fingerprint, None),
                 // Planning failures are permanent and were never enqueued:
                 // finalized immediately, 0 attempts consumed.
-                Err(e) => new_slot(None, cache_hit, params, i, fingerprint, Some(e)),
+                Err(e) => new_slot(
+                    None,
+                    cache_hit,
+                    params,
+                    i,
+                    fingerprint,
+                    Some(SuperSimError::Cut(e)),
+                ),
             }
         })
         .collect();

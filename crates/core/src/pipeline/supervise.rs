@@ -1,6 +1,6 @@
 //! The supervision layer: admission control for batch jobs.
 //!
-//! Admission control runs **before** a job is enqueued: the scheduler
+//! Admission control runs **before** any job of a batch: the batch driver
 //! derives a [`PlanCost`] from the job's [`CutPlan`] (cuts, variants,
 //! `4^k` sweep size, dense-accumulator bytes — all structural, no
 //! execution needed) and asks the configured [`AdmissionPolicy`] for a
@@ -15,8 +15,9 @@
 //!
 //! The other half of supervision — panic isolation, deadlines,
 //! cancellation, and fault injection — lives in the `faultkit` crate
-//! ([`Supervisor`](faultkit::Supervisor)) and is threaded through the
-//! stage kernels by the batch scheduler; see the failure-semantics notes
+//! ([`Supervisor`](faultkit::Supervisor)) and is threaded into cutkit's
+//! evaluation, MLFT and contraction drivers by the batch driver; see the
+//! failure-semantics notes
 //! on [`SuperSim::run_batch`](crate::SuperSim::run_batch).
 
 use crate::pipeline::plan::PlanCost;

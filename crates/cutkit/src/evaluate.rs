@@ -25,7 +25,7 @@
 
 use crate::cut::Fragment;
 use crate::variants::{variant_circuit, Variant};
-use faultkit::{Interrupt, Supervisor};
+use faultkit::{Fault, Interrupt, Supervisor, TaskPanic};
 use qcir::Bits;
 use rand::Rng;
 use std::fmt;
@@ -48,11 +48,11 @@ pub struct EvalOptions {
     /// Evaluation mode.
     pub mode: EvalMode,
     /// Supervision context, consulted once per evaluation chunk
-    /// ([`crate::evaluate_planned_chunk`]): cooperative cancellation and
+    /// ([`crate::evaluate_fragment_tensors`]): cooperative cancellation and
     /// deadlines surface as [`EvalError::Interrupted`], scheduled fault
-    /// injections as [`EvalError::Injected`] (or a deliberate panic). The
-    /// default (unsupervised) context passes every checkpoint and adds no
-    /// measurable overhead.
+    /// injections as [`EvalError::Injected`] (or a deliberate panic, which
+    /// becomes [`EvalError::Panicked`]). The default (unsupervised) context
+    /// passes every checkpoint and adds no measurable overhead.
     pub supervisor: Supervisor,
 }
 
@@ -96,6 +96,9 @@ pub enum EvalError {
     /// A scheduled fault-injection error fired at this evaluation site
     /// (chaos testing — see [`faultkit::FaultPlan`]).
     Injected(String),
+    /// An evaluation chunk panicked; the panic was caught at the chunk
+    /// boundary and names the chunk.
+    Panicked(TaskPanic),
 }
 
 impl fmt::Display for EvalError {
@@ -118,11 +121,29 @@ impl fmt::Display for EvalError {
             EvalError::NonClifford(e) => write!(f, "fragment flagged Clifford: {e}"),
             EvalError::Interrupted(i) => write!(f, "evaluation interrupted: {i}"),
             EvalError::Injected(site) => write!(f, "injected evaluation fault at {site}"),
+            EvalError::Panicked(p) => {
+                write!(f, "evaluation chunk {} panicked: {}", p.task, p.payload)
+            }
         }
     }
 }
 
 impl std::error::Error for EvalError {}
+
+impl From<Fault> for EvalError {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Interrupted(i) => EvalError::Interrupted(i),
+            Fault::Injected(site) => EvalError::Injected(site),
+        }
+    }
+}
+
+impl From<TaskPanic> for EvalError {
+    fn from(p: TaskPanic) -> Self {
+        EvalError::Panicked(p)
+    }
+}
 
 /// Reusable per-worker evaluation scratch for [`evaluate_variant_into`]:
 /// the outcome tally (and its hash table), the row that sampling and

@@ -55,7 +55,6 @@ pub use recombine::reference_joint_btreemap;
 pub use recombine::{Reconstructor, SweepStats, ASSIGNMENTS_PER_CHUNK, MAX_CONTRACTION_CUTS};
 pub use tensor::{
     build_fragment_tensor, evaluate_fragment_tensors, evaluate_fragment_tensors_planned,
-    evaluate_planned_chunk, merge_planned_chunks, planned_num_chunks, synthetic_dense_chain,
-    EvalChunk, FragmentEvalPlan, FragmentTensor, TensorOptions, PREP_TO_PAULI,
+    synthetic_dense_chain, FragmentEvalPlan, FragmentTensor, TensorOptions, PREP_TO_PAULI,
 };
 pub use variants::{enumerate_variants, variant_circuit, MeasBasis, PrepState, Variant};

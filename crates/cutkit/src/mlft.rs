@@ -56,6 +56,7 @@
 //! the eigensolver are the few heavy ones of small-support fragments.
 
 use crate::tensor::FragmentTensor;
+use faultkit::{Fault, Interrupt, Stage, Supervisor, TaskPanic};
 use qcir::{Bits, Pauli};
 use qmath::{psd_project_with_trace, CMat, C64};
 use std::fmt;
@@ -70,7 +71,7 @@ const MASS_TOLERANCE: f64 = 1e-12;
 const SCREEN_MARGIN: f64 = 1e-9;
 
 /// Errors from the MLFT correction.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MlftError {
     /// The fragment's total identity-Pauli mass `Σ_b T[b, I…I]` vanished,
     /// so the trace-preservation rescale is undefined. An uncorrected,
@@ -87,6 +88,16 @@ pub enum MlftError {
     /// data and every sum downstream of it would be NaN, so the fragment
     /// is rejected instead of normalized.
     NonFinite,
+    /// A supervision checkpoint stopped the correction before a fragment
+    /// (cooperative cancellation or a deadline — see
+    /// [`MlftOptions::supervisor`]).
+    Interrupted(Interrupt),
+    /// A scheduled fault-injection error fired at a fragment's checkpoint
+    /// (chaos testing — see [`faultkit::FaultPlan`]).
+    Injected(String),
+    /// Correcting a fragment panicked; the panic was caught at the
+    /// fragment boundary and names the fragment.
+    Panicked(TaskPanic),
 }
 
 impl fmt::Display for MlftError {
@@ -101,14 +112,34 @@ impl fmt::Display for MlftError {
                 f,
                 "MLFT correction undefined: the fragment tensor holds a non-finite coefficient"
             ),
+            MlftError::Interrupted(i) => write!(f, "MLFT correction interrupted: {i}"),
+            MlftError::Injected(site) => write!(f, "injected MLFT fault at {site}"),
+            MlftError::Panicked(p) => {
+                write!(f, "MLFT fragment {} panicked: {}", p.task, p.payload)
+            }
         }
     }
 }
 
 impl std::error::Error for MlftError {}
 
+impl From<Fault> for MlftError {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Interrupted(i) => MlftError::Interrupted(i),
+            Fault::Injected(site) => MlftError::Injected(site),
+        }
+    }
+}
+
+impl From<TaskPanic> for MlftError {
+    fn from(p: TaskPanic) -> Self {
+        MlftError::Panicked(p)
+    }
+}
+
 /// Options for the MLFT correction.
-#[derive(Copy, Clone, Debug)]
+#[derive(Clone, Debug)]
 pub struct MlftOptions {
     /// Skip the PSD projection for fragments with more than this many cut
     /// ends (the Choi matrix is `2^(qi+qo)` dimensional).
@@ -120,6 +151,12 @@ pub struct MlftOptions {
     /// so the correction acts as a guard against seriously unphysical
     /// models rather than a blanket filter.
     pub negativity_tolerance: f64,
+    /// Supervision context, consulted by [`correct_tensors`] before each
+    /// fragment: cancellation and deadlines surface as
+    /// [`MlftError::Interrupted`], scheduled fault injections as
+    /// [`MlftError::Injected`] (or a deliberate panic, which becomes
+    /// [`MlftError::Panicked`]). The default context is unsupervised.
+    pub supervisor: Supervisor,
 }
 
 impl Default for MlftOptions {
@@ -127,6 +164,7 @@ impl Default for MlftOptions {
         MlftOptions {
             max_cut_ends: 3,
             negativity_tolerance: 0.05,
+            supervisor: Supervisor::new(),
         }
     }
 }
@@ -287,7 +325,8 @@ pub fn correct_tensor(tensor: &mut FragmentTensor, opts: &MlftOptions) -> Result
 
 /// Applies [`correct_tensor`] to every fragment on up to `threads` worker
 /// threads (fragments are corrected independently, so the stage
-/// parallelizes the same way fragment evaluation does).
+/// parallelizes the same way fragment evaluation does). Before each
+/// fragment `i` the options' supervisor checks `(Stage::Mlft, i)`.
 ///
 /// The summed Frobenius movement folds in fragment-index order
 /// ([`runtime::fold_ordered`]), so the result is **bit-identical for any
@@ -296,7 +335,8 @@ pub fn correct_tensor(tensor: &mut FragmentTensor, opts: &MlftOptions) -> Result
 /// # Errors
 ///
 /// Returns the error of the first failing fragment in fragment-index
-/// order — the same error for any thread count. (Fragments after that
+/// order — the same error for any thread count; a fragment that panics
+/// fails with [`MlftError::Panicked`] naming it. (Fragments after that
 /// failure may or may not have been corrected by then; callers receiving
 /// an error must discard the tensors.)
 pub fn correct_tensors(
@@ -313,7 +353,12 @@ pub fn correct_tensors(
         n,
         0.0,
         || (),
-        |i, _| correct_tensor(&mut faultkit::lock_or_recover(&slots[i]), opts),
+        |i, _| {
+            faultkit::catch_task(i, || {
+                opts.supervisor.check(Stage::Mlft, i)?;
+                correct_tensor(&mut faultkit::lock_or_recover(&slots[i]), opts)
+            })
+        },
         |moved, m| *moved += m,
     )
 }
@@ -866,7 +911,7 @@ mod tests {
                 let mut block = [0.5, 0.1, 0.0, 0.2];
                 block[idx] = bad;
                 let tensor = single_output_tensor(&[[0.5, 0.0, 0.1, 0.0], block]);
-                for opts in [MlftOptions::default(), skip_psd] {
+                for opts in [MlftOptions::default(), skip_psd.clone()] {
                     let err = correct_tensor(&mut tensor.clone(), &opts).unwrap_err();
                     assert_eq!(
                         err,
@@ -896,6 +941,52 @@ mod tests {
         }
         let healthy = vec![good.clone(), good.clone(), good];
         assert_matches_reference(&healthy, &MlftOptions::default(), 2, "pool after the error");
+    }
+
+    /// Faults injected at fragments 2 and 5 — panics, errors, or one of
+    /// each — fail the correction with fragment 2's typed error at every
+    /// thread count, whichever fault fires first in time, and the workers
+    /// stay usable.
+    #[test]
+    fn faulting_fragments_report_the_lowest_index() {
+        use faultkit::{FaultKind, FaultPlan};
+        let good = single_output_tensor(&[[0.5, 0.1, 0.0, 0.2], [0.5, 0.0, 0.1, -0.2]]);
+        let template = vec![good; 7];
+        for (at2, at5) in [
+            (FaultKind::Panic, FaultKind::Panic),
+            (FaultKind::Error, FaultKind::Panic),
+            (FaultKind::Panic, FaultKind::Error),
+        ] {
+            let plan = FaultPlan::new()
+                .inject(0, Stage::Mlft, 2, at2.clone())
+                .inject(0, Stage::Mlft, 5, at5);
+            let opts = MlftOptions {
+                supervisor: Supervisor::for_job(0).with_faults(std::sync::Arc::new(plan)),
+                ..MlftOptions::default()
+            };
+            for threads in [1usize, 2, 8] {
+                let err = correct_tensors(&mut template.clone(), &opts, threads).unwrap_err();
+                let site = "job 0 stage mlft task 2";
+                match (&at2, &err) {
+                    (FaultKind::Panic, MlftError::Panicked(p)) => {
+                        assert_eq!(p.task, 2, "{threads} threads");
+                        assert!(p.payload.contains(site), "{threads} threads: {err}");
+                    }
+                    (FaultKind::Error, MlftError::Injected(message)) => {
+                        assert_eq!(message, site, "{threads} threads");
+                    }
+                    _ => panic!("{at2} at fragment 2, {threads} threads: got {err}"),
+                }
+            }
+        }
+        for threads in [1usize, 2, 8] {
+            assert_matches_reference(
+                &template,
+                &MlftOptions::default(),
+                threads,
+                &format!("pool after the faults, {threads} threads"),
+            );
+        }
     }
 
     /// The reference path surfaces the same vanishing-mass error.

@@ -31,7 +31,7 @@
 //! fragment whose variants all enumerate has an exact tensor: its vanishing
 //! Pauli slices are zero, not shot noise, so the sparse contraction prunes
 //! every assignment they kill, and the Clifford snap and MLFT have nothing
-//! to repair on it. [`EvalChunk::enumerated_variants`] counts them.
+//! to repair on it. [`FragmentTensor::enumerated_variants`] counts them.
 //!
 //! # Interned accumulation layout
 //!
@@ -60,10 +60,9 @@
 //!    holds up to [`VARIANTS_PER_CHUNK`] variants' columns, so a column set
 //!    for it is not worth its code); the first chunk to reach a fragment
 //!    is moved in, not merged. A partial is `support × dim` doubles — 1 MiB
-//!    on a 128-outcome `dim = 1024` fragment — so whoever produces chunks
-//!    merges each as soon as its predecessors are in ([`runtime::fold_ordered`]
-//!    here, [`EvalChunk::absorb`] for an outside scheduler)
-//!    instead of keeping one per chunk until the last: tens of MiB
+//!    on a 128-outcome `dim = 1024` fragment — so [`runtime::fold_ordered`]
+//!    merges each as soon as its predecessors are in, instead of keeping
+//!    one per chunk until the last: tens of MiB
 //!    allocated and released per run cost page faults by the thousand
 //!    whenever the allocator hands the memory back in between.
 //!
@@ -173,6 +172,8 @@ pub struct FragmentTensor {
     /// Lazily-computed sums over the support. Invalidated whenever a
     /// coefficient changes; derived state, rebuilt on demand.
     derived: OnceLock<Derived>,
+    /// Variants whose rows were enumerated rather than sampled.
+    enumerated: usize,
 }
 
 /// The sums over a tensor's support that the contraction reads, each a
@@ -228,6 +229,13 @@ impl FragmentTensor {
     /// Number of observed circuit-output bitstrings.
     pub fn support_len(&self) -> usize {
         self.pool.len()
+    }
+
+    /// How many of the fragment's variants contributed their exact
+    /// distribution rather than sampled frequencies (0 for a tensor built
+    /// by [`FragmentTensor::from_dense_entries`]).
+    pub fn enumerated_variants(&self) -> usize {
+        self.enumerated
     }
 
     /// Ids in lexicographic key order, computed on first use and cached
@@ -440,6 +448,7 @@ impl FragmentTensor {
             coeffs,
             order: OnceLock::new(),
             derived: OnceLock::new(),
+            enumerated: 0,
         }
     }
 }
@@ -568,6 +577,8 @@ struct TensorAccum {
     dim: usize,
     pool: InternPool,
     coeffs: Vec<f64>,
+    /// Variants folded in whose rows were enumerated.
+    enumerated: usize,
 }
 
 impl TensorAccum {
@@ -576,6 +587,7 @@ impl TensorAccum {
             dim,
             pool: InternPool::new(),
             coeffs: Vec::new(),
+            enumerated: 0,
         }
     }
 }
@@ -733,6 +745,7 @@ fn fold_variant(
 fn merge_accumulator(m: &mut TensorAccum, local: TensorAccum) {
     let dim = m.dim;
     debug_assert_eq!(dim, local.dim, "fragment dimension mismatch");
+    m.enumerated += local.enumerated;
     m.pool.reserve(local.pool.len());
     for (id, key) in local.pool.keys().iter().enumerate() {
         let src = &local.coeffs[id * dim..(id + 1) * dim];
@@ -802,6 +815,7 @@ fn finalize_fragment_tensor(
         coeffs: m.coeffs,
         order: OnceLock::new(),
         derived: OnceLock::new(),
+        enumerated: m.enumerated,
     }
 }
 
@@ -823,7 +837,9 @@ fn finalize_fragment_tensor(
 /// # Errors
 ///
 /// Propagates the [`EvalError`] of the earliest failing chunk in chunk
-/// order, on every schedule.
+/// order, on every schedule. A chunk that panics fails with
+/// [`EvalError::Panicked`] naming it, so a panic is reported the same way:
+/// the lowest panicking or failing chunk wins.
 ///
 /// # Panics
 ///
@@ -871,7 +887,7 @@ pub fn evaluate_fragment_tensors_planned(
         plans.len(),
         "one evaluation plan per fragment required"
     );
-    let num_chunks = planned_num_chunks(plans);
+    let num_chunks = num_chunks(plans);
     let maps = runtime::fold_ordered(
         runtime::worker_count(threads.max(1), num_chunks),
         num_chunks,
@@ -880,8 +896,12 @@ pub fn evaluate_fragment_tensors_planned(
             .map(|p| TensorAccum::new(p.dim))
             .collect::<Vec<_>>(),
         WorkerScratch::new,
-        |ci, scratch| evaluate_chunk_with_scratch(fragments, plans, eval, base_seeds, ci, scratch),
-        |maps, chunk| merge_planned_chunk(maps, chunk),
+        |ci, scratch| {
+            faultkit::catch_task(ci, || {
+                evaluate_chunk(fragments, plans, eval, base_seeds, ci, scratch)
+            })
+        },
+        |maps, chunk| merge_chunk(maps, chunk),
     )?;
     Ok(maps
         .into_iter()
@@ -896,97 +916,39 @@ pub fn evaluate_fragment_tensors_planned(
 /// accumulators to one per chunk instead of one per variant.
 const VARIANTS_PER_CHUNK: usize = 16;
 
-/// The accumulated result of one evaluation chunk (or, after
-/// [`EvalChunk::absorb`], of a run of consecutive chunks): per-fragment
-/// partial accumulators, folded in item order within the chunk, and how
-/// many of its variants were enumerated. Opaque — produced by
-/// [`evaluate_planned_chunk`] and consumed by [`merge_planned_chunks`].
-pub struct EvalChunk {
-    items: Vec<(usize, TensorAccum)>,
-    enumerated: usize,
-}
-
-impl EvalChunk {
-    /// Folds `next` — the chunk that follows this one in chunk order — into
-    /// this one, which then stands for the whole run of chunks up to it. A
-    /// scheduler that folds chunks as they land retains one partial per
-    /// fragment instead of one per chunk; [`merge_planned_chunks`] over the
-    /// folded chunk is bit-identical to it over the separate ones (the same
-    /// left-to-right sum per fragment, and a fragment's first partial is
-    /// moved either way).
-    pub fn absorb(&mut self, next: EvalChunk) {
-        self.enumerated += next.enumerated;
-        for (fi, m) in next.items {
-            match self.items.last_mut() {
-                Some((last, acc)) if *last == fi => merge_accumulator(acc, m),
-                _ => self.items.push((fi, m)),
-            }
-        }
-    }
-
-    /// Variants of the chunk (or of the absorbed run of chunks) whose rows
-    /// were enumerated — their exact distributions — rather than sampled.
-    pub fn enumerated_variants(&self) -> usize {
-        self.enumerated
-    }
-}
+/// One evaluation chunk's result: a partial accumulator per fragment it
+/// spans, in fragment order, each folded in variant order.
+type ChunkPartials = Vec<(usize, TensorAccum)>;
 
 /// Number of fixed-size evaluation chunks the (fragment × variant) work
 /// items of `plans` decompose into. The decomposition is a pure function
 /// of the plans (never of the worker count), which is what makes chunked
 /// execution bit-identical for any parallelism.
-pub fn planned_num_chunks(plans: &[FragmentEvalPlan]) -> usize {
+fn num_chunks(plans: &[FragmentEvalPlan]) -> usize {
     let total: usize = plans.iter().map(FragmentEvalPlan::num_variants).sum();
     total.div_ceil(VARIANTS_PER_CHUNK)
 }
 
-/// Evaluates one chunk of the fixed (fragment × variant) decomposition —
-/// the batch scheduler's unit of evaluation work. Chunks of one circuit
-/// can interleave arbitrarily with other circuits' work on a shared pool;
-/// as long as every chunk is produced and merged in chunk order
-/// ([`merge_planned_chunks`]), the result is bit-identical to
-/// [`evaluate_fragment_tensors`].
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] from fragment evaluation.
+/// Evaluates one chunk of the fixed (fragment × variant) decomposition on
+/// a worker's reusable scratch.
 ///
 /// # Panics
 ///
-/// Panics if `chunk >= planned_num_chunks(plans)` or the slice lengths
-/// disagree.
-pub fn evaluate_planned_chunk(
-    fragments: &[Fragment],
-    plans: &[FragmentEvalPlan],
-    eval: &EvalOptions,
-    base_seeds: &[u64],
-    chunk: usize,
-) -> Result<EvalChunk, EvalError> {
-    let mut scratch = WorkerScratch::new();
-    evaluate_chunk_with_scratch(fragments, plans, eval, base_seeds, chunk, &mut scratch)
-}
-
-/// [`evaluate_planned_chunk`] with a reusable worker scratch (one per
-/// worker on the pooled paths).
-fn evaluate_chunk_with_scratch(
+/// Panics if `chunk >= num_chunks(plans)` or the slice lengths disagree.
+fn evaluate_chunk(
     fragments: &[Fragment],
     plans: &[FragmentEvalPlan],
     eval: &EvalOptions,
     base_seeds: &[u64],
     chunk: usize,
     scratch: &mut WorkerScratch,
-) -> Result<EvalChunk, EvalError> {
+) -> Result<ChunkPartials, EvalError> {
     assert_eq!(fragments.len(), plans.len(), "plan count mismatch");
     assert_eq!(fragments.len(), base_seeds.len(), "seed count mismatch");
     // Supervision checkpoint, once per chunk: cancellation and deadlines
     // surface here as `Interrupted`, scheduled fault injections as
-    // `Injected` (or a deliberate panic the caller's isolation catches).
-    eval.supervisor
-        .check(faultkit::Stage::Eval, chunk)
-        .map_err(|fault| match fault {
-            faultkit::Fault::Interrupted(i) => EvalError::Interrupted(i),
-            faultkit::Fault::Injected(site) => EvalError::Injected(site),
-        })?;
+    // `Injected` (or a deliberate panic the driver turns into `Panicked`).
+    eval.supervisor.check(faultkit::Stage::Eval, chunk)?;
     let total: usize = plans.iter().map(FragmentEvalPlan::num_variants).sum();
     let start = chunk * VARIANTS_PER_CHUNK;
     assert!(start < total.max(1), "chunk {chunk} out of range");
@@ -1000,8 +962,7 @@ fn evaluate_chunk_with_scratch(
         fi += 1;
     }
 
-    let mut out: Vec<(usize, TensorAccum)> = Vec::new();
-    let mut enumerated = 0;
+    let mut out: ChunkPartials = Vec::new();
     for flat in start..end {
         while flat >= offset + plans[fi].num_variants() {
             offset += plans[fi].num_variants();
@@ -1011,7 +972,7 @@ fn evaluate_chunk_with_scratch(
             out.push((fi, TensorAccum::new(plans[fi].dim)));
         }
         let (_, m) = out.last_mut().expect("pushed above");
-        enumerated += usize::from(evaluate_item(
+        m.enumerated += usize::from(evaluate_item(
             &fragments[fi],
             &plans[fi],
             flat - offset,
@@ -1021,52 +982,22 @@ fn evaluate_chunk_with_scratch(
             m,
         )?);
     }
-    Ok(EvalChunk {
-        items: out,
-        enumerated,
-    })
+    Ok(out)
 }
 
 /// Folds one chunk's partial accumulators into the per-fragment maps. A
 /// partial that meets a fragment accumulator still empty is moved in —
 /// what copying its every row onto the empty accumulator would produce,
 /// without the re-interning.
-fn merge_planned_chunk(maps: &mut [TensorAccum], chunk: EvalChunk) {
-    for (fi, m) in chunk.items {
+fn merge_chunk(maps: &mut [TensorAccum], chunk: ChunkPartials) {
+    for (fi, mut m) in chunk {
         if maps[fi].pool.is_empty() {
+            m.enumerated += maps[fi].enumerated;
             maps[fi] = m;
         } else {
             merge_accumulator(&mut maps[fi], m);
         }
     }
-}
-
-/// Merges every chunk (which **must** arrive complete and in chunk order)
-/// and finishes the fragment tensors — the tail of the chunked evaluation
-/// pipeline, split out so a cross-circuit batch scheduler can interleave
-/// chunk production with other work and fold each circuit's chunks once
-/// its last one lands. Bit-identical to [`evaluate_fragment_tensors`] by
-/// construction: identical chunk decomposition, identical merge order.
-///
-/// # Panics
-///
-/// Panics if `plans` length differs from `fragments`.
-pub fn merge_planned_chunks(
-    fragments: &[Fragment],
-    plans: &[FragmentEvalPlan],
-    eval: &EvalOptions,
-    opts: &TensorOptions,
-    chunks: impl IntoIterator<Item = EvalChunk>,
-) -> Vec<FragmentTensor> {
-    assert_eq!(fragments.len(), plans.len(), "plan count mismatch");
-    let mut maps: Vec<TensorAccum> = plans.iter().map(|p| TensorAccum::new(p.dim)).collect();
-    for chunk in chunks {
-        merge_planned_chunk(&mut maps, chunk);
-    }
-    maps.into_iter()
-        .zip(fragments)
-        .map(|(m, fragment)| finalize_fragment_tensor(fragment, m, eval, opts))
-        .collect()
 }
 
 /// In-place contraction of one base-4 axis (identified by its stride) with
@@ -1362,7 +1293,7 @@ mod tests {
         let victim = mislabeled.iter().rposition(|f| !f.is_clifford).unwrap();
         mislabeled[victim].is_clifford = true;
         let plans: Vec<FragmentEvalPlan> = mislabeled.iter().map(FragmentEvalPlan::new).collect();
-        assert!(planned_num_chunks(&plans) >= 2, "need work for two workers");
+        assert!(num_chunks(&plans) >= 2, "need work for two workers");
 
         let eval = EvalOptions {
             mode: EvalMode::Sampled { shots: 50 },
@@ -1389,29 +1320,87 @@ mod tests {
         // drops its partial and leaves nothing pending, and the worker's
         // next job folds exactly as on a fresh scratch.
         let mut scratch = WorkerScratch::new();
-        let failed = (0..planned_num_chunks(&plans)).find_map(|ci| {
-            evaluate_chunk_with_scratch(&mislabeled, &plans, &eval, &seeds, ci, &mut scratch).err()
+        let failed = (0..num_chunks(&plans)).find_map(|ci| {
+            evaluate_chunk(&mislabeled, &plans, &eval, &seeds, ci, &mut scratch).err()
         });
         assert!(matches!(failed, Some(EvalError::NonClifford(_))));
         assert!(scratch.is_clean(), "a failed variant left partial sums");
         let honest: Vec<FragmentEvalPlan> =
             cut.fragments.iter().map(FragmentEvalPlan::new).collect();
-        let chunks: Vec<EvalChunk> = (0..planned_num_chunks(&honest))
-            .map(|ci| {
-                evaluate_chunk_with_scratch(
-                    &cut.fragments,
-                    &honest,
-                    &eval,
-                    &seeds,
-                    ci,
-                    &mut scratch,
-                )
-                .unwrap()
-            })
-            .collect();
-        let reused = merge_planned_chunks(&cut.fragments, &honest, &eval, &opts, chunks);
-        for (fi, (s, r)) in seq.iter().zip(&reused).enumerate() {
-            assert_tensors_bit_identical(s, r, &format!("fragment {fi} on the reused scratch"));
+        let mut maps: Vec<TensorAccum> = honest.iter().map(|p| TensorAccum::new(p.dim)).collect();
+        for ci in 0..num_chunks(&honest) {
+            let chunk =
+                evaluate_chunk(&cut.fragments, &honest, &eval, &seeds, ci, &mut scratch).unwrap();
+            merge_chunk(&mut maps, chunk);
+        }
+        let reused = maps
+            .into_iter()
+            .zip(&cut.fragments)
+            .map(|(m, f)| finalize_fragment_tensor(f, m, &eval, &opts));
+        for (fi, (s, r)) in seq.iter().zip(reused).enumerate() {
+            assert_tensors_bit_identical(s, &r, &format!("fragment {fi} on the reused scratch"));
+        }
+    }
+
+    /// Faults injected at evaluation chunks 2 and 5 — panics, errors, or
+    /// one of each — fail the evaluation with chunk 2's typed error at
+    /// every thread count, whichever fault fires first in time, and the
+    /// pool evaluates bit-identically afterwards.
+    #[test]
+    fn faulting_chunks_report_the_lowest_index() {
+        use faultkit::{FaultKind, FaultPlan, Stage, Supervisor};
+        let cut =
+            cut_circuit(&workloads::hwea(8, 5, 3, 1).circuit, CutStrategy::default()).unwrap();
+        let plans: Vec<FragmentEvalPlan> =
+            cut.fragments.iter().map(FragmentEvalPlan::new).collect();
+        assert!(num_chunks(&plans) > 5);
+        let seeds: Vec<u64> = (0..plans.len() as u64).map(|i| 17 + i).collect();
+        let opts = TensorOptions::default();
+        let evaluate = |eval: &EvalOptions, threads| {
+            evaluate_fragment_tensors_planned(&cut.fragments, &plans, eval, &opts, &seeds, threads)
+        };
+        for (at2, at5) in [
+            (FaultKind::Panic, FaultKind::Panic),
+            (FaultKind::Error, FaultKind::Panic),
+            (FaultKind::Panic, FaultKind::Error),
+        ] {
+            let plan = FaultPlan::new()
+                .inject(0, Stage::Eval, 2, at2.clone())
+                .inject(0, Stage::Eval, 5, at5);
+            let eval = EvalOptions {
+                mode: EvalMode::Sampled { shots: 50 },
+                supervisor: Supervisor::for_job(0).with_faults(std::sync::Arc::new(plan)),
+            };
+            for threads in [1usize, 2, 8] {
+                let site = "job 0 stage eval task 2";
+                match (&at2, evaluate(&eval, threads)) {
+                    (FaultKind::Panic, Err(EvalError::Panicked(p))) => {
+                        assert_eq!(p.task, 2, "{threads} threads");
+                        assert!(p.payload.contains(site), "{threads} threads: {}", p.payload);
+                    }
+                    (FaultKind::Error, Err(EvalError::Injected(message))) => {
+                        assert_eq!(message, site, "{threads} threads");
+                    }
+                    (_, other) => panic!(
+                        "{at2} at chunk 2, {threads} threads: got {:?}",
+                        other.map(|_| ())
+                    ),
+                }
+            }
+        }
+        let eval = EvalOptions {
+            mode: EvalMode::Sampled { shots: 50 },
+            ..Default::default()
+        };
+        let seq = evaluate(&eval, 1).unwrap();
+        for threads in [2usize, 8] {
+            for (fi, (s, p)) in seq
+                .iter()
+                .zip(&evaluate(&eval, threads).unwrap())
+                .enumerate()
+            {
+                assert_tensors_bit_identical(s, p, &format!("fragment {fi}, {threads} threads"));
+            }
         }
     }
 
@@ -1465,18 +1454,19 @@ mod tests {
                     mode,
                     ..Default::default()
                 };
-                let chunks: Result<Vec<EvalChunk>, _> = (0..planned_num_chunks(&plans))
-                    .map(|ci| evaluate_planned_chunk(&fragments, &plans, &eval, &seeds, ci))
+                let mut scratch = WorkerScratch::new();
+                let chunks: Result<Vec<ChunkPartials>, _> = (0..num_chunks(&plans))
+                    .map(|ci| evaluate_chunk(&fragments, &plans, &eval, &seeds, ci, &mut scratch))
                     .collect();
                 // Exact mode cannot enumerate the 72-qubit support.
                 let Ok(chunks) = chunks else { continue };
                 let mut maps: Vec<TensorAccum> =
                     plans.iter().map(|p| TensorAccum::new(p.dim)).collect();
                 for chunk in chunks {
-                    for (fi, m) in &chunk.items {
+                    for (fi, m) in &chunk {
                         scan(&m.coeffs, &format!("{name}, {mode:?}, chunk of #{fi}"));
                     }
-                    merge_planned_chunk(&mut maps, chunk);
+                    merge_chunk(&mut maps, chunk);
                 }
                 for (fi, (m, fragment)) in maps.into_iter().zip(&fragments).enumerate() {
                     scan(&m.coeffs, &format!("{name}, {mode:?}, fragment #{fi}"));
@@ -1710,7 +1700,7 @@ mod tests {
         let t3 = plans_of("hwea(8,5,3,1)");
         let big = t3.iter().position(|p| p.num_variants() == 432).unwrap();
         assert_eq!((t3[big].dim, t3[big].qo), (1024, 3));
-        assert!(planned_num_chunks(&t3) >= 27);
+        assert!(num_chunks(&t3) >= 27);
         let boundaries = t3.iter().scan(0, |end, p| {
             *end += p.num_variants();
             Some(*end)
@@ -1745,11 +1735,9 @@ mod tests {
     /// The evaluation engine is bit-identical — same support, same
     /// emission order, same float bits — to the frozen `BTreeMap`
     /// reference path on every shape of [`parity_shapes`], in exact mode
-    /// and at 50 and 5000 shots, at 1, 2, and 8 threads, and through the
-    /// batch scheduler's path (one chunk at a time on a fresh scratch,
-    /// merged at the end or folded with [`EvalChunk::absorb`] as they
-    /// land). A shape exact mode cannot evaluate must fail with the
-    /// reference's error on every path.
+    /// and at 50 and 5000 shots, at 1, 2, and 8 threads (the pipeline's
+    /// one evaluation path). A shape exact mode cannot evaluate must fail
+    /// with the reference's error at every thread count.
     #[test]
     fn evaluation_matches_btreemap_reference_bit_exact() {
         let opts = TensorOptions::default();
@@ -1768,23 +1756,6 @@ mod tests {
                 };
                 let expect = reference_evaluate_btreemap(&fragments, &eval, &opts, &seeds)
                     .map_err(|e| e.to_string());
-                let chunks = || -> Result<Vec<EvalChunk>, _> {
-                    (0..planned_num_chunks(&plans))
-                        .map(|ci| evaluate_planned_chunk(&fragments, &plans, &eval, &seeds, ci))
-                        .collect()
-                };
-                let batch = chunks()
-                    .map(|c| merge_planned_chunks(&fragments, &plans, &eval, &opts, c))
-                    .map_err(|e| e.to_string());
-                let folded = chunks()
-                    .map(|c| {
-                        let folded = c.into_iter().reduce(|mut run, next| {
-                            run.absorb(next);
-                            run
-                        });
-                        merge_planned_chunks(&fragments, &plans, &eval, &opts, folded)
-                    })
-                    .map_err(|e| e.to_string());
                 let pooled = [1usize, 2, 8].map(|threads| {
                     evaluate_fragment_tensors_planned(
                         &fragments, &plans, &eval, &opts, &seeds, threads,
@@ -1794,7 +1765,6 @@ mod tests {
                 for (path, got) in ["1 thread", "2 threads", "8 threads"]
                     .into_iter()
                     .zip(&pooled)
-                    .chain([("chunk by chunk", &batch), ("folded as landed", &folded)])
                 {
                     let label = format!("{name}, {mode:?}, {path}");
                     match (got, &expect) {

@@ -2,9 +2,9 @@
 //! cancellation, deadlines, poison-recovering locks, and a deterministic
 //! fault-injection harness.
 //!
-//! The batch scheduler (`supersim`'s pipeline) runs many independent jobs
-//! on one shared worker pool. A service built on that pool must guarantee
-//! that one pathological job — a panicking kernel, a job past its latency
+//! A batch (`supersim`'s pipeline) runs many independent jobs on one
+//! shared worker pool. A service built on that pool must guarantee that
+//! one pathological job — a panicking kernel, a job past its latency
 //! budget, an operator-cancelled batch — fails *alone*, *fast*, and
 //! *reportably*. This crate holds the pieces of that contract that are
 //! independent of the pipeline itself:
@@ -17,6 +17,8 @@
 //!   (panic / error / stall / attempt-limited transient) keyed by
 //!   `(job, stage, task)`, so every recovery path — including retry —
 //!   is exercised by tests rather than trusted;
+//! * [`catch_task`] — turns a panic inside one task into that task's typed
+//!   error ([`TaskPanic`]), so a panic is reported like any other failure;
 //! * [`lock_or_recover`] — mutex acquisition that recovers from poisoning
 //!   instead of cascading a caught panic into `PoisonError` panics.
 //!
@@ -465,6 +467,51 @@ impl Supervisor {
             }
         }
         Ok(())
+    }
+}
+
+/// A panic caught inside one task of a supervised loop: the task's index
+/// and the rendered payload, so the panic can travel as that task's typed
+/// error.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TaskPanic {
+    /// Index of the panicking task within its stage (evaluation chunk,
+    /// MLFT fragment).
+    pub task: usize,
+    /// The panic payload, rendered by [`panic_message`].
+    pub payload: String,
+}
+
+/// Runs the body of task `task`, turning a panic into the task's error.
+///
+/// An ordered parallel loop that calls this per item treats a panicking
+/// item like any failing one: the lowest failing index is reported on every
+/// schedule, instead of whichever panic unwound first.
+///
+/// # Errors
+///
+/// The body's own error, or `E::from(TaskPanic)` when the body panicked.
+pub fn catch_task<T, E: From<TaskPanic>>(
+    task: usize,
+    body: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        Err(E::from(TaskPanic {
+            task,
+            payload: panic_message(payload.as_ref()),
+        }))
+    })
+}
+
+/// Renders a caught panic payload: the message of a `&str` or `String`
+/// payload, a placeholder for anything else.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

@@ -11,48 +11,52 @@
 //!   **lowest-index failure** on every schedule, and resolves a claimed
 //!   index before a panic unwinds past it. With one worker it is a plain
 //!   loop on the calling thread.
-//! - [`Pool`] — the **persistent, lazily-grown pool** `fold_ordered` runs
-//!   on. [`Pool::run`] executes a body once per worker index on pooled
-//!   threads and blocks until all finish, propagating the first panic like
-//!   a scoped spawn; besides `fold_ordered`, only the batch scheduler's
-//!   dependency-driven queue, which is not a fold, calls it directly.
+//! - [`pool_stats`] — the health counters of the **persistent,
+//!   lazily-grown pool** `fold_ordered` runs on (a private `Pool`: it runs
+//!   a body once per worker index on pooled threads and blocks until all
+//!   finish, propagating the first panic like a scoped spawn).
 //! - [`worker_count`] — the one thread-count heuristic (request → env
 //!   override → hardware default → cap clamp).
 //!
 //! # Ownership and lifecycle
 //!
-//! Workers are plain OS threads owned by the [`Pool`] that spawned them.
-//! The process-wide pool ([`Pool::global`]) spawns workers on first
-//! demand, grows when concurrent demand exceeds the number of idle
-//! workers (nested `run` calls — e.g. a recombination running inside a
-//! batch task — therefore still get real parallelism), and **never shrinks
-//! or re-spawns**: consecutive `run_batch` calls reuse the same live
-//! threads, which is the point. Idle workers park on a condition variable
-//! and cost nothing but their stacks. Locally constructed pools
-//! ([`Pool::new`], used by tests) shut their workers down on drop.
+//! Workers are plain OS threads owned by the pool that spawned them. The
+//! process-wide pool spawns workers on first demand and **never shrinks or
+//! re-spawns**: consecutive `run_batch` calls reuse the same live threads,
+//! which is the point. Idle workers park on a condition variable and cost
+//! nothing but their stacks. Locally constructed pools (tests) shut their
+//! workers down on drop.
 //!
-//! The **caller participates**: `Pool::run(n, body)` claims worker
-//! indices for its own job on the calling thread too, so a job can never
-//! deadlock waiting for pool capacity — with zero idle workers the caller
-//! simply runs every index itself (and `n == 1` never touches the pool at
-//! all, keeping the sequential paths allocation-free). The calling thread
-//! only blocks once all indices are claimed, waiting for the stragglers
-//! it did not run itself.
+//! The pool grows to the helpers its in-flight calls have asked for: a
+//! call for `n` workers reserves `n - 1` helpers until it returns, and a
+//! worker is spawned only while the live count is below the reservations
+//! outstanding. Nested folds — a job's evaluation fold running inside a
+//! batch's fold over jobs — therefore get real parallelism, and a sequence
+//! of calls from one thread whose nesting multiplies out to at most `W`
+//! workers never holds more than `W - 1` helpers, so a warm rerun spawns
+//! nothing.
+//!
+//! The **caller participates**: a call for `n` workers claims worker
+//! indices on the calling thread too, so a job can never deadlock waiting
+//! for pool capacity — with zero idle workers the caller simply runs every
+//! index itself (and `n == 1` never touches the pool at all, keeping the
+//! sequential paths allocation-free). The calling thread only blocks once
+//! all indices are claimed, waiting for the stragglers it did not run
+//! itself.
 //!
 //! # Supervisor integration and panic safety
 //!
 //! The pool is deliberately supervision-agnostic: `faultkit::Supervisor`
 //! checkpoints (cancellation, deadlines, fault injection) live inside the
-//! task bodies exactly as they did under `thread::scope`, and flow through
-//! unchanged. What the pool does guarantee is containment: each claimed
-//! index runs under `catch_unwind`, the first panic payload is re-raised
-//! on the *calling* thread once the job completes (matching scoped-spawn
-//! semantics), and pool threads never die from a task panic — a panicking
-//! fault-injection run leaves the pool as healthy as a clean one. Because
-//! unwinding still runs drop glue with `std::thread::panicking()` true,
-//! abort-on-panic guards inside task bodies (the batch scheduler's
-//! poison-containment) keep working on pooled threads. All internal locks
-//! use `faultkit`'s poison-recovering accessors.
+//! work closures, and a caller that wants a panic reported as a typed
+//! error catches it there (`faultkit::catch_task`), where the fold's
+//! lowest-index rule then applies to it. What the pool does guarantee is
+//! containment: each claimed index runs under `catch_unwind`, the first
+//! panic payload is re-raised on the *calling* thread once the job
+//! completes (matching scoped-spawn semantics), and pool threads never die
+//! from a task panic — a panicking fault-injection run leaves the pool as
+//! healthy as a clean one. All internal locks use `faultkit`'s
+//! poison-recovering accessors.
 //!
 //! # Bit-identity
 //!
@@ -115,7 +119,7 @@ fn resolve_default(env: Option<&str>, fallback: impl FnOnce() -> usize) -> usize
 // ---------------------------------------------------------------------------
 
 /// Runs `work(i, &mut scratch)` for every `i in 0..n` on up to `workers`
-/// workers of the global [`Pool`] and folds each result into `acc` with
+/// workers of the global pool and folds each result into `acc` with
 /// `merge`, **in ascending `i`**.
 ///
 /// - **Order.** Results stream through an index-ordered merger, so the
@@ -217,7 +221,7 @@ where
 // ---------------------------------------------------------------------------
 
 /// A snapshot of pool health, used by reuse assertions and the benchmark
-/// report.
+/// report ([`pool_stats`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PoolStats {
     /// Workers alive right now.
@@ -227,6 +231,11 @@ pub struct PoolStats {
     pub spawned_total: usize,
     /// Workers currently parked waiting for work.
     pub idle: usize,
+}
+
+/// Health counters of the process-wide pool that [`fold_ordered`] runs on.
+pub fn pool_stats() -> PoolStats {
+    Pool::global().stats()
 }
 
 /// One submitted `run` call: a lifetime-erased body plus the claim/finish
@@ -254,9 +263,10 @@ unsafe impl Send for RawBody {}
 unsafe impl Sync for RawBody {}
 
 impl Job {
-    /// Runs the body for one claimed index under `catch_unwind`,
-    /// recording the first panic.
-    fn exec(&self, index: usize) {
+    /// Runs the body for one claimed index under `catch_unwind`, recording
+    /// the first panic, and marks the index finished — tripping the
+    /// completion latch on the last one.
+    fn run_ticket(&self, index: usize) {
         // SAFETY: see the invariant on `body`.
         let body = unsafe { &*self.body.0 };
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(index))) {
@@ -265,28 +275,19 @@ impl Job {
                 *slot = Some(payload);
             }
         }
-    }
-
-    /// Marks one claimed index finished, tripping the completion latch on
-    /// the last one.
-    fn complete_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             *lock_or_recover(&self.done) = true;
             self.latch.notify_all();
         }
     }
-
-    /// [`exec`](Job::exec) + [`complete_one`](Job::complete_one) for the
-    /// participating caller (workers interleave busy accounting between
-    /// the two).
-    fn run_ticket(&self, index: usize) {
-        self.exec(index);
-        self.complete_one();
-    }
 }
 
 struct PoolState {
     jobs: VecDeque<Arc<Job>>,
+    /// Helpers the in-flight `run` calls have reserved (`workers - 1`
+    /// each, from submission until the call returns). The pool spawns
+    /// while fewer workers are live than this.
+    reserved: usize,
     shutdown: bool,
 }
 
@@ -296,57 +297,44 @@ struct Shared {
     live: AtomicUsize,
     spawned_total: AtomicUsize,
     idle: AtomicUsize,
-    /// Workers currently *executing a body* (not parked, not scanning).
-    /// Decremented before a ticket's completion latch fires, so by the
-    /// time a `run` call returns every helper it used reads as available
-    /// again — growth decisions see the warm pool as warm, never spawning
-    /// on back-to-back calls.
-    busy: AtomicUsize,
 }
 
 /// A persistent, lazily-grown worker pool. See the crate docs for the
-/// ownership/lifecycle story; most code should use [`Pool::global`].
-pub struct Pool {
+/// ownership/lifecycle story; [`fold_ordered`] uses [`Pool::global`].
+struct Pool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new()
-    }
-}
-
 impl Pool {
-    /// A fresh pool with no workers; they spawn on demand. Intended for
-    /// tests and benchmarks that need cold-start isolation — production
-    /// paths share [`Pool::global`].
-    pub fn new() -> Pool {
+    /// A fresh pool with no workers; they spawn on demand. Tests use it
+    /// for cold-start isolation; the folds share [`Pool::global`].
+    fn new() -> Pool {
         Pool {
             shared: Arc::new(Shared {
                 state: Mutex::new(PoolState {
                     jobs: VecDeque::new(),
+                    reserved: 0,
                     shutdown: false,
                 }),
                 work: Condvar::new(),
                 live: AtomicUsize::new(0),
                 spawned_total: AtomicUsize::new(0),
                 idle: AtomicUsize::new(0),
-                busy: AtomicUsize::new(0),
             }),
             handles: Mutex::new(Vec::new()),
         }
     }
 
-    /// The process-wide pool every pipeline spawn site routes through.
-    /// Never shuts down; workers persist across `run_batch` calls.
-    pub fn global() -> &'static Pool {
+    /// The process-wide pool. Never shuts down; workers persist across
+    /// `run_batch` calls.
+    fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(Pool::new)
     }
 
     /// Current pool health counters.
-    pub fn stats(&self) -> PoolStats {
+    fn stats(&self) -> PoolStats {
         PoolStats {
             live: self.shared.live.load(Ordering::Relaxed),
             spawned_total: self.shared.spawned_total.load(Ordering::Relaxed),
@@ -360,14 +348,14 @@ impl Pool {
     ///
     /// `workers <= 1` runs `body(0)` inline without touching the pool.
     /// Otherwise the calling thread participates (it claims indices too),
-    /// idle pool workers help, and the pool grows by the idle deficit so
-    /// nested calls retain real parallelism.
+    /// pool workers help, and the pool grows to the helpers reserved by
+    /// every call in flight, so nested calls retain real parallelism.
     ///
     /// # Panics
     ///
     /// Re-raises the first panic from any `body(i)` on the calling thread
     /// after the whole job has completed, like a scoped spawn would.
-    pub fn run<F>(&self, workers: usize, body: F)
+    fn run<F>(&self, workers: usize, body: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -395,20 +383,17 @@ impl Pool {
             latch: Condvar::new(),
         });
         {
+            // Reserve this call's helpers and spawn up to the reservations
+            // outstanding, under the lock that orders concurrent calls: a
+            // nested call whose ancestors hold every worker still gets
+            // `workers - 1` real helpers, and a warm pool spawns nothing.
             let mut st = lock_or_recover(&self.shared.state);
             st.jobs.push_back(Arc::clone(&job));
-        }
-        // Grow by the availability deficit: the caller covers one index
-        // itself, non-busy workers (parked or between jobs — they will
-        // find the job we just pushed) cover more, and only the remainder
-        // spawns. Nested `run` calls, whose ancestors hold every existing
-        // worker busy, therefore still get `workers - 1` real helpers; a
-        // warm pool with enough free workers spawns nothing.
-        let live = self.shared.live.load(Ordering::Acquire);
-        let busy = self.shared.busy.load(Ordering::Acquire);
-        let deficit = (workers - 1).saturating_sub(live.saturating_sub(busy));
-        for _ in 0..deficit {
-            self.spawn_worker();
+            st.reserved += workers - 1;
+            let live = self.shared.live.load(Ordering::Relaxed);
+            for _ in live..st.reserved {
+                self.spawn_worker();
+            }
         }
         self.shared.work.notify_all();
 
@@ -427,12 +412,13 @@ impl Pool {
                 st.jobs.remove(pos);
             }
         }
-        // Wait for indices claimed by helpers.
+        // Wait for indices claimed by helpers, then release the helpers.
         let mut done = lock_or_recover(&job.done);
         while !*done {
             done = wait_or_recover(&job.latch, done);
         }
         drop(done);
+        lock_or_recover(&self.shared.state).reserved -= workers - 1;
         let payload = lock_or_recover(&job.panic).take();
         if let Some(payload) = payload {
             resume_unwind(payload);
@@ -498,12 +484,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 break;
             }
-            // Busy only while executing the body, released before the
-            // completion latch — see `Shared::busy`.
-            shared.busy.fetch_add(1, Ordering::AcqRel);
-            job.exec(t);
-            shared.busy.fetch_sub(1, Ordering::AcqRel);
-            job.complete_one();
+            job.run_ticket(t);
         }
     }
 }
@@ -720,6 +701,33 @@ mod tests {
             });
         });
         assert_eq!(count.load(Ordering::Relaxed), 6);
+    }
+
+    /// Two outer workers each running a nested call for four hold
+    /// `1 + 3 + 3` helpers, and a warm rerun of the same nesting spawns
+    /// none: growth follows the reservations in flight, not which workers
+    /// happen to be busy when a call is submitted.
+    #[test]
+    fn nested_reservations_bound_the_pool_and_warm_reruns_spawn_nothing() {
+        let pool = Pool::new();
+        // Index 0 of each nested call waits for the other's, so both
+        // nested calls are in flight together on every schedule.
+        let both_nested = std::sync::Barrier::new(2);
+        let nested = || {
+            pool.run(2, |_| {
+                pool.run(4, |i| {
+                    if i == 0 {
+                        both_nested.wait();
+                    }
+                });
+            });
+        };
+        nested();
+        assert_eq!(pool.stats().spawned_total, 7);
+        for _ in 0..3 {
+            nested();
+        }
+        assert_eq!(pool.stats().spawned_total, 7);
     }
 
     /// Sums `i` for every index, as a fold that cannot fail.
