@@ -78,11 +78,17 @@
 //! [`PlanCost::with_error_budget`]). Keep it at `0.0` when reproducing
 //! the paper's exact protocol.
 //!
-//! # Resilience: retry, degrade, salvage
+//! # One driver, and the policies it runs under
 //!
-//! [`SuperSim::run_batch_resilient`] and [`Executor::run_sweep_resilient`]
-//! wrap the batch driver in a [`ResiliencePolicy`] — the policy layer a
-//! cutting-as-a-service front-end needs over unreliable workers:
+//! Every run entry point is one driver: rounds of a fold over jobs, with
+//! retry, degradation and a circuit breaker between rounds. The default
+//! policies are no-ops — [`SuperSim::run_batch`] and
+//! [`Executor::run_sweep`] drive with one attempt, which is exactly one
+//! round; [`SuperSim::run`] and [`Executor::run_with`] are that with one
+//! job. [`SuperSim::run_batch_resilient`] and
+//! [`Executor::run_sweep_resilient`] hand the driver a
+//! [`ResiliencePolicy`] — the policy layer a cutting-as-a-service
+//! front-end needs over unreliable workers:
 //!
 //! * **Retry** ([`RetryPolicy`]): transient failures are re-enqueued with
 //!   exponential backoff whose jitter comes from the job's own RNG
@@ -157,9 +163,9 @@ pub use backends::{
 };
 pub use pipeline::{
     is_transient, Admission, AdmissionError, AdmissionPolicy, BatchOutcome, BreakerPolicy,
-    BreakerState, CircuitBreaker, ConfigError, CutPlan, DegradationPolicy, ExecParams, Executor,
-    JobStatus, PlanCacheStats, PlanCost, PlanLoadError, ResiliencePolicy, RetryPolicy, RunReport,
-    RunResult, RunStats, SuperSim, SuperSimConfig, SuperSimConfigBuilder, SuperSimError,
+    BreakerState, ConfigError, CutPlan, DegradationPolicy, ExecParams, Executor, JobStatus,
+    PlanCacheStats, PlanCost, PlanLoadError, ResiliencePolicy, RetryPolicy, RunReport, RunResult,
+    RunStats, SuperSim, SuperSimConfig, SuperSimConfigBuilder, SuperSimError,
 };
 
 // Re-export the persistent worker-pool stats surfaced by

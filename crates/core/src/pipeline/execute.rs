@@ -3,14 +3,15 @@
 //!
 //! An [`Executor`] owns no state beyond a reference to the configuration;
 //! every run replays a prebuilt plan with a choice of [`ExecParams`]
-//! (seed + shot budget). [`Executor::run_sweep`] executes many parameter
-//! points against **one** plan as one fold over jobs (see
-//! [`batch`](super::batch)) — the plan is built once, the cutter never
-//! re-runs, and points proceed through the pipeline stages independently.
+//! (seed + shot budget). Its entry points are thin wrappers over the one
+//! driver in [`batch`](super::batch): [`Executor::run_sweep`] executes many
+//! parameter points against **one** plan as one fold over jobs — the plan
+//! is built once, the cutter never re-runs, and points proceed through the
+//! pipeline stages independently.
 
-use super::batch::{execute_jobs, BatchJob};
+use super::batch::{run_once, run_single, sweep_slots, BatchOutcome};
 use super::plan::CutPlan;
-use super::resilience::{run_sweep_resilient, BatchOutcome, BreakerState, ResiliencePolicy};
+use super::resilience::{BreakerState, ResiliencePolicy};
 use super::{fault_error, SuperSimConfig, SuperSimError};
 use cutkit::{EvalMode, EvalOptions, FragmentTensor, Reconstructor, TensorOptions};
 use faultkit::{Stage, Supervisor};
@@ -336,7 +337,7 @@ pub struct Executor<'c> {
 
 impl<'c> Executor<'c> {
     /// Creates an executor over a configuration.
-    pub fn new(config: &'c SuperSimConfig) -> Self {
+    pub(crate) fn new(config: &'c SuperSimConfig) -> Self {
         Executor { config }
     }
 
@@ -355,12 +356,11 @@ impl<'c> Executor<'c> {
 
     /// [`Executor::run`] with explicit per-run parameters.
     ///
-    /// Runs as a single-job batch, so single runs get the full supervision
-    /// layer — panic isolation, deadlines, cancellation, admission
-    /// control, fault injection — through the same drivers a batch uses
-    /// (results are bit-identical either way; see the
-    /// [`batch`](super::batch) module docs). Single-run errors are **not**
-    /// wrapped in [`SuperSimError::Job`].
+    /// Runs as a one-job batch through the same driver a batch uses, so
+    /// single runs get the full supervision layer — panic isolation,
+    /// deadlines, cancellation, admission control, fault injection — and
+    /// are bit-identical to the same job in a batch. Single-run errors are
+    /// **not** wrapped in [`SuperSimError::Job`].
     ///
     /// # Errors
     ///
@@ -369,26 +369,19 @@ impl<'c> Executor<'c> {
     /// run is cancelled or exceeds its deadline, or admission control
     /// rejects the plan.
     pub fn run_with(&self, plan: &CutPlan, params: ExecParams) -> Result<RunResult, SuperSimError> {
-        let jobs = [BatchJob {
-            plan,
-            params,
-            index: 0,
-            attempt: 0,
-        }];
-        execute_jobs(self.config, &jobs)
-            .pop()
-            .expect("one result for one job")
+        run_single(self.config, plan, params, false)
     }
 
     /// Executes one plan across many parameter points — the sweep shape of
     /// CAFQA/VQE and fragment tomography: cut once, execute many times.
     ///
     /// The points are the jobs of one fold over jobs on one worker pool,
-    /// each running evaluation, MLFT and recombination in order. Each point's output is **bit-identical** to
-    /// an independent [`SuperSim::run`](crate::SuperSim::run) with that
-    /// point's seed and shot budget, for every thread count: per-point RNG
-    /// streams are derived exactly as single runs derive them, and every
-    /// merge folds in (point, fragment, variant) order.
+    /// each running evaluation, MLFT and recombination in order. Each
+    /// point's output is **bit-identical** to an independent
+    /// [`SuperSim::run`](crate::SuperSim::run) with that point's seed and
+    /// shot budget, for every thread count: per-point RNG streams are
+    /// derived exactly as single runs derive them, and every merge folds
+    /// in (point, fragment, variant) order.
     ///
     /// # Failure semantics
     ///
@@ -404,27 +397,7 @@ impl<'c> Executor<'c> {
         plan: &CutPlan,
         params: &[ExecParams],
     ) -> Vec<Result<RunResult, SuperSimError>> {
-        let jobs: Vec<BatchJob<'_>> = params
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| BatchJob {
-                plan,
-                params: p,
-                index: i,
-                attempt: 0,
-            })
-            .collect();
-        execute_jobs(self.config, &jobs)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.map_err(|e| SuperSimError::Job {
-                    job: i,
-                    fingerprint: plan.fingerprint(),
-                    source: Box::new(e),
-                })
-            })
-            .collect()
+        run_once(self.config, sweep_slots(plan, params))
     }
 
     /// [`Executor::run_sweep`] behind a [`ResiliencePolicy`](crate::ResiliencePolicy)
@@ -440,7 +413,7 @@ impl<'c> Executor<'c> {
         params: &[ExecParams],
         policy: ResiliencePolicy,
     ) -> BatchOutcome {
-        run_sweep_resilient(self.config, plan, params, policy)
+        BatchOutcome::new(self.config, policy, sweep_slots(Arc::clone(plan), params))
     }
 }
 

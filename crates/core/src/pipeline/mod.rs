@@ -2,24 +2,28 @@
 //!
 //! # Architecture
 //!
-//! The pipeline is split into three modules:
+//! One driver, and the policies it runs under:
 //!
 //! * [`plan`] — [`CutPlan`]: cut placement, fragment structure, variant
 //!   enumeration, and recombination scatter plans, built **once** per cut
-//!   structure by [`SuperSim::plan`];
-//! * [`execute`] — [`Executor`]: evaluate → MLFT → recombine against a
-//!   plan, with per-run [`ExecParams`] (seed, shot budget) and
-//!   [`Executor::run_sweep`] for parameter sweeps over one plan;
-//! * [`batch`] — the fold over jobs behind [`SuperSim::run_batch`],
-//!   [`Executor::run_sweep`] and [`Executor::run_with`]: admission, the
-//!   per-job supervisors, and each job's evaluate → MLFT → recombine;
-//! * [`resilience`] — the service-hardening layer over the batch
-//!   driver behind [`SuperSim::run_batch_resilient`] and
-//!   [`Executor::run_sweep_resilient`]: deterministic retries with seeded
-//!   backoff ([`RetryPolicy`]), partial-batch salvage and failed-only
-//!   resume ([`BatchOutcome`]), load-shedding degradation along an
-//!   error-budget ladder ([`DegradationPolicy`]), and a per-plan circuit
-//!   breaker ([`BreakerPolicy`]).
+//!   structure by [`SuperSim::plan`] (and cached per instance, [`cache`]);
+//! * [`batch`] — the one driver behind every run entry point: rounds of a
+//!   fold over jobs, each job's evaluate → MLFT → recombine under its own
+//!   supervisor and admission verdict ([`supervise`]), with retry,
+//!   degradation and a circuit breaker between rounds. [`SuperSim::run`],
+//!   [`SuperSim::run_batch`], [`Executor::run_with`] and
+//!   [`Executor::run_sweep`] drive it with one attempt;
+//!   [`SuperSim::run_batch_resilient`] and [`Executor::run_sweep_resilient`]
+//!   with the caller's policy, returning a [`BatchOutcome`] that can
+//!   [`resume`](BatchOutcome::resume) the failed jobs;
+//! * [`execute`] — [`Executor`], the entry points over a prebuilt plan with
+//!   per-run [`ExecParams`] (seed, shot budget), and the recombination
+//!   step every job ends with;
+//! * [`resilience`] — the policies alone: deterministic retries with
+//!   seeded backoff ([`RetryPolicy`]), load-shedding degradation along an
+//!   error-budget ladder ([`DegradationPolicy`]), a per-plan circuit
+//!   breaker ([`BreakerPolicy`]), and the error classification
+//!   ([`is_transient`]).
 //!
 //! [`SuperSim::run`] is exactly `plan` + `execute` — the monolithic entry
 //! point is a thin composition of the stages.
@@ -54,12 +58,12 @@ pub(crate) mod plan;
 pub(crate) mod resilience;
 pub(crate) mod supervise;
 
+pub use batch::{BatchOutcome, JobStatus};
 pub use cache::PlanCacheStats;
 pub use execute::{ExecParams, Executor, RunReport, RunResult};
 pub use plan::{CutPlan, PlanCost, PlanLoadError};
 pub use resilience::{
-    is_transient, BatchOutcome, BreakerPolicy, BreakerState, CircuitBreaker, DegradationPolicy,
-    JobStatus, ResiliencePolicy, RetryPolicy,
+    is_transient, BreakerPolicy, BreakerState, DegradationPolicy, ResiliencePolicy, RetryPolicy,
 };
 pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 
@@ -119,17 +123,25 @@ pub struct SuperSimConfig {
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
     /// checkpoint (evaluation chunk, MLFT fragment, or recombination
     /// chunk boundary). [`ExecParams::deadline`] overrides this per job.
+    /// The clock starts when the job's phase of a driver round starts
+    /// (the pooled phase, or its own phase if admission sequentialized
+    /// it), and every retry round of the resilient entry points starts it
+    /// afresh — which is what lets a retried
+    /// [`DeadlineExceeded`](SuperSimError::DeadlineExceeded) succeed.
     pub job_deadline: Option<Duration>,
     /// Shareable cooperative cancellation token: once
     /// [`CancelToken::cancel`] is called (from any thread), every job in
     /// flight fails with [`SuperSimError::Cancelled`] at its next
     /// supervision checkpoint. Already-completed jobs keep their results.
     pub cancel: Option<CancelToken>,
-    /// Batch-wide wall-clock deadline, measured from the start of
-    /// [`SuperSim::run_batch`] / [`Executor::run_sweep`]: every job still
-    /// in flight when it passes fails with
-    /// [`SuperSimError::DeadlineExceeded`]. Composes with per-job
-    /// deadlines by taking the earlier instant.
+    /// Batch-wide wall-clock deadline: every job still in flight when it
+    /// passes fails with [`SuperSimError::DeadlineExceeded`]. Composes
+    /// with per-job deadlines by taking the earlier instant. It is
+    /// measured from the start of a driver round — the one round of
+    /// [`SuperSim::run_batch`] / [`Executor::run_sweep`], or each retry
+    /// round of [`SuperSim::run_batch_resilient`] /
+    /// [`Executor::run_sweep_resilient`], which restarts it for the jobs
+    /// that round retries.
     pub batch_deadline: Option<Duration>,
     /// Admission-control budgets applied to every job before it is
     /// enqueued (default: unlimited). Rejected jobs report
@@ -441,7 +453,7 @@ pub enum SuperSimError {
     /// through [`ExecParams::with_shots`] or a struct-literal
     /// configuration that bypassed the builder.
     Config(ConfigError),
-    /// The resilient driver's per-plan [`CircuitBreaker`] was open and
+    /// The resilient driver's per-plan circuit breaker was open and
     /// denied the attempt before it was enqueued (transient: the breaker
     /// half-opens after its cool-down and the denial is retried within
     /// the attempt budget).
@@ -704,9 +716,8 @@ impl SuperSim {
     /// mode).
     pub fn run(&self, circuit: &Circuit) -> Result<RunResult, SuperSimError> {
         let (plan, cache_hit) = self.plan_cached(circuit)?;
-        let mut result = self.executor().run(&plan)?;
-        result.report.plan_cache_hit = cache_hit;
-        Ok(result)
+        let params = ExecParams::from_config(&self.config);
+        batch::run_single(&self.config, &plan, params, cache_hit)
     }
 
     /// Runs the full pipeline on a batch of circuits: one job per circuit,
@@ -742,7 +753,8 @@ impl SuperSim {
     ///   task order (chunk order, then fragment order) on every
     ///   schedule.
     pub fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<RunResult, SuperSimError>> {
-        batch::plan_and_run_batch(&self.config, &self.plan_cache, circuits)
+        let slots = batch::circuit_slots(&self.config, &self.plan_cache, circuits);
+        batch::run_once(&self.config, slots)
     }
 
     /// [`SuperSim::run_batch`] behind a [`ResiliencePolicy`]: transient
@@ -769,7 +781,8 @@ impl SuperSim {
         circuits: &[Circuit],
         policy: ResiliencePolicy,
     ) -> BatchOutcome {
-        resilience::run_batch_resilient(&self.config, &self.plan_cache, circuits, policy)
+        let slots = batch::circuit_slots(&self.config, &self.plan_cache, circuits);
+        BatchOutcome::new(&self.config, policy, slots)
     }
 }
 

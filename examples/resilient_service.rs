@@ -44,21 +44,21 @@ fn main() {
 
     // Chaos: the flaky job's first evaluation chunk fails on attempts 1
     // and 2, then passes — a worker that recovers, not a broken circuit.
-    let config = SuperSimConfig {
-        shots: 400,
-        seed: 7,
-        faults: Some(Arc::new(FaultPlan::new().inject(
+    let config = SuperSimConfig::builder()
+        .shots(400)
+        .seed(7)
+        .faults(Arc::new(FaultPlan::new().inject(
             1,
             Stage::Eval,
             0,
             FaultKind::FailNTimes(2),
-        ))),
-        admission: AdmissionPolicy {
+        )))
+        .admission(AdmissionPolicy {
             max_sweep_assignments: Some(max_sweep - 1),
             ..AdmissionPolicy::default()
-        },
-        ..SuperSimConfig::default()
-    };
+        })
+        .build()
+        .expect("a valid configuration");
 
     // The resilience policy: 3 attempts with deterministic jittered
     // backoff, an error-budget ladder for load shedding, and a per-plan

@@ -7,9 +7,11 @@
 //! probability bits in emission order) and of `mlft_moved`, plus the
 //! report's counts — or the rendered root error when the run fails. The
 //! same lines must come out of `SuperSim::run` on one thread and out of
-//! `SuperSim::run_batch` over the whole corpus on two threads, so a change
-//! to either entry point, to the scheduler between them, or to any numeric
-//! stage shows here as the line that moved.
+//! `SuperSim::run_batch` over the whole corpus on two threads; at the
+//! 50-shot point, also out of `Executor::run_sweep` with the config's own
+//! parameters and out of `SuperSim::run_batch_resilient` under the default
+//! policy. So a change to any entry point, to the driver and scheduler
+//! behind them, or to any numeric stage shows here as the line that moved.
 //!
 //! A corpus file is plain `qcir::text`; a `# strategy ...` comment line
 //! (the `CutPlan::to_text` strategy syntax) overrides the default cut
@@ -19,7 +21,9 @@
 use cutkit::CutStrategy;
 use qcir::Circuit;
 use std::path::{Path, PathBuf};
-use supersim::{CutPlan, RunResult, SuperSim, SuperSimConfig, SuperSimError};
+use supersim::{
+    CutPlan, ExecParams, ResiliencePolicy, RunResult, SuperSim, SuperSimConfig, SuperSimError,
+};
 
 /// The configuration seed of every run.
 const SEED: u64 = 2026;
@@ -181,29 +185,50 @@ fn run_matches_golden() {
     }
 }
 
-/// One `run_batch` per grid point over the whole corpus, on two threads
-/// (split by cut strategy, which is per instance).
+/// The corpus split by cut strategy (a per-instance setting): each
+/// strategy with the indices of its entries.
+fn by_strategy(corpus: &[Entry]) -> Vec<(&CutStrategy, Vec<usize>)> {
+    let mut groups: Vec<(&CutStrategy, Vec<usize>)> = Vec::new();
+    for (i, entry) in corpus.iter().enumerate() {
+        match groups.iter_mut().find(|(s, _)| **s == entry.strategy) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((&entry.strategy, vec![i])),
+        }
+    }
+    groups
+}
+
+/// One batch per strategy over the whole corpus at one grid point, on two
+/// threads, through `run_batch` or `run_batch_resilient`.
+fn batch_lines(
+    corpus: &[Entry],
+    (label, shots): (&str, Option<usize>),
+    resilient: bool,
+) -> Vec<String> {
+    let mut got = vec![String::new(); corpus.len()];
+    for (strategy, members) in by_strategy(corpus) {
+        let circuits: Vec<Circuit> = members.iter().map(|&i| corpus[i].circuit.clone()).collect();
+        let sim = SuperSim::new(config(shots, strategy, 2));
+        let results = if resilient {
+            sim.run_batch_resilient(&circuits, ResiliencePolicy::new())
+                .into_results()
+        } else {
+            sim.run_batch(&circuits)
+        };
+        for (&i, result) in members.iter().zip(&results) {
+            got[i] = line(label, result);
+        }
+    }
+    got
+}
+
 #[test]
 fn batch_matches_golden() {
     let corpus = corpus();
-    let mut strategies: Vec<&CutStrategy> = Vec::new();
-    for entry in &corpus {
-        if !strategies.contains(&&entry.strategy) {
-            strategies.push(&entry.strategy);
-        }
-    }
     let mut got: Vec<Vec<String>> = vec![Vec::new(); corpus.len()];
-    for &(label, shots) in &GRID {
-        for &strategy in &strategies {
-            let members: Vec<usize> = (0..corpus.len())
-                .filter(|&i| corpus[i].strategy == *strategy)
-                .collect();
-            let circuits: Vec<Circuit> =
-                members.iter().map(|&i| corpus[i].circuit.clone()).collect();
-            let results = SuperSim::new(config(shots, strategy, 2)).run_batch(&circuits);
-            for (&i, result) in members.iter().zip(&results) {
-                got[i].push(line(label, result));
-            }
+    for &point in &GRID {
+        for (lines, line) in got.iter_mut().zip(batch_lines(&corpus, point, false)) {
+            lines.push(line);
         }
     }
     for (entry, lines) in corpus.iter().zip(got) {
@@ -211,6 +236,37 @@ fn batch_matches_golden() {
             lines,
             golden(&entry.name),
             "{}: `run_batch` moved",
+            entry.name
+        );
+    }
+}
+
+/// At the 50-shot point — sampled, with a non-trivial MLFT — the sweep and
+/// the resilient driver give the same line as `run`.
+#[test]
+fn sweep_and_resilient_batch_match_golden() {
+    let corpus = corpus();
+    let point = GRID[2];
+    let resilient = batch_lines(&corpus, point, true);
+    for (entry, resilient) in corpus.iter().zip(resilient) {
+        let expected = &golden(&entry.name)[2];
+        let config = config(point.1, &entry.strategy, 1);
+        let sim = SuperSim::new(config.clone());
+        let swept = sim.plan(&entry.circuit).and_then(|plan| {
+            let mut results = sim
+                .executor()
+                .run_sweep(&plan, &[ExecParams::from_config(&config)]);
+            results.pop().expect("one point, one result")
+        });
+        assert_eq!(
+            line(point.0, &swept),
+            *expected,
+            "{}: `run_sweep` moved",
+            entry.name
+        );
+        assert_eq!(
+            resilient, *expected,
+            "{}: `run_batch_resilient` moved",
             entry.name
         );
     }
