@@ -12,12 +12,12 @@ fn main() {
     println!("t_gates\tcuts\tvariants\tseconds");
     for t in 1..=max_t {
         let w = workloads::hwea(12, 3, t, 31 + t as u64);
-        let cfg = SuperSimConfig {
-            shots: 1000,
-            cut_strategy: supersim::CutStrategy::IsolateNonClifford { max_cuts: 12 },
-            joint_support_limit: 0,
-            ..SuperSimConfig::default()
-        };
+        let cfg = SuperSimConfig::builder()
+            .shots(1000)
+            .cut_strategy(supersim::CutStrategy::IsolateNonClifford { max_cuts: 12 })
+            .joint_support_limit(0)
+            .build()
+            .expect("valid config");
         let t0 = Instant::now();
         match SuperSim::new(cfg).run(&w.circuit) {
             Ok(r) => println!(

@@ -15,8 +15,12 @@ fn fidelity(c: &Circuit, cfg: &SuperSimConfig, reps: usize) -> f64 {
     let reference = Distribution::from_pairs(c.num_qubits(), sv.distribution(1e-14));
     let mut total = 0.0;
     for rep in 0..reps {
-        let mut cfg = cfg.clone();
-        cfg.seed = rep as u64 * 7919 + 1;
+        let cfg = cfg
+            .clone()
+            .into_builder()
+            .seed(rep as u64 * 7919 + 1)
+            .build()
+            .expect("valid config");
         let result = SuperSim::new(cfg).run(c).expect("pipeline runs");
         let dist = result.distribution.expect("joint available");
         total += reference.hellinger_fidelity(&dist);
@@ -36,38 +40,24 @@ fn main() {
         vec![50, 150, 400, 1200]
     };
     for shots in budgets {
-        let base = SuperSimConfig {
-            shots,
-            mlft: false,
-            clifford_snap: false,
-            ..SuperSimConfig::default()
+        let base = SuperSimConfig::builder()
+            .shots(shots)
+            .mlft(false)
+            .clifford_snap(false)
+            .build()
+            .expect("valid config");
+        let with = |mlft: bool, snap: bool| {
+            base.clone()
+                .into_builder()
+                .mlft(mlft)
+                .clifford_snap(snap)
+                .build()
+                .expect("valid config")
         };
         let raw = fidelity(&w.circuit, &base, reps);
-        let mlft = fidelity(
-            &w.circuit,
-            &SuperSimConfig {
-                mlft: true,
-                ..base.clone()
-            },
-            reps,
-        );
-        let snap = fidelity(
-            &w.circuit,
-            &SuperSimConfig {
-                clifford_snap: true,
-                ..base.clone()
-            },
-            reps,
-        );
-        let both = fidelity(
-            &w.circuit,
-            &SuperSimConfig {
-                mlft: true,
-                clifford_snap: true,
-                ..base
-            },
-            reps,
-        );
+        let mlft = fidelity(&w.circuit, &with(true, false), reps);
+        let snap = fidelity(&w.circuit, &with(false, true), reps);
+        let both = fidelity(&w.circuit, &with(true, true), reps);
         println!("{shots}\t{raw:.4}\t{mlft:.4}\t{snap:.4}\t{both:.4}");
     }
 }

@@ -14,10 +14,12 @@ use supersim_bench::{HarnessConfig, Sweep};
 fn main() {
     let config = HarnessConfig::from_env();
     let backends: Vec<Box<dyn Simulator>> = vec![
-        Box::new(SuperSim::new(SuperSimConfig {
-            shots: config.shots,
-            ..SuperSimConfig::default()
-        })),
+        Box::new(SuperSim::new(
+            SuperSimConfig::builder()
+                .shots(config.shots)
+                .build()
+                .expect("valid config"),
+        )),
         Box::new(StatevectorBackend),
         Box::new(MpsBackend::default()),
         Box::new(ExtStabBackend::default()),

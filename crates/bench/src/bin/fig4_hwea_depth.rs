@@ -12,10 +12,12 @@ fn main() {
     let config = HarnessConfig::from_env();
     let n = 20;
     let backends: Vec<Box<dyn Simulator>> = vec![
-        Box::new(SuperSim::new(SuperSimConfig {
-            shots: config.shots,
-            ..SuperSimConfig::default()
-        })),
+        Box::new(SuperSim::new(
+            SuperSimConfig::builder()
+                .shots(config.shots)
+                .build()
+                .expect("valid config"),
+        )),
         Box::new(MpsBackend::default()),
     ];
     let mut sweep = Sweep::new(config, backends);

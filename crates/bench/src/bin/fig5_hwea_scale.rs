@@ -10,10 +10,12 @@ use supersim_bench::{HarnessConfig, Sweep};
 fn main() {
     let mut config = HarnessConfig::from_env();
     config.reps = 1; // single instance per point, as in the paper
-    let backends: Vec<Box<dyn Simulator>> = vec![Box::new(SuperSim::new(SuperSimConfig {
-        shots: config.shots,
-        ..SuperSimConfig::default()
-    }))];
+    let backends: Vec<Box<dyn Simulator>> = vec![Box::new(SuperSim::new(
+        SuperSimConfig::builder()
+            .shots(config.shots)
+            .build()
+            .expect("valid config"),
+    ))];
     let mut sweep = Sweep::new(config, backends);
     sweep.header("fig5", "Clifford HWEA, 1 T gate, up to 300 qubits");
     let step = if config.full { 10 } else { 25 };

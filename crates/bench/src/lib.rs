@@ -13,8 +13,6 @@
 //!   size grids, more generous timeouts);
 //! * `SHOTS`, `REPS`, `TIMEOUT_SECS` — individual overrides.
 
-pub mod benchjson;
-
 use metrics::{mean_marginal_fidelity, Distribution};
 use qcir::Circuit;
 use std::collections::HashSet;

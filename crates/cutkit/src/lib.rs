@@ -51,11 +51,9 @@ pub use evaluate::{
     evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
 };
 pub use mlft::{correct_tensor, correct_tensors, MlftError, MlftOptions};
-#[doc(hidden)]
-pub use recombine::reference_joint_btreemap;
 pub use recombine::{Reconstructor, SweepStats, ASSIGNMENTS_PER_CHUNK, MAX_CONTRACTION_CUTS};
 pub use tensor::{
     build_fragment_tensor, evaluate_fragment_tensors, evaluate_fragment_tensors_planned,
-    synthetic_dense_chain, FragmentEvalPlan, FragmentTensor, TensorOptions, PREP_TO_PAULI,
+    FragmentEvalPlan, FragmentTensor, TensorOptions, PREP_TO_PAULI,
 };
 pub use variants::{enumerate_variants, variant_circuit, MeasBasis, PrepState, Variant};

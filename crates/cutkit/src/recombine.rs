@@ -1174,8 +1174,8 @@ impl<'a> Reconstructor<'a> {
     }
 
     /// Number of `4^k` terms the contraction actually visits — after both
-    /// sparse skipping and budget truncation, so the §IX ablation
-    /// benchmark and the truncated-sweep bench compare like with like.
+    /// sparse skipping and budget truncation, so the §IX sparse ablation
+    /// and an error-budgeted run count the same work.
     pub fn visited_assignments(&self) -> usize {
         self.sweep_stats().visited as usize
     }
@@ -1277,93 +1277,127 @@ fn expect_unsupervised<T>(result: Result<T, Fault>) -> T {
     result.unwrap_or_else(|fault| panic!("unsupervised contraction interrupted: {fault}"))
 }
 
-/// The pre-intern joint implementation, frozen as a parity baseline:
-/// chunked `4^k` sweep with per-chunk `BTreeMap<Bits, f64>` accumulation,
-/// one heap-allocated `Bits` clone per partial term, and ordered-map
-/// re-insertion (`b.clone()` per key) at every chunk merge. Written
-/// against the public tensor API only.
-///
-/// Shared by the `joint_matches_btreemap_reference_bit_exact` test and
-/// the `joint_reconstruction` series of the `bench_json` benchmark; not
-/// part of the supported API.
-#[doc(hidden)]
-pub fn reference_joint_btreemap(
-    tensors: &[FragmentTensor],
-    num_cuts: usize,
-    n_qubits: usize,
-    sparse: bool,
-) -> Vec<(Bits, f64)> {
-    use std::collections::BTreeMap;
-    let tol = 1e-12;
-    let plans: Vec<IndexPlan> = tensors
-        .iter()
-        .map(|t| IndexPlan::new(t.output_globals(), n_qubits))
-        .collect();
-    let mut dist: BTreeMap<Bits, f64> = BTreeMap::new();
-    let total = 1u64 << (2 * num_cuts);
-    let num_chunks = total.div_ceil(ASSIGNMENTS_PER_CHUNK);
-    let mut partial: Vec<(Bits, f64)> = Vec::new();
-    let mut next: Vec<(Bits, f64)> = Vec::new();
-    for chunk in 0..num_chunks {
-        let mut chunk_dist: BTreeMap<Bits, f64> = BTreeMap::new();
-        let start = chunk * ASSIGNMENTS_PER_CHUNK;
-        let end = (start + ASSIGNMENTS_PER_CHUNK).min(total);
-        for kappa in start..end {
-            let digit = |cut: usize| ((kappa >> (2 * cut)) & 0b11) as usize;
-            let indices: Vec<usize> = tensors.iter().map(|t| t.pauli_index(digit)).collect();
-            if sparse
-                && tensors
-                    .iter()
-                    .zip(&indices)
-                    .any(|(t, &idx)| t.slice_max_abs(idx) <= tol)
-            {
-                continue;
-            }
-            partial.clear();
-            partial.push((Bits::zeros(n_qubits), 1.0));
-            for ((t, plan), &idx) in tensors.iter().zip(&plans).zip(&indices) {
-                if t.support_len() == 0 {
-                    continue;
-                }
-                next.clear();
-                next.reserve(partial.len() * t.support_len());
-                let mut b = Bits::zeros(t.output_globals().len());
-                for (key, coeffs) in t.iter() {
-                    let v = coeffs[idx];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    b.copy_from_words(key);
-                    for (gb, w) in &partial {
-                        let mut gb2 = gb.clone();
-                        plan.scatter_into(&b, &mut gb2);
-                        next.push((gb2, w * v));
-                    }
-                }
-                std::mem::swap(&mut partial, &mut next);
-            }
-            for (b, w) in partial.drain(..) {
-                if w != 0.0 {
-                    *chunk_dist.entry(b).or_insert(0.0) += w;
-                }
-            }
-        }
-        for (b, w) in chunk_dist {
-            *dist.entry(b).or_insert(0.0) += w;
-        }
-    }
-    dist.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cut::{cut_circuit, CutStrategy};
     use crate::evaluate::{EvalMode, EvalOptions};
-    use crate::tensor::{build_fragment_tensor, synthetic_dense_chain, TensorOptions};
+    use crate::tensor::{build_fragment_tensor, TensorOptions};
     use qcir::Circuit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Deterministic dense tensor chain with `k` cuts (`k + 1` fragments, each
+    /// with `outputs_per_frag` circuit outputs), returned with the synthetic
+    /// circuit width. Every Pauli slice is nonzero, so the sparse skip never
+    /// prunes — the controlled workload of the multi-chunk and thread-count
+    /// bit-identity tests.
+    fn synthetic_dense_chain(k: usize, outputs_per_frag: usize) -> (Vec<FragmentTensor>, usize) {
+        let coeff = |f: usize, e: usize, i: usize| {
+            // Pseudo-random but fully deterministic nonzero coefficients.
+            let x = (f * 7919 + e * 104729 + i * 1299709) % 1000;
+            0.05 + x as f64 / 1000.0
+        };
+        let mut tensors = Vec::new();
+        for f in 0..=k {
+            let input_cuts = if f == 0 { vec![] } else { vec![f - 1] };
+            let output_cuts = if f == k { vec![] } else { vec![f] };
+            let co_global: Vec<usize> =
+                (f * outputs_per_frag..(f + 1) * outputs_per_frag).collect();
+            let dim = 1usize << (2 * (input_cuts.len() + output_cuts.len()));
+            let entries: Vec<(Bits, Vec<f64>)> = (0..1u64 << outputs_per_frag)
+                .map(|e| {
+                    (
+                        Bits::from_u64(e, outputs_per_frag),
+                        (0..dim).map(|i| coeff(f, e as usize, i)).collect(),
+                    )
+                })
+                .collect();
+            tensors.push(FragmentTensor::from_dense_entries(
+                input_cuts,
+                output_cuts,
+                co_global,
+                entries,
+            ));
+        }
+        let n_qubits = (k + 1) * outputs_per_frag;
+        (tensors, n_qubits)
+    }
+
+    /// The pre-intern joint implementation, frozen as a parity baseline:
+    /// chunked `4^k` sweep with per-chunk `BTreeMap<Bits, f64>` accumulation,
+    /// one heap-allocated `Bits` clone per partial term, and ordered-map
+    /// re-insertion (`b.clone()` per key) at every chunk merge. Written
+    /// against the public tensor API only.
+    ///
+    /// The reference of `joint_matches_btreemap_reference_bit_exact`.
+    fn reference_joint_btreemap(
+        tensors: &[FragmentTensor],
+        num_cuts: usize,
+        n_qubits: usize,
+        sparse: bool,
+    ) -> Vec<(Bits, f64)> {
+        use std::collections::BTreeMap;
+        let tol = 1e-12;
+        let plans: Vec<IndexPlan> = tensors
+            .iter()
+            .map(|t| IndexPlan::new(t.output_globals(), n_qubits))
+            .collect();
+        let mut dist: BTreeMap<Bits, f64> = BTreeMap::new();
+        let total = 1u64 << (2 * num_cuts);
+        let num_chunks = total.div_ceil(ASSIGNMENTS_PER_CHUNK);
+        let mut partial: Vec<(Bits, f64)> = Vec::new();
+        let mut next: Vec<(Bits, f64)> = Vec::new();
+        for chunk in 0..num_chunks {
+            let mut chunk_dist: BTreeMap<Bits, f64> = BTreeMap::new();
+            let start = chunk * ASSIGNMENTS_PER_CHUNK;
+            let end = (start + ASSIGNMENTS_PER_CHUNK).min(total);
+            for kappa in start..end {
+                let digit = |cut: usize| ((kappa >> (2 * cut)) & 0b11) as usize;
+                let indices: Vec<usize> = tensors.iter().map(|t| t.pauli_index(digit)).collect();
+                if sparse
+                    && tensors
+                        .iter()
+                        .zip(&indices)
+                        .any(|(t, &idx)| t.slice_max_abs(idx) <= tol)
+                {
+                    continue;
+                }
+                partial.clear();
+                partial.push((Bits::zeros(n_qubits), 1.0));
+                for ((t, plan), &idx) in tensors.iter().zip(&plans).zip(&indices) {
+                    if t.support_len() == 0 {
+                        continue;
+                    }
+                    next.clear();
+                    next.reserve(partial.len() * t.support_len());
+                    let mut b = Bits::zeros(t.output_globals().len());
+                    for (key, coeffs) in t.iter() {
+                        let v = coeffs[idx];
+                        if v == 0.0 {
+                            continue;
+                        }
+                        b.copy_from_words(key);
+                        for (gb, w) in &partial {
+                            let mut gb2 = gb.clone();
+                            plan.scatter_into(&b, &mut gb2);
+                            next.push((gb2, w * v));
+                        }
+                    }
+                    std::mem::swap(&mut partial, &mut next);
+                }
+                for (b, w) in partial.drain(..) {
+                    if w != 0.0 {
+                        *chunk_dist.entry(b).or_insert(0.0) += w;
+                    }
+                }
+            }
+            for (b, w) in chunk_dist {
+                *dist.entry(b).or_insert(0.0) += w;
+            }
+        }
+        dist.into_iter().collect()
+    }
 
     fn reconstruct_exact(c: &Circuit) -> (Vec<FragmentTensor>, usize, usize) {
         let cut = cut_circuit(c, CutStrategy::default()).unwrap();
@@ -1726,6 +1760,103 @@ mod tests {
                 seq.3 == r.expectation_z(&[0, 4]),
                 "expectation at {threads} threads"
             );
+        }
+    }
+
+    /// The seed implementation's marginals loop, kept as an independent
+    /// reference: one sequential `4^k` sweep, fresh prefix/suffix products
+    /// per assignment and `slice_max_abs` checked per tensor per
+    /// assignment — no chunks, no hoisted prefixes, no grouping.
+    fn seed_marginals(
+        tensors: &[FragmentTensor],
+        num_cuts: usize,
+        n_qubits: usize,
+    ) -> Vec<[f64; 2]> {
+        let nf = tensors.len();
+        let tol = 1e-12;
+        let mut marg = vec![[0.0f64; 2]; n_qubits];
+        let mut mass = 0.0;
+        let total = 1u64 << (2 * num_cuts);
+        let mut indices = vec![0usize; nf];
+        for kappa in 0..total {
+            let digit = |cut: usize| ((kappa >> (2 * cut)) & 0b11) as usize;
+            let mut skip = false;
+            for (fi, t) in tensors.iter().enumerate() {
+                let idx = t.pauli_index(digit);
+                if t.slice_max_abs(idx) <= tol {
+                    skip = true;
+                    break;
+                }
+                indices[fi] = idx;
+            }
+            if skip {
+                continue;
+            }
+            let mut prefix = vec![1.0; nf + 1];
+            for f in 0..nf {
+                prefix[f + 1] = prefix[f] * tensors[f].total(indices[f]);
+            }
+            let mut suffix = vec![1.0; nf + 1];
+            for f in (0..nf).rev() {
+                suffix[f] = suffix[f + 1] * tensors[f].total(indices[f]);
+            }
+            mass += prefix[nf];
+            for (f, t) in tensors.iter().enumerate() {
+                let excl = prefix[f] * suffix[f + 1];
+                if excl == 0.0 {
+                    continue;
+                }
+                for (bit, &global) in t.output_globals().iter().enumerate() {
+                    for v in 0..2 {
+                        marg[global][v] += excl * t.marginal(bit, v == 1, indices[f]);
+                    }
+                }
+            }
+        }
+        if mass.abs() > 1e-12 {
+            for m in &mut marg {
+                m[0] /= mass;
+                m[1] /= mass;
+            }
+        }
+        for m in &mut marg {
+            m[0] = m[0].clamp(0.0, 1.0);
+            m[1] = m[1].clamp(0.0, 1.0);
+            let s = m[0] + m[1];
+            if s > 0.0 {
+                m[0] /= s;
+                m[1] /= s;
+            }
+        }
+        marg
+    }
+
+    /// The chunked marginal sweep agrees with the seed's per-assignment
+    /// sum on a dense k = 8 chain spanning 16 chunks, and on the same chain
+    /// with a quarter of its chunks masked whole, at 1 and 2 threads.
+    #[test]
+    fn marginals_match_seed_per_assignment_sum() {
+        let k = 8;
+        assert_eq!((1u64 << (2 * k)) / ASSIGNMENTS_PER_CHUNK, 16);
+        for (label, (tensors, n)) in [
+            ("dense", synthetic_dense_chain(k, 1)),
+            ("masked", masked_chain(k, &[2])),
+        ] {
+            let expect = seed_marginals(&tensors, k, n);
+            for threads in [1, 2] {
+                let got = Reconstructor::new(&tensors, k, n)
+                    .with_threads(threads)
+                    .marginals();
+                let diff = got
+                    .iter()
+                    .zip(&expect)
+                    .map(|(g, e)| (g[0] - e[0]).abs().max((g[1] - e[1]).abs()))
+                    .fold(0.0, f64::max);
+                assert!(
+                    diff < 1e-9,
+                    "{label} at {threads} threads: max |Δ| = {diff}"
+                );
+            }
         }
     }
 

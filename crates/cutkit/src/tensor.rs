@@ -564,42 +564,6 @@ fn variant_rng(base_seed: u64, variant_index: usize) -> rand::rngs::StdRng {
     )
 }
 
-/// Deterministic dense tensor chain with `k` cuts (`k + 1` fragments, each
-/// with `outputs_per_frag` circuit outputs), returned with the synthetic
-/// circuit width. Every Pauli slice is nonzero, so the sparse skip never
-/// prunes — the controlled workload used by the contraction benchmarks and
-/// the thread-count bit-identity tests.
-pub fn synthetic_dense_chain(k: usize, outputs_per_frag: usize) -> (Vec<FragmentTensor>, usize) {
-    let coeff = |f: usize, e: usize, i: usize| {
-        // Pseudo-random but fully deterministic nonzero coefficients.
-        let x = (f * 7919 + e * 104729 + i * 1299709) % 1000;
-        0.05 + x as f64 / 1000.0
-    };
-    let mut tensors = Vec::new();
-    for f in 0..=k {
-        let input_cuts = if f == 0 { vec![] } else { vec![f - 1] };
-        let output_cuts = if f == k { vec![] } else { vec![f] };
-        let co_global: Vec<usize> = (f * outputs_per_frag..(f + 1) * outputs_per_frag).collect();
-        let dim = 1usize << (2 * (input_cuts.len() + output_cuts.len()));
-        let entries: Vec<(Bits, Vec<f64>)> = (0..1u64 << outputs_per_frag)
-            .map(|e| {
-                (
-                    Bits::from_u64(e, outputs_per_frag),
-                    (0..dim).map(|i| coeff(f, e as usize, i)).collect(),
-                )
-            })
-            .collect();
-        tensors.push(FragmentTensor::from_dense_entries(
-            input_cuts,
-            output_cuts,
-            co_global,
-            entries,
-        ));
-    }
-    let n_qubits = (k + 1) * outputs_per_frag;
-    (tensors, n_qubits)
-}
-
 /// Per-fragment precomputed evaluation context: the enumerated variants
 /// plus the extraction plans and weights shared by every variant
 /// evaluation of the fragment.
@@ -964,7 +928,7 @@ fn permute_rows(rows: &mut [f64], dim: usize, order: &[u32]) {
 /// expensive fragment no longer serializes the pipeline behind its
 /// neighbours.
 ///
-/// Items are processed in fixed-size chunks ([`VARIANTS_PER_CHUNK`], a
+/// Items are processed in fixed-size chunks (`VARIANTS_PER_CHUNK`, a
 /// constant independent of the worker count): each chunk folds its
 /// variants, in item order, into one accumulator per fragment it spans,
 /// and chunk partials are merged in chunk order by [`runtime::fold_ordered`]

@@ -535,9 +535,9 @@ pub fn into_inner_or_recover<T>(mutex: Mutex<T>) -> T {
 }
 
 /// Blocks on a condition variable, recovering from poisoning — the
-/// [`Condvar::wait`] counterpart of [`lock_or_recover`], for worker pools
-/// that must keep parking/waking after a sibling panicked while holding
-/// the paired mutex.
+/// [`Condvar::wait`](std::sync::Condvar::wait) counterpart of
+/// [`lock_or_recover`], for worker pools that must keep parking/waking
+/// after a sibling panicked while holding the paired mutex.
 pub fn wait_or_recover<'a, T>(
     condvar: &std::sync::Condvar,
     guard: MutexGuard<'a, T>,

@@ -528,7 +528,7 @@ pub fn sort_by_first_word(
 /// outcome and once per fragment entry; a plan hoists the bounds checks
 /// and the index arithmetic out of those hot loops.
 ///
-/// The list is stored as maximal [`Run`]s: stretches where consecutive
+/// The list is stored as maximal `Run`s: stretches where consecutive
 /// plan positions map to consecutive domain positions, each at most 64
 /// bits long. A run moves as one masked, funnel-shifted word, so a
 /// contiguous index list costs one word operation per 64 bits instead of

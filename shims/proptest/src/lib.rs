@@ -203,7 +203,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

@@ -13,8 +13,8 @@ use qcir::Circuit;
 use std::collections::HashMap;
 use std::sync::Arc;
 use supersim::{
-    ConfigError, ExecParams, FaultKind, FaultPlan, RunResult, Stage, SuperSim, SuperSimConfig,
-    SuperSimError,
+    ConfigError, CutPoint, CutStrategy, ExecParams, FaultKind, FaultPlan, RunResult, Stage,
+    SuperSim, SuperSimConfig, SuperSimError,
 };
 
 fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
@@ -325,6 +325,90 @@ fn budgeted_batch_reports_injected_recombine_fault() {
             }
         }
     }
+}
+
+/// A noisy one-qubit T chain — 9 × (`h`, `t`, weak depolarizing), cut
+/// after each of the first 8 channels — under three error budgets. Every
+/// fragment is noisy, so all 91 variants are sampled, and the shot noise
+/// leaves thousands of small-weight assignments where the exact tensors
+/// are zero: the budget has real work to trim. Each budgeted run must stay
+/// within its budget, its bound must dominate the measured L1 distance
+/// from the exact run's distribution, and every assignment the exact run
+/// visits must be either visited or skipped. The largest budget must cut
+/// the visited assignments at least in half.
+#[test]
+fn budget_trims_a_sampled_chain_within_its_bound() {
+    let mut chain = Circuit::new(1);
+    let mut cuts = Vec::new();
+    for layer in 0..9 {
+        chain
+            .h(0)
+            .t(0)
+            .add_noise(qcir::NoiseChannel::Depolarize1(1e-3), &[0]);
+        if layer < 8 {
+            cuts.push(CutPoint {
+                qubit: 0,
+                after_op: chain.len() - 1,
+            });
+        }
+    }
+    let sim = SuperSim::new(
+        SuperSimConfig::builder()
+            .cut_strategy(CutStrategy::Manual(cuts))
+            .build()
+            .unwrap(),
+    );
+    let plan = sim.plan(&chain).unwrap();
+    let exact = sim
+        .executor()
+        .run_with(&plan, ExecParams::seeded(7))
+        .unwrap();
+    assert_eq!(exact.report.assignments_skipped, 0);
+    assert_eq!(
+        exact.report.enumerated_variants, 0,
+        "every noisy variant must be sampled"
+    );
+    let exact_dist: HashMap<qcir::Bits, f64> = exact
+        .distribution
+        .as_ref()
+        .unwrap()
+        .iter()
+        .map(|(b, p)| (b.clone(), p))
+        .collect();
+    let mut last = None;
+    for budget in [0.05, 0.25, 1.0] {
+        let run = sim
+            .executor()
+            .run_with(&plan, ExecParams::seeded(7).with_error_budget(budget))
+            .unwrap();
+        let bound = run.report.recombine_error_bound;
+        assert!(
+            bound <= budget + 1e-12,
+            "budget {budget}: bound {bound} exceeds the budget"
+        );
+        let mut rest = exact_dist.clone();
+        let mut l1 = 0.0;
+        for (b, p) in run.distribution.as_ref().unwrap().iter() {
+            l1 += (p - rest.remove(b).unwrap_or(0.0)).abs();
+        }
+        l1 += rest.values().map(|v| v.abs()).sum::<f64>();
+        assert!(
+            l1 <= bound,
+            "budget {budget}: L1 {l1} above the bound {bound}"
+        );
+        assert_eq!(
+            run.report.visited_assignments + run.report.assignments_skipped,
+            exact.report.visited_assignments,
+            "budget {budget} lost track of assignments"
+        );
+        last = Some(run.report.visited_assignments);
+    }
+    let visited = last.unwrap();
+    assert!(
+        visited <= exact.report.visited_assignments / 2,
+        "budget 1.0 visited {visited} of {} assignments",
+        exact.report.visited_assignments
+    );
 }
 
 /// Unnormalized joint of `tensors` contracted under `budget` (0 = exact),
