@@ -146,11 +146,11 @@ impl From<TaskPanic> for EvalError {
 }
 
 /// Reusable per-worker evaluation scratch for [`evaluate_variant_into`]:
-/// the outcome tally (and its hash table), the row that sampling and
-/// enumeration write each outcome through, and nothing else — everything
-/// the hot paths would otherwise allocate afresh per variant.
+/// the sampler's working memory (its byte tables and drawn rows) and the
+/// row that enumeration writes each point through — everything the hot
+/// paths would otherwise allocate afresh per variant.
 pub struct EvalScratch {
-    counts: metrics::OutcomeCounts,
+    buf: Vec<u64>,
     row: Bits,
 }
 
@@ -159,7 +159,7 @@ impl EvalScratch {
     /// first evaluations and are reused afterwards.
     pub fn new() -> Self {
         EvalScratch {
-            counts: metrics::OutcomeCounts::new(),
+            buf: Vec::new(),
             row: Bits::zeros(0),
         }
     }
@@ -206,7 +206,7 @@ pub fn evaluate_variant(
 
 /// [`evaluate_variant`] into caller-provided buffers: `out` is replaced by
 /// the variant's weighted outcomes (on an error its contents are
-/// unspecified); `scratch` carries the tally table and the row buffer
+/// unspecified); `scratch` carries the sampler's buffer and the row buffer
 /// across calls so the per-variant hot loop re-allocates neither, and
 /// every path overwrites the `Bits` rows `out` already holds instead of
 /// cloning one per outcome.
@@ -240,7 +240,7 @@ pub fn evaluate_variant_into(
             };
             let samples =
                 stabsim::FrameSim::sample(&circuit, shots, rng).map_err(EvalError::NonClifford)?;
-            count_samples_into(&samples, scratch, out);
+            count_samples_into(samples, out);
             return Ok(false);
         }
         let support = stabsim::TableauSim::run(&circuit, rng)
@@ -252,12 +252,15 @@ pub fn evaluate_variant_into(
                 return Err(EvalError::SupportTooLarge { dim });
             }
             EvalMode::Sampled { shots } if dim > MAX_ENUMERATED_DIM || (1usize << dim) > shots => {
-                // Bulk sampling through the counting path reuses the
-                // worker's tally table and scratch row instead of
-                // allocating per variant (let alone per shot).
-                scratch.counts.clear();
-                support.sample_counts_scratch(shots, rng, &mut scratch.counts, &mut scratch.row);
-                counts_to_frequencies_into(&scratch.counts, shots, out);
+                // The sampler streams its sorted tally straight into the
+                // rows, through the worker's reused buffer.
+                let (width, total) = (support.base().len(), shots as f64);
+                let mut n = 0;
+                support.sample_runs(shots, rng, &mut scratch.buf, |words, count| {
+                    set_row(out, n, width, words, count as f64 / total);
+                    n += 1;
+                });
+                out.truncate(n);
                 return Ok(false);
             }
             _ => {}
@@ -265,7 +268,7 @@ pub fn evaluate_variant_into(
         let p = 1.0 / (1u64 << dim) as f64;
         let mut n = 0;
         support.enumerate_into(&mut scratch.row, |point| {
-            set_row(out, n, point, p);
+            set_row(out, n, point.len(), point.as_words(), p);
             n += 1;
         });
         out.truncate(n);
@@ -294,18 +297,11 @@ pub fn evaluate_variant_into(
         // variant's distribution.
         EvalMode::Sampled { shots } if noisy || probabilities().nth(shots).is_some() => shots,
         _ => {
-            if scratch.row.len() != nq {
-                scratch.row = Bits::zeros(nq);
-            }
             let mut n = 0;
             for (idx, p) in probabilities() {
                 // `nq ≤ MAX_QUBITS < 64`: a row is one word, or none at
                 // zero width.
-                let words = [idx as u64];
-                scratch
-                    .row
-                    .copy_from_words(&words[..scratch.row.as_words().len()]);
-                set_row(out, n, &scratch.row, p);
+                set_row(out, n, nq, &[idx as u64][..nq.div_ceil(64)], p);
                 n += 1;
             }
             out.truncate(n);
@@ -315,67 +311,57 @@ pub fn evaluate_variant_into(
     if (1..=20).contains(&nq) {
         // Index-tally sampling: same RNG stream and outcome multiset as
         // `sample`, without materializing a `Bits` per shot. Gated on
-        // width so the 2^n tally stays small.
-        scratch.counts.clear();
-        if scratch.row.len() != nq {
-            scratch.row = Bits::zeros(nq);
-        }
+        // width so the 2^n tally stays small. The tally ascends by index,
+        // which is the order of one-word rows.
+        let total = shots as f64;
+        let mut n = 0;
         for (idx, count) in sv.sample_index_counts(shots, rng) {
-            scratch.row.copy_from_words(&[idx]);
-            scratch.counts.record_n(&scratch.row, count);
+            set_row(out, n, nq, &[idx], count as f64 / total);
+            n += 1;
         }
-        counts_to_frequencies_into(&scratch.counts, shots, out);
+        out.truncate(n);
     } else {
-        count_samples_into(&sv.sample(shots, rng), scratch, out);
+        count_samples_into(sv.sample(shots, rng), out);
     }
     Ok(false)
 }
 
-/// Collapses samples into `(outcome, frequency)` pairs in deterministic
-/// (lexicographic) order so downstream accumulation is bit-reproducible.
-/// Tallied by interned id (`O(1)` per sample) through the worker's reused
-/// table instead of the former per-sample ordered-map walk; the sort
-/// happens once at emission.
-fn count_samples_into(samples: &[Bits], scratch: &mut EvalScratch, out: &mut Vec<(Bits, f64)>) {
-    scratch.counts.clear();
-    for s in samples {
-        scratch.counts.record(s);
+/// Collapses samples into `(outcome, frequency)` rows in ascending
+/// [`Bits`] order, so downstream accumulation is bit-reproducible: one
+/// sort, then one row per run of equal samples.
+fn count_samples_into(mut samples: Vec<Bits>, out: &mut Vec<(Bits, f64)>) {
+    let total = samples.len().max(1) as f64;
+    samples.sort_unstable();
+    let mut n = 0;
+    for run in samples.chunk_by(|a, b| a == b) {
+        set_row(
+            out,
+            n,
+            run[0].len(),
+            run[0].as_words(),
+            run.len() as f64 / total,
+        );
+        n += 1;
     }
-    counts_to_frequencies_into(&scratch.counts, samples.len(), out);
+    out.truncate(n);
 }
 
-/// Converts an outcome tally to frequencies, replacing `out`'s contents in
-/// lexicographic order (bit-identical to the former `BTreeMap<Bits,
-/// usize>` path).
-fn counts_to_frequencies_into(
-    counts: &metrics::OutcomeCounts,
-    shots: usize,
-    out: &mut Vec<(Bits, f64)>,
-) {
-    let total = shots.max(1) as f64;
-    out.truncate(counts.len());
-    for (n, (b, c)) in counts.iter_sorted().enumerate() {
-        set_row(out, n, b, c as f64 / total);
+/// Sets row `n` of `out` — at most one past its end — to the `len`-bit
+/// outcome with backing words `words`, weighted `p`. A row `out` already
+/// holds is overwritten in place, a word copy when the width matches, as
+/// it does from one variant of a fragment to the next, so a worker
+/// allocates a row only when a variant has more outcomes than any before
+/// it.
+fn set_row(out: &mut Vec<(Bits, f64)>, n: usize, len: usize, words: &[u64], p: f64) {
+    if n == out.len() {
+        out.push((Bits::zeros(len), p));
     }
-}
-
-/// Sets row `n` of `out` — at most one past its end — to `(bits, p)`. A
-/// row `out` already holds is overwritten in place, a word copy when the
-/// width matches, as it does from one variant of a fragment to the next,
-/// so a worker allocates a row only when a variant has more outcomes than
-/// any before it.
-fn set_row(out: &mut Vec<(Bits, f64)>, n: usize, bits: &Bits, p: f64) {
-    match out.get_mut(n) {
-        Some((row, weight)) => {
-            if row.len() == bits.len() {
-                row.copy_from(bits);
-            } else {
-                row.clone_from(bits);
-            }
-            *weight = p;
-        }
-        None => out.push((bits.clone(), p)),
+    let (row, weight) = &mut out[n];
+    if row.len() != len {
+        *row = Bits::zeros(len);
     }
+    row.copy_from_words(words);
+    *weight = p;
 }
 
 #[cfg(test)]

@@ -269,94 +269,6 @@ fn sort_keys(keys: &[Bits]) -> Vec<u32> {
     )
 }
 
-/// Shot-outcome counts keyed by interned ids.
-///
-/// The bulk-sampling hot loops record one outcome per shot; keying the
-/// tally by a [`BTreeMap`](std::collections::BTreeMap) means an `O(log n)`
-/// ordered walk (with full key comparisons) per shot, re-sorting outcomes
-/// that were already seen thousands of times. `OutcomeCounts` tallies by
-/// interned id instead — `O(1)` per shot, one key clone per *distinct*
-/// outcome — and emits in lexicographic key order only at the API boundary
-/// ([`OutcomeCounts::iter_sorted`]), which keeps downstream accumulation
-/// bit-identical to the former ordered-map tally.
-#[derive(Clone, Debug, Default)]
-pub struct OutcomeCounts {
-    pool: InternPool,
-    /// `id → count`, parallel to the pool's key list.
-    counts: Vec<u64>,
-}
-
-impl OutcomeCounts {
-    /// Creates an empty tally.
-    pub fn new() -> Self {
-        OutcomeCounts::default()
-    }
-
-    /// Creates a tally sized for roughly `n` distinct outcomes.
-    pub fn with_capacity(n: usize) -> Self {
-        OutcomeCounts {
-            pool: InternPool::with_capacity(n),
-            counts: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of distinct outcomes recorded.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Returns `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Total number of recorded shots.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Records one observation of `outcome` (cloned only on first sight).
-    pub fn record(&mut self, outcome: &Bits) {
-        self.record_n(outcome, 1);
-    }
-
-    /// Records `n` observations of `outcome` at once — the bulk arm for
-    /// samplers that pre-tally shots elsewhere (e.g. the small-support
-    /// table path of `AffineSupport::sample_counts`). Equivalent to `n`
-    /// [`OutcomeCounts::record`] calls.
-    pub fn record_n(&mut self, outcome: &Bits, n: u64) {
-        let id = self.pool.intern(outcome) as usize;
-        if id == self.counts.len() {
-            self.counts.push(n);
-        } else {
-            self.counts[id] += n;
-        }
-    }
-
-    /// The count of one outcome (0 when never recorded).
-    pub fn count(&self, outcome: &Bits) -> u64 {
-        self.pool
-            .get(outcome)
-            .map_or(0, |id| self.counts[id as usize])
-    }
-
-    /// Resets the tally for reuse, keeping allocations (the caller-provided
-    /// accumulator pattern: one tally reused across many sampling calls).
-    pub fn clear(&mut self) {
-        self.pool.clear();
-        self.counts.clear();
-    }
-
-    /// `(outcome, count)` pairs in lexicographic outcome order — the
-    /// deterministic emission order for downstream accumulation.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (&Bits, u64)> + '_ {
-        self.pool
-            .sorted_ids()
-            .into_iter()
-            .map(move |id| (self.pool.key(id), self.counts[id as usize]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,25 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_counts_match_btreemap_tally() {
-        use std::collections::BTreeMap;
-        let mut counts = OutcomeCounts::new();
-        let mut model: BTreeMap<Bits, u64> = BTreeMap::new();
-        let seq = ["10", "00", "10", "11", "00", "10"];
-        for s in seq {
-            counts.record(&bits(s));
-            *model.entry(bits(s)).or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), model.len());
-        assert_eq!(counts.total(), seq.len() as u64);
-        assert_eq!(counts.count(&bits("10")), 3);
-        assert_eq!(counts.count(&bits("01")), 0);
-        let got: Vec<(Bits, u64)> = counts.iter_sorted().map(|(b, c)| (b.clone(), c)).collect();
-        let expect: Vec<(Bits, u64)> = model.into_iter().collect();
-        assert_eq!(got, expect, "emission must match ordered-map order");
-    }
-
-    #[test]
     fn clear_keeps_capacity_and_resets_ids() {
         let mut pool = InternPool::with_capacity(64);
         for x in 0..64u64 {
@@ -531,18 +424,5 @@ mod tests {
         assert_eq!(pool.intern(&bits("11111111")), 0);
         assert_eq!(pool.intern(&bits("00000001")), 1);
         assert_eq!(pool.get(&bits("11111111")), Some(0));
-    }
-
-    #[test]
-    fn outcome_counts_clear_resets_for_reuse() {
-        let mut counts = OutcomeCounts::new();
-        counts.record(&bits("01"));
-        counts.record(&bits("01"));
-        counts.clear();
-        assert!(counts.is_empty());
-        assert_eq!(counts.count(&bits("01")), 0);
-        counts.record(&bits("11"));
-        assert_eq!(counts.count(&bits("11")), 1);
-        assert_eq!(counts.total(), 1);
     }
 }

@@ -19,7 +19,7 @@
 
 pub mod intern;
 
-pub use intern::{InternPool, OutcomeCounts};
+pub use intern::InternPool;
 
 use qcir::{Bits, IndexPlan};
 use rand::Rng;

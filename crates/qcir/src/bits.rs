@@ -493,17 +493,18 @@ pub fn pauli_mul_phase_words(x1: &[u64], z1: &[u64], x2: &mut [u64], z2: &mut [u
     ((ones + 2 * twos) % 4) as u8
 }
 
-/// Positions `0..n` of `n` pairwise-distinct keys of one width in
-/// ascending [`Bits`] order, given each key's first word (`first(i)`, `0`
-/// for a zero-width key) and a comparison of two whole keys by position
-/// (`cmp(a, b)`).
+/// Positions `0..n` of `n` keys of one width in ascending [`Bits`] order,
+/// given each key's first word (`first(i)`, `0` for a zero-width key) and
+/// a comparison of two whole keys by position (`cmp(a, b)`). Equal keys
+/// end up adjacent, in no set order — a sampler's drawn rows repeat.
 ///
 /// The outcome-ordering kernel behind every sorted emission. `Bits` of
 /// one width compare by their words from word 0, so the first word decides
 /// the order unless two keys share it. The `(first word, position)` pairs
 /// are sorted on their own, in one array, and `cmp` only orders the runs
-/// of equal first words — which keys of at most 64 bits never form — so
-/// the bulk of the sort never follows a key anywhere else in memory.
+/// of equal first words — which distinct keys of at most 64 bits never
+/// form — so the bulk of the sort never follows a key anywhere else in
+/// memory.
 pub fn sort_by_first_word(
     n: usize,
     first: impl Fn(usize) -> u64,

@@ -3,9 +3,12 @@
 //! Measuring every qubit of a stabilizer state yields the uniform
 //! distribution over an affine subspace `base ⊕ span(directions)` of
 //! `GF(2)^n`. [`AffineSupport`] is that subspace, extracted once from the
-//! tableau's stabilizer rows by Gaussian elimination (`O(n³/64)`), after
-//! which every shot costs `O(n·r/64)` — the property that lets SuperSim
-//! sample 300-qubit Clifford fragments in milliseconds.
+//! tableau's stabilizer rows by Gaussian elimination (`O(n³/64)`). Sampling
+//! folds the `r` directions into `⌈r/8⌉` byte tables of 256 entries each
+//! (`⌈r/8⌉·256·⌈n/64⌉` words, built once per call), after which every shot
+//! costs `⌈r/64⌉` RNG draws and `⌈r/8⌉·⌈n/64⌉` word XORs; the shots are
+//! tallied by sorting them. That is what lets SuperSim sample 300-qubit
+//! Clifford fragments in milliseconds.
 
 use crate::packed::PackedPauli;
 use qcir::Bits;
@@ -108,131 +111,126 @@ impl AffineSupport {
         &self.directions
     }
 
-    /// XORs a random subset of the directions into `x`, drawing the
-    /// selection mask 64 directions at a time (one RNG call per block
-    /// instead of one per direction).
-    fn xor_random_directions(&self, x: &mut Bits, rng: &mut impl Rng) {
-        for block in self.directions.chunks(64) {
-            let mut mask: u64 = rng.random();
-            for d in block {
-                if mask & 1 == 1 {
-                    x.xor_assign(d);
+    /// Phase 1 of sampling: draws `shots` outcomes into `buf` and returns
+    /// them as one flat `shots × words` array, in draw order.
+    ///
+    /// The directions are first folded into byte tables: entry `v` of
+    /// table `j` is the XOR of the directions `8j..8j+8` that `v`'s bits
+    /// select (bits past the last direction select nothing), kept one
+    /// word of the outcome at a time. A shot is then `base` XORed with one
+    /// table entry per mask byte, with no branch on the mask. The draws
+    /// are those of a per-direction loop: one `u64` per block of 64
+    /// directions, whose bit `i` selects the block's direction `i`, and
+    /// none at all when `dim = 0`. `buf` holds the tables, the rows and the
+    /// masks, so its size follows `shots`, the width and `dim` alone.
+    fn draw_rows<'a>(
+        &self,
+        shots: usize,
+        rng: &mut impl Rng,
+        buf: &'a mut Vec<u64>,
+    ) -> &'a mut [u64] {
+        let base = self.base.as_words();
+        let words = base.len();
+        let (tables, blocks) = (self.dim().div_ceil(8), self.dim().div_ceil(64));
+        buf.clear();
+        buf.resize(words * tables * 256 + shots * (words + blocks), 0);
+        let (table, rest) = buf.split_at_mut(words * tables * 256);
+        let (rows, masks) = rest.split_at_mut(shots * words);
+        // Word `w`'s table `j` is `table[w * tables + j]`.
+        let table = table.as_chunks_mut::<256>().0;
+        for w in 0..words {
+            for (j, byte) in self.directions.chunks(8).enumerate() {
+                let t = &mut table[w * tables + j];
+                for v in 1..256usize {
+                    let d = byte.get(v.trailing_zeros() as usize);
+                    t[v] = t[v & (v - 1)] ^ d.map_or(0, |d| d.as_words()[w]);
                 }
-                mask >>= 1;
             }
         }
+        masks.fill_with(|| rng.random());
+        for (w, &b) in base.iter().enumerate() {
+            let t = &table[w * tables..][..tables];
+            for s in 0..shots {
+                let mut x = b;
+                for (m, t8) in masks[s * blocks..][..blocks].iter().zip(t.chunks(8)) {
+                    for (k, t) in t8.iter().enumerate() {
+                        x ^= t[((m >> (8 * k)) & 0xff) as usize];
+                    }
+                }
+                rows[s * words + w] = x;
+            }
+        }
+        rows
+    }
+
+    /// The outcome whose backing words are `words`.
+    fn outcome(&self, words: &[u64]) -> Bits {
+        let mut x = self.base.clone();
+        x.copy_from_words(words);
+        x
     }
 
     /// Draws one sample.
     pub fn sample(&self, rng: &mut impl Rng) -> Bits {
-        let mut x = self.base.clone();
-        self.xor_random_directions(&mut x, rng);
-        x
+        self.outcome(self.draw_rows(1, rng, &mut Vec::new()))
     }
 
-    /// Draws one sample into an existing row, reusing its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the support width.
-    pub fn sample_into(&self, out: &mut Bits, rng: &mut impl Rng) {
-        out.copy_from(&self.base);
-        self.xor_random_directions(out, rng);
-    }
-
-    /// Draws `shots` samples. Each returned row is necessarily a fresh
-    /// allocation; use [`AffineSupport::sample_counts`] for the
-    /// scratch-reusing bulk path.
+    /// Draws `shots` samples, in draw order.
     pub fn sample_many(&self, shots: usize, rng: &mut impl Rng) -> Vec<Bits> {
-        (0..shots).map(|_| self.sample(rng)).collect()
+        let mut buf = Vec::new();
+        let rows = self.draw_rows(shots, rng, &mut buf);
+        let words = self.base.as_words().len();
+        (0..shots)
+            .map(|s| self.outcome(&rows[s * words..][..words]))
+            .collect()
     }
 
-    /// Draws `shots` samples and tallies them, reusing one scratch row —
-    /// the allocation-free path for bulk Clifford sampling (a fresh `Bits`
-    /// is cloned only the first time an outcome is seen). The tally is
-    /// keyed by interned ids ([`metrics::OutcomeCounts`]), so the per-shot
-    /// cost is a hash probe instead of the ordered-map walk the former
-    /// `BTreeMap` return type paid; outcomes emit in lexicographic order
-    /// through [`metrics::OutcomeCounts::iter_sorted`].
-    pub fn sample_counts(&self, shots: usize, rng: &mut impl Rng) -> metrics::OutcomeCounts {
-        let mut counts = metrics::OutcomeCounts::new();
-        self.sample_counts_into(shots, rng, &mut counts);
+    /// Draws `shots` samples and tallies them: `(outcome, count)` pairs in
+    /// ascending [`Bits`] order, one per distinct outcome.
+    pub fn sample_counts(&self, shots: usize, rng: &mut impl Rng) -> Vec<(Bits, u64)> {
+        let mut counts = Vec::new();
+        self.sample_runs(shots, rng, &mut Vec::new(), |words, n| {
+            counts.push((self.outcome(words), n));
+        });
         counts
     }
 
-    /// [`AffineSupport::sample_counts`] into a caller-provided tally —
-    /// lets hot loops reuse one accumulator (and its table allocation)
-    /// across many sampling calls. Counts accumulate on top of whatever
-    /// the tally already holds; call [`metrics::OutcomeCounts::clear`]
-    /// between independent records.
-    pub fn sample_counts_into(
-        &self,
-        shots: usize,
-        rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-    ) {
-        let mut scratch = self.base.clone();
-        self.sample_counts_scratch(shots, rng, counts, &mut scratch);
-    }
-
-    /// [`AffineSupport::sample_counts_into`] with a caller-provided
-    /// scratch row as well — the fully allocation-free bulk path for
-    /// workers that sample many supports in a loop. The scratch row is
-    /// re-shaped (one allocation) only when the support width changes
-    /// between calls.
+    /// [`AffineSupport::sample_counts`] without building a `Bits` per
+    /// outcome: calls `visit(words, count)` once per distinct outcome, in
+    /// ascending [`Bits`] order, with the outcome's backing words. `buf`
+    /// is the working memory — the byte tables, the drawn rows and their
+    /// masks, sized from `shots`, the width and `dim` alone — so a caller
+    /// that samples many supports reuses one allocation.
     ///
-    /// Small supports (single-word outcomes, `dim ≤ 10`) take a table
-    /// fast path: the `2^dim` support points are precomputed once and
-    /// each shot becomes one RNG draw plus an indexed tally bump. The
-    /// per-shot RNG consumption (one `u64` for `1..=64` directions, none
-    /// for zero) and the resulting per-outcome counts are exactly those
-    /// of the general loop, so sampling streams stay bit-identical.
-    pub fn sample_counts_scratch(
+    /// Phase 2 of sampling: the drawn rows are sorted — as plain `u64`s
+    /// when outcomes fit one word, by first word with a whole-row
+    /// tie-break ([`qcir::sort_by_first_word`]) otherwise — and each run
+    /// of equal rows is one outcome.
+    pub fn sample_runs(
         &self,
         shots: usize,
         rng: &mut impl Rng,
-        counts: &mut metrics::OutcomeCounts,
-        scratch: &mut Bits,
+        buf: &mut Vec<u64>,
+        mut visit: impl FnMut(&[u64], u64),
     ) {
-        let dim = self.directions.len();
-        let width = self.base.len();
-        if scratch.len() != width {
-            *scratch = self.base.clone();
-        }
-        const MAX_TABLE_DIM: usize = 10;
-        if (1..=64).contains(&width) && dim <= MAX_TABLE_DIM {
-            // table[idx] = base ⊕ (directions selected by idx's bits) —
-            // bit i of idx ↔ direction i, matching the low-bits-first
-            // selection of `xor_random_directions`.
-            let mut table = vec![0u64; 1 << dim];
-            table[0] = self.base.as_words()[0];
-            for (i, d) in self.directions.iter().enumerate() {
-                let dw = d.as_words()[0];
-                let (lo, hi) = table.split_at_mut(1 << i);
-                for (t, &s) in hi[..1 << i].iter_mut().zip(lo.iter()) {
-                    *t = s ^ dw;
+        let words = self.base.as_words().len();
+        let rows = self.draw_rows(shots, rng, buf);
+        match words {
+            0 if shots > 0 => visit(&[], shots as u64),
+            0 => {}
+            1 => {
+                rows.sort_unstable();
+                for run in rows.chunk_by(|a, b| a == b) {
+                    visit(&run[..1], run.len() as u64);
                 }
             }
-            let mut tally = vec![0u64; 1 << dim];
-            if dim == 0 {
-                tally[0] = shots as u64;
-            } else {
-                let m = (u64::MAX) >> (64 - dim);
-                for _ in 0..shots {
-                    let mask: u64 = rng.random();
-                    tally[(mask & m) as usize] += 1;
+            _ => {
+                let row = |i: u32| &rows[i as usize * words..][..words];
+                let order =
+                    qcir::sort_by_first_word(shots, |i| rows[i * words], |a, b| row(a).cmp(row(b)));
+                for run in order.chunk_by(|&a, &b| row(a) == row(b)) {
+                    visit(row(run[0]), run.len() as u64);
                 }
-            }
-            for (idx, &n) in tally.iter().enumerate() {
-                if n > 0 {
-                    scratch.copy_from_words(&table[idx..idx + 1]);
-                    counts.record_n(scratch, n);
-                }
-            }
-        } else {
-            for _ in 0..shots {
-                self.sample_into(scratch, rng);
-                counts.record(scratch);
             }
         }
     }

@@ -323,17 +323,9 @@ fn clifford_evaluation_matches_reference_bit_exact() {
                 let want: Vec<(Bits, f64)> = match mode {
                     EvalMode::Sampled { shots } if points > shots => {
                         sampled += 1;
-                        let mut counts = metrics::OutcomeCounts::new();
-                        oracles::sample_counts_scratch_frozen(
-                            &support,
-                            shots,
-                            &mut orng,
-                            &mut counts,
-                            &mut Bits::zeros(0),
-                        );
-                        counts
-                            .iter_sorted()
-                            .map(|(b, c)| (b.clone(), c as f64 / shots as f64))
+                        oracles::sample_counts_frozen(&support, shots, &mut orng)
+                            .into_iter()
+                            .map(|(b, c)| (b, c as f64 / shots as f64))
                             .collect()
                     }
                     _ => {

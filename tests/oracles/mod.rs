@@ -6,9 +6,9 @@
 //! rows) with `rowsum`/`copy_row`/`measure` probing one bit at a time and
 //! the per-qubit `g()` phase match — kept verbatim so the parity suites
 //! can assert `stabsim::TableauSim` bit-identical to it: same outcomes,
-//! same seeded-RNG consumption. [`sample_counts_scratch_frozen`] is the
-//! matching per-shot sampling loop. Do not optimize this module; its
-//! value is being frozen.
+//! same seeded-RNG consumption. [`sample_frozen`] is the matching
+//! per-direction sampling loop and [`sample_counts_frozen`] its ordered-map
+//! tally. Do not optimize this module; its value is being frozen.
 
 // Each suite uses its own subset of the oracle surface.
 #![allow(dead_code)]
@@ -16,6 +16,7 @@
 use qcir::{Bits, Circuit, CliffordGate, NoiseChannel, OpKind, Qubit};
 use rand::Rng;
 use stabsim::{AffineSupport, NonCliffordError, PackedPauli};
+use std::collections::BTreeMap;
 
 /// Splits two distinct columns out of a column store for simultaneous
 /// mutation.
@@ -528,25 +529,40 @@ impl ReferenceTableauSim {
     /// Convenience: samples `shots` full computational-basis measurements
     /// without collapsing the state.
     pub fn sample_all(&self, shots: usize, rng: &mut impl Rng) -> Vec<Bits> {
-        self.support().sample_many(shots, rng)
+        let support = self.support();
+        (0..shots).map(|_| sample_frozen(&support, rng)).collect()
     }
 }
 
-/// `AffineSupport::sample_counts_scratch` as it was before the table
-/// fast path: every shot walks the per-direction XOR loop. RNG draw order
-/// and the resulting tally must equal the production sampler's.
-pub fn sample_counts_scratch_frozen(
+/// One draw of the per-direction sampling loop the production sampler
+/// must reproduce: a fresh `u64` mask per block of 64 directions, bit `i`
+/// of it XORing the block's direction `i` into the base, and no draw at
+/// all when the support has no directions.
+pub fn sample_frozen(support: &AffineSupport, rng: &mut impl Rng) -> Bits {
+    let mut x = support.base().clone();
+    for block in support.directions().chunks(64) {
+        let mut mask: u64 = rng.random();
+        for d in block {
+            if mask & 1 == 1 {
+                x.xor_assign(d);
+            }
+            mask >>= 1;
+        }
+    }
+    x
+}
+
+/// `shots` draws of [`sample_frozen`] tallied in an ordered map, whose
+/// iteration order is the ascending `Bits` order the production tally
+/// must emit in.
+pub fn sample_counts_frozen(
     support: &AffineSupport,
     shots: usize,
     rng: &mut impl Rng,
-    counts: &mut metrics::OutcomeCounts,
-    scratch: &mut Bits,
-) {
-    if scratch.len() != support.base().len() {
-        *scratch = support.base().clone();
-    }
+) -> BTreeMap<Bits, u64> {
+    let mut counts = BTreeMap::new();
     for _ in 0..shots {
-        support.sample_into(scratch, rng);
-        counts.record(scratch);
+        *counts.entry(sample_frozen(support, rng)).or_insert(0) += 1;
     }
+    counts
 }

@@ -8,14 +8,16 @@
 //! expectation values, and — the property everything downstream leans on
 //! — identical seeded-RNG consumption, so every later draw in a shared
 //! stream stays aligned. `cutkit` reaches the engine only through
-//! `TableauSim::run(..).support()` and `sample_counts_scratch`, so the
-//! last tests pin exactly those two calls on every variant circuit of cut
-//! HWEA/QAOA workloads.
+//! `TableauSim::run(..).support()` and `AffineSupport::sample_runs` (which
+//! `sample_counts` collects), so the last tests pin exactly those calls: on
+//! every variant circuit of cut HWEA/QAOA workloads, and the sampler
+//! against the oracle's per-direction loop on a grid of widths, dimensions
+//! and shot counts.
 
 mod oracles;
 
 use cutkit::{cut_circuit, enumerate_variants, variant_circuit, CutStrategy};
-use oracles::{sample_counts_scratch_frozen, ReferenceTableauSim};
+use oracles::{sample_counts_frozen, sample_frozen, ReferenceTableauSim};
 use proptest::prelude::*;
 use qcir::{Bits, Circuit, CliffordGate, Pauli, PauliString, Qubit};
 use rand::rngs::StdRng;
@@ -35,10 +37,27 @@ fn assert_same_support(engine: &AffineSupport, oracle: &AffineSupport, what: &st
     );
 }
 
-fn sorted_tally(counts: &metrics::OutcomeCounts) -> Vec<(String, u64)> {
-    counts
-        .iter_sorted()
-        .map(|(b, n)| (b.to_string(), n))
+/// `support.sample_runs` through `buf`, collected as `(outcome, count)`
+/// pairs.
+fn runs(
+    support: &AffineSupport,
+    shots: usize,
+    rng: &mut impl Rng,
+    buf: &mut Vec<u64>,
+) -> Vec<(Bits, u64)> {
+    let mut out = Vec::new();
+    support.sample_runs(shots, rng, buf, |words, n| {
+        let mut outcome = Bits::zeros(support.base().len());
+        outcome.copy_from_words(words);
+        out.push((outcome, n));
+    });
+    out
+}
+
+/// The oracle's ordered-map tally as `(outcome, count)` pairs.
+fn frozen(support: &AffineSupport, shots: usize, rng: &mut impl Rng) -> Vec<(Bits, u64)> {
+    sample_counts_frozen(support, shots, rng)
+        .into_iter()
         .collect()
 }
 
@@ -128,9 +147,12 @@ fn assert_engine_matches_oracle(c: &Circuit, measure: &[usize], seed: u64) {
     assert_same_support(&support, &oracle.support(), "pre-collapse");
 
     // Bulk sampling consumes the shared stream identically.
+    let oracle_support = oracle.support();
     assert_eq!(
         support.sample_many(40, &mut erng),
-        oracle.support().sample_many(40, &mut orng),
+        (0..40)
+            .map(|_| sample_frozen(&oracle_support, &mut orng))
+            .collect::<Vec<_>>(),
         "samples diverged"
     );
 
@@ -241,8 +263,8 @@ fn engines_match_reference_multiword() {
 /// Everything `cutkit` asks of the engine, on every Clifford variant
 /// circuit of cut HWEA/QAOA workloads (one past the 64-qubit word): the
 /// same `support()` — base and direction order — from the same RNG
-/// position, and the same sampled tally from the table fast path as from
-/// the frozen per-shot loop.
+/// position, and the same sampled tally from the production sampler as
+/// from the frozen per-direction loop.
 #[test]
 fn variant_supports_and_tallies_match_oracle_on_cut_workloads() {
     let circuits = [
@@ -272,17 +294,11 @@ fn variant_supports_and_tallies_match_oracle_on_cut_workloads() {
                 let oracle = ReferenceTableauSim::run(&vc, &mut orng).unwrap().support();
                 assert_same_support(&support, &oracle, &what);
 
-                let mut fast = metrics::OutcomeCounts::new();
-                let mut frozen = metrics::OutcomeCounts::new();
-                support.sample_counts_scratch(300, &mut erng, &mut fast, &mut Bits::zeros(0));
-                sample_counts_scratch_frozen(
-                    &oracle,
-                    300,
-                    &mut orng,
-                    &mut frozen,
-                    &mut Bits::zeros(0),
+                assert_eq!(
+                    support.sample_counts(300, &mut erng),
+                    frozen(&oracle, 300, &mut orng),
+                    "{what}: tally"
                 );
-                assert_eq!(sorted_tally(&fast), sorted_tally(&frozen), "{what}: tally");
                 assert_eq!(
                     erng.random::<u64>(),
                     orng.random::<u64>(),
@@ -299,28 +315,76 @@ fn variant_supports_and_tallies_match_oracle_on_cut_workloads() {
     );
 }
 
-/// The frozen per-shot loop and the table fast path of
-/// `AffineSupport::sample_counts_scratch` consume the RNG identically and
-/// produce the same tally.
+/// A support of `dim` independent directions at `width` bits: each
+/// direction owns one pivot bit that no other direction sets, and is
+/// random elsewhere; the base is random. With `ties` the directions leave
+/// bits `3..64` alone, so an outcome's first word takes at most eight
+/// values and the multiword sort has to break ties past word 0.
+fn random_support(width: usize, dim: usize, ties: bool, gen: &mut StdRng) -> AffineSupport {
+    let free: Vec<usize> = (0..width)
+        .filter(|b| !ties || !(3..64).contains(b))
+        .collect();
+    let mut pivots = free.clone();
+    for i in (1..pivots.len()).rev() {
+        pivots.swap(i, gen.random_range(0..=i));
+    }
+    pivots.truncate(dim);
+    let directions = (0..dim)
+        .map(|i| {
+            let mut d = Bits::zeros(width);
+            for &b in &free {
+                d.set(b, gen.random());
+            }
+            for (j, &p) in pivots.iter().enumerate() {
+                d.set(p, i == j);
+            }
+            d
+        })
+        .collect();
+    let base = (0..width).map(|_| gen.random::<bool>()).collect();
+    AffineSupport::new(base, directions)
+}
+
+/// The sampler against the oracle's per-direction loop on independent
+/// random directions, at the kernel's edges: dimensions at and around the
+/// 8-direction byte and the 64-direction block, widths at and around the
+/// 64-bit word up to 300 qubits (and the empty support), from zero to
+/// 5000 shots, and — past one word — supports whose outcomes share first
+/// words. Every case must give the same tally and leave the RNG at the
+/// same position. One buffer serves every case, as one worker's does.
 #[test]
-fn frozen_sampling_matches_table_fast_path() {
-    let mut r = StdRng::seed_from_u64(12345);
-    let mut c = Circuit::new(6);
-    c.h(0).h(3).cx(0, 1).cx(1, 2).cz(2, 3).s(4).cx(3, 4).h(5);
-    let sup = TableauSim::run(&c, &mut r).unwrap().support();
-    for seed in [3u64, 99, 4242] {
-        let mut ra = StdRng::seed_from_u64(seed);
-        let mut rb = StdRng::seed_from_u64(seed);
-        let mut fast = metrics::OutcomeCounts::new();
-        let mut frozen = metrics::OutcomeCounts::new();
-        sup.sample_counts_scratch(800, &mut ra, &mut fast, &mut Bits::zeros(0));
-        sample_counts_scratch_frozen(&sup, 800, &mut rb, &mut frozen, &mut Bits::zeros(0));
-        assert_eq!(sorted_tally(&fast), sorted_tally(&frozen), "seed {seed}");
-        assert_eq!(
-            ra.random::<u64>(),
-            rb.random::<u64>(),
-            "RNG positions diverged (seed {seed})"
-        );
+fn sampling_matches_frozen_loop_on_edge_case_grid() {
+    let mut gen = StdRng::seed_from_u64(0x5EED);
+    let mut buf = Vec::new();
+    let mut cases = vec![(0, 0, false)];
+    for width in [1, 64, 65, 72, 130, 300] {
+        for dim in [0, 1, 7, 8, 9, 63, 64, 65, 71, 130] {
+            if dim <= width {
+                cases.push((width, dim, false));
+            }
+            if width > 64 && dim <= width - 61 {
+                cases.push((width, dim, true));
+            }
+        }
+    }
+    for (width, dim, ties) in cases {
+        let support = random_support(width, dim, ties, &mut gen);
+        for shots in [0, 1, 7, 50, 5000] {
+            let what = format!("width {width}, dim {dim}, ties {ties}, {shots} shots");
+            let seed = gen.random();
+            let mut ra = StdRng::seed_from_u64(seed);
+            let mut rb = StdRng::seed_from_u64(seed);
+            assert_eq!(
+                runs(&support, shots, &mut ra, &mut buf),
+                frozen(&support, shots, &mut rb),
+                "{what}: tally"
+            );
+            assert_eq!(
+                ra.random::<u64>(),
+                rb.random::<u64>(),
+                "{what}: RNG positions diverged"
+            );
+        }
     }
 }
 
