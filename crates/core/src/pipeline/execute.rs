@@ -316,7 +316,8 @@ impl RunResult {
                 .all(|(x, y)| x[0].to_bits() == y[0].to_bits() && x[1].to_bits() == y[1].to_bits())
             && match (&self.distribution, &other.distribution) {
                 (Some(da), Some(db)) => {
-                    da.support_len() == db.support_len()
+                    da.n_bits() == db.n_bits()
+                        && da.support_len() == db.support_len()
                         && da
                             .iter()
                             .zip(db.iter())

@@ -887,7 +887,7 @@ mod tests {
                 assert_eq!(ab, bb, "support order at {threads} threads");
                 assert!(
                     ap.to_bits() == bp.to_bits(),
-                    "probability differs at {ab}, {threads} threads"
+                    "probability differs at {ab:?}, {threads} threads"
                 );
             }
         }
@@ -1024,7 +1024,7 @@ mod tests {
             assert_eq!(da.support_len(), db.support_len());
             for ((ab, ap), (bb, bp)) in da.iter().zip(db.iter()) {
                 assert_eq!(ab, bb, "support order, replay {rep}");
-                assert!(ap.to_bits() == bp.to_bits(), "probability at {ab}");
+                assert!(ap.to_bits() == bp.to_bits(), "probability at {ab:?}");
             }
         }
     }

@@ -5,9 +5,8 @@
 //! one flat arena rather than as one heap-allocated [`Bits`] per key. A
 //! lookup reads a table slot and compares the arena row it names — two
 //! reads of compact arrays, where a `Bits` key adds a pointer to follow.
-//! The table is the shared [`metrics::intern::IdTable`], probed with
-//! [`Bits::hash_words`] — the probing, sizing and hash of
-//! [`metrics::InternPool`], over rows instead of `Bits`. Sorting goes
+//! The table is [`metrics::intern::IdTable`] (open addressing, linear
+//! probing), probed with [`Bits::hash_words`] over the rows. Sorting goes
 //! through [`qcir::sort_by_first_word`]: a sort of `(first word, id)`
 //! pairs, whole rows compared only among equal first words.
 //!

@@ -59,7 +59,7 @@
 //! reconstructor all truncate the identical assignment set and stay
 //! mutually consistent.
 //!
-//! # Interned-id joint accumulation
+//! # Sorted-row joint accumulation
 //!
 //! [`Reconstructor::joint`]'s outer product addresses outcomes by dense
 //! mixed-radix ids over fragment entry indices: partial terms carry
@@ -69,11 +69,11 @@
 //! result rather than added onto zeros; later chunks merge as vector adds.
 //! Each outcome is then built once: its id is decoded into a flat row of
 //! key words (the OR of one per-fragment row, each scattered once per
-//! query), all rows are sorted once in `Bits` order, and the
-//! [`Distribution`] is built over the sorted keys with
-//! `Distribution::from_sorted_distinct` — interned once, never compared,
-//! and read in that order without another sort. Output stays bit-identical
-//! to ordered-map accumulation: the same sums in the same order, emitted in
+//! query), all rows are sorted once in `Bits` order, and the rows and
+//! weights are gathered in that order into the two arrays the
+//! [`Distribution`] keeps (`Distribution::from_sorted_rows`). No outcome
+//! becomes a `Bits` and nothing is hashed. Output stays bit-identical to
+//! ordered-map accumulation: the same sums in the same order, emitted in
 //! sorted key order.
 
 use crate::keys::sort_rows;
@@ -670,7 +670,7 @@ impl<'a> Reconstructor<'a> {
     /// Builds the full joint distribution over the original circuit's
     /// qubits.
     ///
-    /// # Interned-id engine
+    /// # Mixed-radix ids, sorted rows
     ///
     /// Every joint outcome is a combination of one observed entry per
     /// fragment (fragments own disjoint circuit-output positions), so the
@@ -680,10 +680,10 @@ impl<'a> Reconstructor<'a> {
     /// pairs — integer multiply-adds only — per-chunk accumulators are
     /// flat `Vec<f64>`s indexed by id, and chunk merges are id-indexed
     /// vector adds rather than ordered-map re-insertions. Ids are decoded
-    /// back into key words exactly once, sorted once, and handed to the
-    /// [`Distribution`] in that order (see the module docs), keeping the
-    /// result bit-identical to the former `BTreeMap`-keyed accumulation for
-    /// any thread count.
+    /// back into rows of key words exactly once, sorted once, and moved
+    /// into the [`Distribution`] as its sorted rows (see the module docs),
+    /// keeping the result bit-identical to the former `BTreeMap`-keyed
+    /// accumulation for any thread count.
     ///
     /// # Panics
     ///
@@ -860,7 +860,7 @@ impl<'a> Reconstructor<'a> {
         // pre-scattered row per fragment: the single-entry fragments' rows
         // are the same for every id and start it, the others are picked by
         // the id's mixed-radix digits. The dense accumulator is freed
-        // before any `Bits` key is built.
+        // before the rows are sorted.
         let JointAcc {
             weights, touched, ..
         } = acc;
@@ -893,19 +893,18 @@ impl<'a> Reconstructor<'a> {
             }
         }
         drop((weights, touched));
-        // One sort in `Bits` order: every key has `n_qubits` bits, so that
-        // is the rows' lexicographic order from word 0.
-        let row = |i: usize| &keys[i * nw..(i + 1) * nw];
-        let mut sorted = Vec::with_capacity(count);
+        // One sort in `Bits` order (every key has `n_qubits` bits, so that
+        // is the rows' lexicographic order from word 0), then one gather
+        // of the rows and weights into the distribution's arrays.
+        let order = sort_rows(&keys, nw, count);
+        let mut words = Vec::with_capacity(count * nw);
         let mut probs = Vec::with_capacity(count);
-        for i in sort_rows(&keys, nw, count) {
+        for i in order {
             let i = i as usize;
-            let mut b = Bits::zeros(self.n_qubits);
-            b.copy_from_words(row(i));
-            sorted.push(b);
+            words.extend_from_slice(&keys[i * nw..(i + 1) * nw]);
             probs.push(unsorted[i]);
         }
-        let dist = Distribution::from_sorted_distinct(self.n_qubits, sorted, probs);
+        let dist = Distribution::from_sorted_rows(self.n_qubits, words, probs);
         Ok((dist, stats))
     }
 
@@ -1563,7 +1562,7 @@ mod tests {
         (tensors, cut.num_cuts, cut.original_qubits)
     }
 
-    /// The interned-id joint engine is bit-identical — same support, same
+    /// The joint engine is bit-identical — same support, same
     /// emission order, same float bits — to the pre-change ordered-map
     /// implementation, at 1, 2, and 8 threads: on real cut circuits, on
     /// sampled 72- and 130-qubit circuits whose keys span two and three
@@ -1659,7 +1658,13 @@ mod tests {
     }
 
     fn joint_pairs(d: &metrics::Distribution) -> Vec<(Bits, f64)> {
-        d.iter().map(|(b, p)| (b.clone(), p)).collect()
+        d.iter()
+            .map(|(words, p)| {
+                let mut b = Bits::zeros(d.n_bits());
+                b.copy_from_words(words);
+                (b, p)
+            })
+            .collect()
     }
 
     /// All four query shapes are bit-identical between the sequential path
@@ -1994,10 +1999,9 @@ mod tests {
         assert!(stats.skipped > 0, "budget must skip something");
         assert!(stats.visited > 0, "budget must not skip everything");
         assert!(stats.skipped_bound <= budget + 1e-12);
-        let mut diff: HashMap<Bits, f64> =
-            exact_joint.iter().map(|(b, p)| (b.clone(), p)).collect();
-        for (b, p) in joint.iter() {
-            *diff.entry(b.clone()).or_insert(0.0) -= p;
+        let mut diff: HashMap<Bits, f64> = joint_pairs(&exact_joint).into_iter().collect();
+        for (b, p) in joint_pairs(&joint) {
+            *diff.entry(b).or_insert(0.0) -= p;
         }
         let l1: f64 = diff.values().map(|d| d.abs()).sum();
         // Relative tolerance: on the synthetic chain the bound is tight

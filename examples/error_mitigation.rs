@@ -38,14 +38,14 @@ fn noisy_version(c: &Circuit, p: f64) -> Circuit {
 fn noisy_hardware_distribution(c: &Circuit, trajectories: usize) -> Distribution {
     let mut rng = StdRng::seed_from_u64(17);
     let n = c.num_qubits();
-    let mut acc = Distribution::new(n);
+    let mut pairs = Vec::new();
     for _ in 0..trajectories {
         let sv = svsim::StateVec::run_noisy(c, &mut rng).expect("small circuit");
         for (b, p) in sv.distribution(1e-14) {
-            acc.add(b, p / trajectories as f64);
+            pairs.push((b, p / trajectories as f64));
         }
     }
-    acc
+    Distribution::from_pairs(n, pairs)
 }
 
 fn main() {

@@ -17,7 +17,9 @@ use supersim::{ExecParams, SuperSim, SuperSimConfig};
 /// weights `w[i][j]`: cut(x) = Σ_{i<j, w≠0} w_ij · [x_i ≠ x_j].
 fn expected_cut(dist: &Distribution, weights: &[Vec<f64>]) -> f64 {
     let mut total = 0.0;
-    for (bits, p) in dist.iter() {
+    let mut bits = Bits::zeros(dist.n_bits());
+    for (words, p) in dist.iter() {
+        bits.copy_from_words(words);
         let mut cut = 0.0;
         for (i, row) in weights.iter().enumerate() {
             for (j, &w) in row.iter().enumerate().skip(i + 1) {

@@ -102,9 +102,11 @@ fn ghz_support_agreement_across_backends() {
         Box::new(MpsBackend::default()),
     ] {
         let d = b.run_distribution(&c, shots, 23).unwrap();
-        for (bits, p) in d.iter() {
+        let mut bits = qcir::Bits::zeros(d.n_bits());
+        for (words, p) in d.iter() {
+            bits.copy_from_words(words);
             assert!(
-                reference.prob(bits) > 0.0 || p < 0.01,
+                reference.prob(&bits) > 0.0 || p < 0.01,
                 "{}: spurious outcome {bits} with p={p}",
                 b.name()
             );

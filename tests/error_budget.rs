@@ -368,12 +368,12 @@ fn budget_trims_a_sampled_chain_within_its_bound() {
         exact.report.enumerated_variants, 0,
         "every noisy variant must be sampled"
     );
-    let exact_dist: HashMap<qcir::Bits, f64> = exact
+    let exact_dist: HashMap<Vec<u64>, f64> = exact
         .distribution
         .as_ref()
         .unwrap()
         .iter()
-        .map(|(b, p)| (b.clone(), p))
+        .map(|(b, p)| (b.to_vec(), p))
         .collect();
     let mut last = None;
     for budget in [0.05, 0.25, 1.0] {
@@ -412,16 +412,16 @@ fn budget_trims_a_sampled_chain_within_its_bound() {
 }
 
 /// Unnormalized joint of `tensors` contracted under `budget` (0 = exact),
-/// as (bitstring, weight) pairs.
+/// as (outcome words, weight) pairs.
 fn joint_under_budget(
     tensors: &[cutkit::FragmentTensor],
     k: usize,
     n: usize,
     budget: f64,
-) -> (Vec<(qcir::Bits, f64)>, cutkit::SweepStats) {
+) -> (Vec<(Vec<u64>, f64)>, cutkit::SweepStats) {
     let r = cutkit::Reconstructor::new(tensors, k, n).with_error_budget(budget);
     let (dist, stats) = r.try_joint_with_stats(10_000_000).expect("no faults");
-    (dist.iter().map(|(b, p)| (b.clone(), p)).collect(), stats)
+    (dist.iter().map(|(b, p)| (b.to_vec(), p)).collect(), stats)
 }
 
 proptest! {
@@ -483,7 +483,7 @@ proptest! {
             stats.skipped_bound <= budget * (1.0 + 1e-12),
             "bound {} exceeds budget {}", stats.skipped_bound, budget
         );
-        let mut diff: HashMap<qcir::Bits, f64> = exact.into_iter().collect();
+        let mut diff: HashMap<Vec<u64>, f64> = exact.into_iter().collect();
         for (b, p) in truncated {
             *diff.entry(b).or_insert(0.0) -= p;
         }

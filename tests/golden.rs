@@ -130,8 +130,8 @@ fn line(label: &str, result: &Result<RunResult, SuperSimError>) -> String {
     let marginals = digest(r.marginals.iter().flat_map(|m| m.map(f64::to_bits)));
     let joint = r.distribution.as_ref().map_or("none".to_string(), |d| {
         let words = d.iter().flat_map(|(key, p)| {
-            std::iter::once(key.len() as u64)
-                .chain(key.as_words().iter().copied())
+            std::iter::once(d.n_bits() as u64)
+                .chain(key.iter().copied())
                 .chain(std::iter::once(p.to_bits()))
         });
         format!("{:016x}", digest(words))

@@ -28,14 +28,14 @@ fn test_threads() -> usize {
 fn trajectory_reference(c: &Circuit, trajectories: usize, seed: u64) -> Distribution {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = c.num_qubits();
-    let mut acc = Distribution::new(n);
+    let mut pairs = Vec::new();
     for _ in 0..trajectories {
         let sv = svsim::StateVec::run_noisy(c, &mut rng).unwrap();
         for (b, p) in sv.distribution(1e-14) {
-            acc.add(b, p / trajectories as f64);
+            pairs.push((b, p / trajectories as f64));
         }
     }
-    acc
+    Distribution::from_pairs(n, pairs)
 }
 
 #[test]
@@ -178,7 +178,7 @@ fn full_pipeline_bit_identical_at_matrix_thread_count() {
     assert_eq!(sd.support_len(), pd.support_len());
     for ((sb, sp), (pb, pp)) in sd.iter().zip(pd.iter()) {
         assert_eq!(sb, pb, "joint emission order drifted");
-        assert!(sp.to_bits() == pp.to_bits(), "probability bits at {sb}");
+        assert!(sp.to_bits() == pp.to_bits(), "probability bits at {sb:?}");
     }
 }
 
