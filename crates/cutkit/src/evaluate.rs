@@ -22,12 +22,40 @@
 //! Enumerated rows carry no shot noise, so the exact zeros of stabilizer
 //! and `T` tensors survive into the contraction, where the sparse sweep
 //! skips the Pauli assignments they kill.
+//!
+//! # One body run per preparation
+//!
+//! A fragment's `4^qi · 3^qo` variants differ only in the preparation
+//! gates before its body and the basis rotations after it. So the `3^qo`
+//! noiseless variants of one preparation share one body run: the first
+//! of them a worker evaluates runs `|0…0⟩` through the prep ops and the
+//! body — a [`stabsim::TableauSim`] for a Clifford fragment, a
+//! [`svsim::StateVec`] otherwise — and leaves that post-body state in the
+//! worker's scratch, keyed by fragment index and prep index. Each variant
+//! of the preparation then clones it, applies its own rotations, and
+//! enumerates or samples as above; the last basis (`3^qo − 1`) takes the
+//! state instead of a copy, so a `qo = 0` fragment never clones.
+//!
+//! No bit moves. Every state gets the same gates in the same order as a
+//! run of the variant's whole circuit would apply (prep ops, body,
+//! rotations); noiseless gates draw nothing from the variant's RNG; and a
+//! cache hit or miss changes only the time taken, so the result does not
+//! depend on how chunks split a preparation's variants or which worker
+//! runs them. Noisy variants do not share: each is still one trajectory
+//! or frame sample of the whole variant circuit, drawn with the variant's
+//! RNG.
+//!
+//! The cost is memory: one cached state per worker, plus a working copy
+//! while a preparation's variants run — `2 · 2^n · 16` bytes for an
+//! `n`-qubit statevector fragment (64 KiB each at 12 qubits), a few
+//! `n²/32`-word bit planes for a tableau.
 
 use crate::cut::Fragment;
 use crate::variants::{variant_circuit, Variant};
 use faultkit::{Fault, Interrupt, Supervisor, TaskPanic};
-use qcir::Bits;
+use qcir::{Bits, OpKind, Operation};
 use rand::Rng;
+use stabsim::NonCliffordError;
 use std::fmt;
 
 /// How fragments are evaluated.
@@ -89,7 +117,7 @@ pub enum EvalError {
     NoiseInExactMode,
     /// A fragment flagged [`Fragment::is_clifford`] holds a non-Clifford
     /// gate, so the stabilizer simulator refused it.
-    NonClifford(stabsim::NonCliffordError),
+    NonClifford(NonCliffordError),
     /// A supervision checkpoint stopped the evaluation (cooperative
     /// cancellation or a deadline — see [`EvalOptions::supervisor`]).
     Interrupted(Interrupt),
@@ -146,28 +174,61 @@ impl From<TaskPanic> for EvalError {
 }
 
 /// Reusable per-worker evaluation scratch for [`evaluate_variant_into`]:
-/// the sampler's working memory (its byte tables and drawn rows) and the
-/// row that enumeration writes each point through — everything the hot
-/// paths would otherwise allocate afresh per variant.
-pub struct EvalScratch {
+/// the sampler's working memory (its byte tables and drawn rows), the
+/// row that enumeration writes each point through, and the post-body
+/// state of the last preparation run — everything the hot paths would
+/// otherwise allocate or recompute afresh per variant. The state's key
+/// holds a fragment index, so a scratch serves one fragment slice.
+pub(crate) struct EvalScratch {
     buf: Vec<u64>,
     row: Bits,
+    /// `((fragment index, prep index), state after prep ops and body)`.
+    prepared: Option<((usize, usize), Prepared)>,
 }
 
 impl EvalScratch {
     /// An empty scratch; buffers grow to the working-set size of the
     /// first evaluations and are reused afterwards.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EvalScratch {
             buf: Vec::new(),
             row: Bits::zeros(0),
+            prepared: None,
         }
     }
 }
 
-impl Default for EvalScratch {
-    fn default() -> Self {
-        EvalScratch::new()
+/// A noiseless fragment state: a tableau for a Clifford fragment, a
+/// statevector otherwise.
+#[derive(Clone)]
+enum Prepared {
+    Tableau(stabsim::TableauSim),
+    State(svsim::StateVec),
+}
+
+impl Prepared {
+    /// Applies the gates `ops` in order, as the backend's `run` would: on
+    /// a tableau a non-Clifford gate is an error at its position in `ops`.
+    fn apply<'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = &'a Operation>,
+    ) -> Result<(), NonCliffordError> {
+        for (op_index, op) in ops.into_iter().enumerate() {
+            let OpKind::Gate(gate) = op.kind else {
+                unreachable!("only noiseless variants branch from a prepared state");
+            };
+            match self {
+                Prepared::State(sv) => sv.apply_gate(gate, &op.qubits),
+                Prepared::Tableau(sim) => {
+                    let name = || NonCliffordError {
+                        op_index,
+                        name: gate.name(),
+                    };
+                    sim.apply(gate.to_clifford().ok_or_else(name)?, &op.qubits);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -177,9 +238,9 @@ impl Default for EvalScratch {
 /// mode; in sampled mode whenever it has no more points than the shot
 /// budget), empirical frequencies otherwise.
 ///
-/// Allocates its scratch and output buffers afresh; hot loops that
-/// evaluate many variants should use [`evaluate_variant_into`] with
-/// per-worker buffers instead.
+/// Runs the variant alone into fresh buffers; the tensor builders
+/// ([`crate::evaluate_fragment_tensors`]) share one body run among the
+/// variants of a preparation, with bit-identical rows.
 ///
 /// # Errors
 ///
@@ -193,23 +254,17 @@ pub fn evaluate_variant(
     rng: &mut impl Rng,
 ) -> Result<Vec<(Bits, f64)>, EvalError> {
     let mut out = Vec::new();
-    evaluate_variant_into(
-        fragment,
-        variant,
-        options,
-        rng,
-        &mut EvalScratch::new(),
-        &mut out,
-    )?;
+    let scratch = &mut EvalScratch::new();
+    evaluate_variant_into(fragment, 0, variant, options, rng, scratch, &mut out)?;
     Ok(out)
 }
 
-/// [`evaluate_variant`] into caller-provided buffers: `out` is replaced by
-/// the variant's weighted outcomes (on an error its contents are
-/// unspecified); `scratch` carries the sampler's buffer and the row buffer
-/// across calls so the per-variant hot loop re-allocates neither, and
-/// every path overwrites the `Bits` rows `out` already holds instead of
-/// cloning one per outcome.
+/// [`evaluate_variant`] of fragment number `fi` into caller-provided
+/// buffers: `out` is replaced by the variant's weighted outcomes (on an
+/// error its contents are unspecified); `scratch` carries the sampler's
+/// buffer, the row buffer and the last preparation's post-body state
+/// across calls, and every path overwrites the `Bits` rows `out` already
+/// holds instead of cloning one per outcome.
 ///
 /// Returns `true` when the rows were enumerated — the variant's exact
 /// distribution — and `false` when they are sampled frequencies (see the
@@ -217,74 +272,43 @@ pub fn evaluate_variant(
 ///
 /// # Errors
 ///
-/// Returns [`EvalError`] when the backend cannot evaluate the variant (too
-/// wide, support too large to enumerate, noise in exact mode, or a
-/// non-Clifford gate in a fragment flagged Clifford).
-pub fn evaluate_variant_into(
+/// As [`evaluate_variant`].
+pub(crate) fn evaluate_variant_into(
     fragment: &Fragment,
+    fi: usize,
     variant: &Variant,
     options: &EvalOptions,
     rng: &mut impl Rng,
     scratch: &mut EvalScratch,
     out: &mut Vec<(Bits, f64)>,
 ) -> Result<bool, EvalError> {
-    let circuit = variant_circuit(fragment, variant);
-    let noisy = circuit.has_noise();
-
-    if fragment.is_clifford {
-        // Prep/rotation ops are Clifford, so the variant stays on the
-        // stabilizer backends.
-        if noisy {
-            let EvalMode::Sampled { shots } = options.mode else {
-                return Err(EvalError::NoiseInExactMode);
-            };
+    let nq = fragment.num_local_qubits();
+    if !fragment.is_clifford && nq > svsim::MAX_QUBITS {
+        return Err(EvalError::FragmentTooWide(nq));
+    }
+    let noisy = fragment.circuit.has_noise();
+    let sv = if noisy {
+        let EvalMode::Sampled { shots } = options.mode else {
+            return Err(EvalError::NoiseInExactMode);
+        };
+        let circuit = variant_circuit(fragment, variant);
+        if fragment.is_clifford {
+            // Prep/rotation ops are Clifford, so the variant stays on the
+            // stabilizer backends.
             let samples =
                 stabsim::FrameSim::sample(&circuit, shots, rng).map_err(EvalError::NonClifford)?;
             count_samples_into(samples, out);
             return Ok(false);
         }
-        let support = stabsim::TableauSim::run(&circuit, rng)
-            .map_err(EvalError::NonClifford)?
-            .support();
-        let dim = support.dim();
-        match options.mode {
-            EvalMode::Exact if dim > MAX_ENUMERATED_DIM => {
-                return Err(EvalError::SupportTooLarge { dim });
+        svsim::StateVec::run_noisy(&circuit, rng).map_err(|_| EvalError::FragmentTooWide(nq))?
+    } else {
+        match branch(fragment, fi, variant, scratch)? {
+            Prepared::State(sv) => sv,
+            Prepared::Tableau(sim) => {
+                return support_rows(&sim.support(), options, rng, scratch, out)
             }
-            EvalMode::Sampled { shots } if dim > MAX_ENUMERATED_DIM || (1usize << dim) > shots => {
-                // The sampler streams its sorted tally straight into the
-                // rows, through the worker's reused buffer.
-                let (width, total) = (support.base().len(), shots as f64);
-                let mut n = 0;
-                support.sample_runs(shots, rng, &mut scratch.buf, |words, count| {
-                    set_row(out, n, width, words, count as f64 / total);
-                    n += 1;
-                });
-                out.truncate(n);
-                return Ok(false);
-            }
-            _ => {}
         }
-        let p = 1.0 / (1u64 << dim) as f64;
-        let mut n = 0;
-        support.enumerate_into(&mut scratch.row, |point| {
-            set_row(out, n, point.len(), point.as_words(), p);
-            n += 1;
-        });
-        out.truncate(n);
-        return Ok(true);
-    }
-
-    let nq = circuit.num_qubits();
-    if nq > svsim::MAX_QUBITS {
-        return Err(EvalError::FragmentTooWide(nq));
-    }
-    let sv = match options.mode {
-        EvalMode::Exact if noisy => return Err(EvalError::NoiseInExactMode),
-        EvalMode::Sampled { .. } if noisy => svsim::StateVec::run_noisy(&circuit, rng),
-        _ => svsim::StateVec::run(&circuit),
-    }
-    .map_err(|_| EvalError::FragmentTooWide(nq))?;
+    };
     let probabilities = || {
         sv.amplitudes()
             .iter()
@@ -324,6 +348,84 @@ pub fn evaluate_variant_into(
         count_samples_into(sv.sample(shots, rng), out);
     }
     Ok(false)
+}
+
+/// The state noiseless variant `variant` of fragment `fi` is measured in:
+/// its preparation's post-body state — taken from `scratch`, or run from
+/// `|0…0⟩` through the prep ops and the body and left there — with the
+/// variant's rotations applied. A preparation's last basis takes the
+/// cached state instead of a copy.
+fn branch(
+    fragment: &Fragment,
+    fi: usize,
+    variant: &Variant,
+    scratch: &mut EvalScratch,
+) -> Result<Prepared, EvalError> {
+    let key = (fi, variant.prep_index());
+    let mut state = match scratch.prepared.take() {
+        Some((cached, state)) if cached == key => state,
+        _ => {
+            let n = fragment.num_local_qubits();
+            let mut state = if fragment.is_clifford {
+                Prepared::Tableau(stabsim::TableauSim::new(n))
+            } else {
+                Prepared::State(svsim::StateVec::new(n))
+            };
+            // One pass, so an error counts positions as in the variant
+            // circuit.
+            let inputs = fragment.quantum_inputs.iter().zip(&variant.preps);
+            let preps: Vec<Operation> = inputs.flat_map(|(&(q, _), p)| p.prep_ops(q)).collect();
+            let ops = preps.iter().chain(fragment.circuit.ops());
+            state.apply(ops).map_err(EvalError::NonClifford)?;
+            state
+        }
+    };
+    if variant.basis_index() + 1 < 3usize.pow(variant.bases.len() as u32) {
+        scratch.prepared = Some((key, state.clone()));
+    }
+    let outputs = fragment.quantum_outputs.iter().zip(&variant.bases);
+    let rotations: Vec<Operation> = outputs.flat_map(|(&(q, _), b)| b.rotation_ops(q)).collect();
+    state.apply(&rotations).expect("rotations are Clifford");
+    Ok(state)
+}
+
+/// Writes a noiseless Clifford variant's rows from its affine support:
+/// every point at `2^-dim` when enumerated, the sampler's tally otherwise.
+/// Returns whether the rows were enumerated.
+fn support_rows(
+    support: &stabsim::AffineSupport,
+    options: &EvalOptions,
+    rng: &mut impl Rng,
+    scratch: &mut EvalScratch,
+    out: &mut Vec<(Bits, f64)>,
+) -> Result<bool, EvalError> {
+    let dim = support.dim();
+    match options.mode {
+        EvalMode::Exact if dim > MAX_ENUMERATED_DIM => {
+            return Err(EvalError::SupportTooLarge { dim });
+        }
+        EvalMode::Sampled { shots } if dim > MAX_ENUMERATED_DIM || (1usize << dim) > shots => {
+            // The sampler streams its sorted tally straight into the
+            // rows, through the worker's reused buffer.
+            let (width, total) = (support.base().len(), shots as f64);
+            let mut n = 0;
+            support.sample_runs(shots, rng, &mut scratch.buf, |words, count| {
+                set_row(out, n, width, words, count as f64 / total);
+                n += 1;
+            });
+            out.truncate(n);
+            return Ok(false);
+        }
+        _ => {}
+    }
+    let p = 1.0 / (1u64 << dim) as f64;
+    let mut n = 0;
+    support.enumerate_into(&mut scratch.row, |point| {
+        set_row(out, n, point.len(), point.as_words(), p);
+        n += 1;
+    });
+    out.truncate(n);
+    Ok(true)
 }
 
 /// Collapses samples into `(outcome, frequency)` rows in ascending
@@ -470,6 +572,7 @@ mod tests {
             let mut out = Vec::new();
             let enumerated = evaluate_variant_into(
                 cliff,
+                0,
                 &v,
                 &EvalOptions::default(),
                 &mut rng(),
@@ -490,6 +593,7 @@ mod tests {
         let mut out = Vec::new();
         let enumerated = evaluate_variant_into(
             fragment,
+            0,
             variant,
             &EvalOptions {
                 mode: EvalMode::Sampled { shots },
@@ -585,20 +689,27 @@ mod tests {
 
     /// A hand-built fragment flagged Clifford that holds a `T`: both
     /// stabilizer call sites (tableau, and the frame simulator when noisy)
-    /// return the typed error instead of panicking.
+    /// return the typed error instead of panicking, naming the gate and
+    /// its position among the variant circuit's gates — past the prep
+    /// ops, when the fragment has a quantum input.
     #[test]
     fn mislabeled_clifford_fragment_is_a_typed_error() {
-        let mislabeled = |noisy: bool| {
+        let mislabeled = |noisy: bool, quantum_input: bool| {
             let mut circuit = Circuit::new(1);
             circuit.h(0);
             if noisy {
                 circuit.add_noise(qcir::NoiseChannel::BitFlip(0.1), &[0]);
             }
             circuit.t(0);
+            let (circuit_inputs, quantum_inputs) = if quantum_input {
+                (vec![], vec![(0, 0)])
+            } else {
+                (vec![0], vec![])
+            };
             Fragment {
                 circuit,
-                circuit_inputs: vec![0],
-                quantum_inputs: vec![],
+                circuit_inputs,
+                quantum_inputs,
                 circuit_outputs: vec![(0, 0)],
                 quantum_outputs: vec![],
                 is_clifford: true,
@@ -612,18 +723,34 @@ mod tests {
             mode: EvalMode::Exact,
             ..Default::default()
         };
-        for (fragment, opts) in [
-            (mislabeled(false), &sampled),
-            (mislabeled(false), &exact),
-            (mislabeled(true), &sampled),
-        ] {
-            let variants = enumerate_variants(&fragment);
-            assert_eq!(variants.len(), 1);
-            match evaluate_variant(&fragment, &variants[0], opts, &mut rng()) {
-                Err(EvalError::NonClifford(e)) => assert_eq!(e.name, "T"),
-                other => panic!("expected NonClifford, got {other:?}"),
+        let mut checked = [0usize; 2];
+        for quantum_input in [false, true] {
+            for (fragment, opts) in [
+                (mislabeled(false, quantum_input), &sampled),
+                (mislabeled(false, quantum_input), &exact),
+                (mislabeled(true, quantum_input), &sampled),
+            ] {
+                let variants = enumerate_variants(&fragment);
+                assert_eq!(variants.len(), if quantum_input { 4 } else { 1 });
+                for v in &variants {
+                    let t_at = variant_circuit(&fragment, v)
+                        .without_noise()
+                        .ops()
+                        .iter()
+                        .position(|op| op.as_gate() == Some(qcir::Gate::T));
+                    match evaluate_variant(&fragment, v, opts, &mut rng()) {
+                        Err(EvalError::NonClifford(e)) => {
+                            assert_eq!(e.name, "T");
+                            assert_eq!(Some(e.op_index), t_at, "{v:?}");
+                            checked[usize::from(e.op_index > 2)] += 1;
+                        }
+                        other => panic!("expected NonClifford, got {other:?}"),
+                    }
+                }
             }
         }
+        // Only `|+i⟩` puts two prep gates before the body's `H`.
+        assert_eq!(checked, [12, 3]);
     }
 
     /// A worker's outcome rows are overwritten in place from one variant
@@ -652,7 +779,7 @@ mod tests {
 
         let mut scratch = EvalScratch::new();
         let mut out = Vec::new();
-        let mut check = |fragment: &Fragment, shots: usize, seed: u64| {
+        let mut check = |fi: usize, fragment: &Fragment, shots: usize, seed: u64| {
             for v in enumerate_variants(fragment) {
                 let fresh = evaluate_variant(
                     fragment,
@@ -663,6 +790,7 @@ mod tests {
                 .unwrap();
                 evaluate_variant_into(
                     fragment,
+                    fi,
                     &v,
                     &sampled(shots),
                     &mut StdRng::seed_from_u64(seed),
@@ -673,12 +801,12 @@ mod tests {
                 assert_eq!(out, fresh, "{} qubits", fragment.num_local_qubits());
             }
         };
-        check(wide, 60, 1); // 60 distinct 72-bit rows
-        for f in &narrow {
-            check(f, 60, 2); // at most two 1-bit rows: shrink and re-width
+        check(0, wide, 60, 1); // 60 distinct 72-bit rows
+        for (fi, f) in narrow.iter().enumerate() {
+            check(1 + fi, f, 60, 2); // at most two 1-bit rows: shrink and re-width
         }
-        check(wide, 20, 3); // grow again, fewer rows than the first time
-        check(wide, 90, 4); // and past the high-water mark
+        check(0, wide, 20, 3); // grow again, fewer rows than the first time
+        check(0, wide, 90, 4); // and past the high-water mark
     }
 
     #[test]

@@ -47,9 +47,7 @@ mod tensor;
 mod variants;
 
 pub use cut::{cut_circuit, CutCircuit, CutError, CutPoint, CutStrategy, Fragment};
-pub use evaluate::{
-    evaluate_variant, evaluate_variant_into, EvalError, EvalMode, EvalOptions, EvalScratch,
-};
+pub use evaluate::{evaluate_variant, EvalError, EvalMode, EvalOptions};
 pub use mlft::{correct_tensor, correct_tensors, MlftError, MlftOptions};
 pub use recombine::{Reconstructor, SweepStats, ASSIGNMENTS_PER_CHUNK, MAX_CONTRACTION_CUTS};
 pub use tensor::{

@@ -670,10 +670,13 @@ impl TensorAccum {
 const MAX_RESERVED_BYTES: usize = 1 << 28;
 
 /// All of one evaluation worker's reusable buffers: the backend's
-/// sampling scratch ([`EvalScratch`]), the variant outcome list, the
-/// key-extraction rows, and the compact fold's column table and pending
-/// block. One per worker (or per sequential loop) — the per-variant hot
-/// path allocates only when an accumulator's flat buffers grow.
+/// scratch ([`EvalScratch`]: sampling buffers and the post-body state of
+/// the preparation last run, keyed by fragment index and prep index), the
+/// variant outcome list, the key-extraction rows, and the compact fold's
+/// column table and pending block. One per worker of one evaluation (or
+/// per sequential loop) — the per-variant hot path allocates only when an
+/// accumulator's flat buffers grow, and a cached state never outlives the
+/// fragment slice its key indexes.
 ///
 /// Between variants the pending block is empty and no outcome is marked
 /// ([`WorkerScratch::is_clean`]); [`fold_variant`] restores that before it
@@ -720,13 +723,13 @@ impl WorkerScratch {
     }
 }
 
-/// Evaluates one (fragment, variant) work item and folds it into `m`, the
-/// chunk's accumulator for that fragment. Returns whether the variant's
-/// rows were enumerated rather than sampled.
+/// Evaluates one work item — variant `vi` of fragment number `fi` — and
+/// folds it into `m`, the chunk's accumulator for that fragment. Returns
+/// whether the variant's rows were enumerated rather than sampled.
 fn evaluate_item(
     fragment: &Fragment,
     plan: &FragmentEvalPlan,
-    vi: usize,
+    (fi, vi): (usize, usize),
     base_seed: u64,
     eval: &EvalOptions,
     scratch: &mut WorkerScratch,
@@ -736,6 +739,7 @@ fn evaluate_item(
     let variant = &plan.variants[vi];
     let enumerated = evaluate_variant_into(
         fragment,
+        fi,
         variant,
         eval,
         &mut rng,
@@ -1078,7 +1082,7 @@ fn evaluate_chunk(
         m.enumerated += usize::from(evaluate_item(
             &fragments[fi],
             &plans[fi],
-            flat - offset,
+            (fi, flat - offset),
             base_seeds[fi],
             eval,
             scratch,
@@ -1533,7 +1537,8 @@ mod tests {
                 let plan = FragmentEvalPlan::new(fragment);
                 let mut m = TensorAccum::new(&plan);
                 for vi in 0..plan.num_variants() {
-                    evaluate_item(fragment, &plan, vi, 77, &eval, &mut scratch, &mut m).unwrap();
+                    evaluate_item(fragment, &plan, (fi, vi), 77, &eval, &mut scratch, &mut m)
+                        .unwrap();
                     assert!(scratch.is_clean(), "{name}, fragment {fi}, variant {vi}");
                     assert_eq!(m.coeffs.len(), m.keys.len() * m.dim);
                 }
@@ -1803,9 +1808,12 @@ mod tests {
 
     /// The cut circuits the parity and `±0.0` tests run: the shapes the
     /// end-to-end benchmark evaluates, plus fragments without circuit
-    /// outputs (every row shares the empty key).
+    /// outputs (every row shares the empty key) and a pair whose
+    /// preparations share prep index 0 inside one chunk.
     fn parity_shapes() -> Vec<(&'static str, Vec<Fragment>)> {
         let cut = |c: &Circuit, strategy| cut_circuit(c, strategy).unwrap().fragments;
+        let mut ladder_head = cut(&workloads::t_ladder(2, 400).circuit, CutStrategy::default());
+        ladder_head.truncate(2);
         let mut small = Circuit::new(3);
         small.h(0).cx(0, 1).t(1).cx(1, 2).t(2).h(2);
         let mut keyless = Circuit::new(1);
@@ -1841,14 +1849,19 @@ mod tests {
                     CutStrategy::IsolateNonClifford { max_cuts: 4 },
                 ),
             ),
+            ("t_ladder(2,400), first two fragments", ladder_head),
         ]
     }
 
-    /// The shapes are what the tests say they are: a `qi + qo = 5`
-    /// fragment of 432 variants followed by chunks that several fragments
-    /// share, a fragment that sits whole inside chunk 0, outcome keys past one
-    /// word with no quantum outputs, a statevector fragment with
-    /// `qi + qo = 4`, and fragments keyed by the empty bitstring.
+    /// The shapes are what the tests say they are: a Clifford
+    /// `qi + qo = 5` fragment of 432 variants followed by chunks that
+    /// several fragments share, and a `qo = 0` fragment with several
+    /// preparations; a fragment that sits whole inside chunk 0; outcome
+    /// keys past one word with no quantum outputs; a statevector fragment
+    /// with `qi = qo = 2` whose 9-basis preparation groups straddle chunk
+    /// boundaries; fragments keyed by the empty bitstring; and a `qi = 0`
+    /// fragment followed, inside chunk 0, by one whose first variant also
+    /// has prep index 0.
     #[test]
     fn parity_shapes_cover_the_compact_fold() {
         let shapes = parity_shapes();
@@ -1861,6 +1874,10 @@ mod tests {
         let t3 = plans_of("hwea(8,5,3,1)");
         let big = t3.iter().position(|p| p.num_variants() == 432).unwrap();
         assert_eq!((t3[big].dim, t3[big].qo), (1024, 3));
+        assert!(fragments_of("hwea(8,5,3,1)")[big].is_clifford);
+        assert!(fragments_of("hwea(8,5,3,1)")
+            .iter()
+            .any(|f| f.quantum_outputs.is_empty() && !f.quantum_inputs.is_empty()));
         assert!(num_chunks(&t3) >= 27);
         let boundaries = t3.iter().scan(0, |end, p| {
             *end += p.num_variants();
@@ -1884,10 +1901,25 @@ mod tests {
         assert!(wide
             .iter()
             .any(|f| f.circuit_outputs.len() > 64 && f.quantum_outputs.is_empty()));
-        assert!(fragments_of("t_ladder(10,8)")
-            .iter()
-            .zip(&plans_of("t_ladder(10,8)"))
-            .any(|(f, p)| !f.is_clifford && p.dim == 256));
+        let ladder = fragments_of("t_ladder(10,8)");
+        assert!(!ladder[0].is_clifford);
+        assert_eq!(
+            (
+                ladder[0].quantum_inputs.len(),
+                ladder[0].quantum_outputs.len()
+            ),
+            (2, 2)
+        );
+        assert!(
+            (0..16).any(|s| (9 * s) / VARIANTS_PER_CHUNK != (9 * s + 8) / VARIANTS_PER_CHUNK),
+            "a preparation group straddles a chunk boundary"
+        );
+
+        let head = fragments_of("t_ladder(2,400), first two fragments");
+        let head_plans = plans_of("t_ladder(2,400), first two fragments");
+        assert!(head[0].quantum_inputs.is_empty());
+        assert!(head_plans[0].num_variants() < VARIANTS_PER_CHUNK);
+        assert_eq!(head_plans[1].variants[0].prep_index(), 0);
         assert!(fragments_of("1q, no circuit outputs")
             .iter()
             .any(|f| f.circuit_outputs.is_empty() && f.num_cut_ends() == 2));
@@ -1895,10 +1927,14 @@ mod tests {
 
     /// The evaluation engine is bit-identical — same support, same
     /// emission order, same float bits — to the frozen `BTreeMap`
-    /// reference path on every shape of [`parity_shapes`], in exact mode
-    /// and at 50 and 5000 shots, at 1, 2, and 8 threads (the pipeline's
-    /// one evaluation path). A shape exact mode cannot evaluate must fail
-    /// with the reference's error at every thread count.
+    /// reference path, which runs every variant alone through
+    /// `evaluate_variant` (its own body run, a fresh cache), on every shape
+    /// of [`parity_shapes`], in exact mode and at 50 and 5000 shots: at 1,
+    /// 2, and 8 threads (the pipeline's one evaluation path), and on one
+    /// worker that runs the chunks backwards and zigzag (first, last,
+    /// second, …), so a chunk starts on whatever post-body state another
+    /// fragment or preparation left cached. A shape exact mode cannot
+    /// evaluate must fail with the reference's error on every schedule.
     #[test]
     fn evaluation_matches_btreemap_reference_bit_exact() {
         let opts = TensorOptions::default();
@@ -1906,6 +1942,11 @@ mod tests {
             let seeds: Vec<u64> = (0..fragments.len() as u64).map(|i| 4242 + i).collect();
             let plans: Vec<FragmentEvalPlan> =
                 fragments.iter().map(FragmentEvalPlan::new).collect();
+            let n = num_chunks(&plans);
+            let backwards: Vec<usize> = (0..n).rev().collect();
+            let zigzag: Vec<usize> = (0..n)
+                .map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 })
+                .collect();
             for mode in [
                 EvalMode::Exact,
                 EvalMode::Sampled { shots: 50 },
@@ -1921,25 +1962,68 @@ mod tests {
                     evaluate_fragment_tensors_planned(
                         &fragments, &plans, &eval, &opts, &seeds, threads,
                     )
-                    .map_err(|e| e.to_string())
                 });
-                for (path, got) in ["1 thread", "2 threads", "8 threads"]
-                    .into_iter()
-                    .zip(&pooled)
+                let one_worker = [&backwards, &zigzag].map(|order| {
+                    evaluate_in_order(&fragments, &plans, &eval, &opts, &seeds, order)
+                });
+                for (path, got) in [
+                    "1 thread",
+                    "2 threads",
+                    "8 threads",
+                    "one worker, backwards",
+                    "one worker, zigzag",
+                ]
+                .into_iter()
+                .zip(pooled.into_iter().chain(one_worker))
                 {
                     let label = format!("{name}, {mode:?}, {path}");
-                    match (got, &expect) {
+                    match (got.map_err(|e| e.to_string()), &expect) {
                         (Ok(got), Ok(expect)) => {
                             for (fi, (g, e)) in got.iter().zip(expect).enumerate() {
                                 assert_tensors_bit_identical(g, e, &format!("{label}, #{fi}"));
                             }
                         }
-                        (Err(got), Err(expect)) => assert_eq!(got, expect, "{label}"),
+                        (Err(got), Err(expect)) => assert_eq!(&got, expect, "{label}"),
                         _ => panic!("{label}: engine and reference disagree on failure"),
                     }
                 }
             }
         }
+    }
+
+    /// Runs the chunks of `plans` on one worker's scratch in `order` (a
+    /// permutation of the chunk indices) and merges their partials in
+    /// chunk order, as [`runtime::fold_ordered`] does: the lowest failing
+    /// chunk's error wins.
+    fn evaluate_in_order(
+        fragments: &[Fragment],
+        plans: &[FragmentEvalPlan],
+        eval: &EvalOptions,
+        opts: &TensorOptions,
+        seeds: &[u64],
+        order: &[usize],
+    ) -> Result<Vec<FragmentTensor>, EvalError> {
+        let mut scratch = WorkerScratch::new();
+        let mut partials: Vec<_> = order.iter().map(|_| None).collect();
+        for &ci in order {
+            partials[ci] = Some(evaluate_chunk(
+                fragments,
+                plans,
+                eval,
+                seeds,
+                ci,
+                &mut scratch,
+            ));
+        }
+        let mut maps: Vec<TensorAccum> = plans.iter().map(TensorAccum::new).collect();
+        for chunk in partials {
+            merge_chunk(&mut maps, chunk.expect("every chunk ran")?, plans, eval);
+        }
+        Ok(maps
+            .into_iter()
+            .zip(fragments)
+            .map(|(m, f)| finalize_fragment_tensor(f, m, eval, opts))
+            .collect())
     }
 
     /// Asserts two tensors agree bit for bit: support, emission order,

@@ -164,6 +164,11 @@ pub fn enumerate_variants(fragment: &Fragment) -> Vec<Variant> {
 
 /// Builds the executable circuit of a fragment variant: preparation gates,
 /// the fragment body, then measurement-basis rotations.
+///
+/// It serves noisy variants (one trajectory or frame sample each), the
+/// test oracles and the benchmark harness's replay; the evaluator runs a
+/// noiseless variant from its preparation's shared post-body state, with
+/// the same gates in the same order.
 pub fn variant_circuit(fragment: &Fragment, variant: &Variant) -> Circuit {
     assert_eq!(
         variant.preps.len(),
