@@ -78,52 +78,23 @@
 //! [`PlanCost::with_error_budget`]). Keep it at `0.0` when reproducing
 //! the paper's exact protocol.
 //!
-//! # One driver, and the policies it runs under
+//! # Failures
 //!
-//! Every run entry point is one driver: rounds of a fold over jobs, with
-//! retry, degradation and a circuit breaker between rounds. The default
-//! policies are no-ops — [`SuperSim::run_batch`] and
-//! [`Executor::run_sweep`] drive with one attempt, which is exactly one
-//! round; [`SuperSim::run`] and [`Executor::run_with`] are that with one
-//! job. [`SuperSim::run_batch_resilient`] and
-//! [`Executor::run_sweep_resilient`] hand the driver a
-//! [`ResiliencePolicy`] — the policy layer a cutting-as-a-service
-//! front-end needs over unreliable workers:
-//!
-//! * **Retry** ([`RetryPolicy`]): transient failures are re-enqueued with
-//!   exponential backoff whose jitter comes from the job's own RNG
-//!   stream, so the whole schedule is reproducible.
-//! * **Degrade** ([`DegradationPolicy`]): under deadline pressure or
-//!   admission rejection, a job escalates its recombination error budget
-//!   along a validated ladder — bounded accuracy shed instead of
-//!   failure, surfaced on [`RunReport::degraded_budget`].
-//! * **Salvage** ([`BatchOutcome`]): failures never disturb surviving
-//!   siblings; [`BatchOutcome::resume`] re-runs *only* the failed jobs
-//!   against the cached plans and merges bit-identically.
-//! * **Break** ([`BreakerPolicy`]): a per-plan circuit breaker
-//!   (closed → open → half-open, cool-down counted in attempts, never
-//!   wall clock) denies enqueue for repeatedly failing cut structures
-//!   ([`SuperSimError::BreakerOpen`]).
-//!
-//! Error classification ([`is_transient`]):
-//!
-//! | [`SuperSimError`] variant | Class | Driver response |
-//! |---|---|---|
-//! | [`Panicked`](SuperSimError::Panicked) | transient | retry with backoff |
-//! | [`DeadlineExceeded`](SuperSimError::DeadlineExceeded) (incl. stalls) | transient | degrade if a ladder rung remains, else retry |
-//! | [`Injected`](SuperSimError::Injected) with the transient marker | transient | retry with backoff |
-//! | [`BreakerOpen`](SuperSimError::BreakerOpen) | transient | retry (cool-down consumes attempts) |
-//! | [`Rejected`](SuperSimError::Rejected) | permanent* | degrade if a ladder rung remains, else fail |
-//! | [`Cut`](SuperSimError::Cut) / [`Eval`](SuperSimError::Eval) / [`Mlft`](SuperSimError::Mlft) | permanent | fail (deterministic reproduction) |
-//! | [`Cancelled`](SuperSimError::Cancelled) | permanent | fail (the caller asked) |
-//!
-//! (*admission re-judges each escalated attempt against the
-//! budget-discounted [`PlanCost`], which is what lets the ladder rescue
-//! oversized jobs.)
-//!
-//! Retried and salvaged results stay **bit-identical** to a clean
-//! single-pass run at every thread count; degraded results are
-//! bit-identical to a run executed directly at the escalated budget.
+//! Every run entry point runs its jobs once. A job that fails keeps a
+//! typed error — [`SuperSimError::Panicked`],
+//! [`DeadlineExceeded`](SuperSimError::DeadlineExceeded),
+//! [`Cancelled`](SuperSimError::Cancelled),
+//! [`Injected`](SuperSimError::Injected),
+//! [`Rejected`](SuperSimError::Rejected), or a [`Cut`](SuperSimError::Cut),
+//! [`Eval`](SuperSimError::Eval), [`Mlft`](SuperSimError::Mlft) or
+//! [`Config`](SuperSimError::Config) failure — which batch and sweep entry
+//! points wrap in [`SuperSimError::Job`] and [`SuperSimError::root`]
+//! unwraps; its siblings are unaffected. Nothing is retried. Re-running a
+//! failed job — as a sub-batch, as a sub-slice of sweep points, or through
+//! [`Executor::run_with`] at a larger error budget — is bit-identical to a
+//! direct run with the same parameters, so retries, backoff, circuit
+//! breaking and load shedding are the caller's loop: the
+//! `resilient_service` example writes one over this API.
 //!
 //! ```
 //! use qcir::Circuit;
@@ -162,10 +133,9 @@ pub use backends::{
     BackendError, ExtStabBackend, MpsBackend, Simulator, StabilizerBackend, StatevectorBackend,
 };
 pub use pipeline::{
-    is_transient, Admission, AdmissionError, AdmissionPolicy, BatchOutcome, BreakerPolicy,
-    BreakerState, ConfigError, CutPlan, DegradationPolicy, ExecParams, Executor, JobStatus,
-    PlanCacheStats, PlanCost, PlanLoadError, ResiliencePolicy, RetryPolicy, RunReport, RunResult,
-    RunStats, SuperSim, SuperSimConfig, SuperSimConfigBuilder, SuperSimError,
+    Admission, AdmissionError, AdmissionPolicy, ConfigError, CutPlan, ExecParams, Executor,
+    PlanCacheStats, PlanCost, PlanLoadError, RunReport, RunResult, RunStats, SuperSim,
+    SuperSimConfig, SuperSimConfigBuilder, SuperSimError,
 };
 
 // Re-export the persistent worker-pool stats surfaced by
@@ -177,4 +147,4 @@ pub use cutkit::{CutPoint, CutStrategy, EvalMode, SweepStats};
 
 // Re-export the supervision primitives batch callers configure
 // ([`SuperSimConfig::cancel`], [`SuperSimConfig::faults`]).
-pub use faultkit::{CancelToken, Fault, FaultKind, FaultPlan, Interrupt, Stage, TRANSIENT_MARKER};
+pub use faultkit::{CancelToken, Fault, FaultKind, FaultPlan, Interrupt, Stage};

@@ -3,15 +3,14 @@
 //!
 //! An [`Executor`] owns no state beyond a reference to the configuration;
 //! every run replays a prebuilt plan with a choice of [`ExecParams`]
-//! (seed + shot budget). Its entry points are thin wrappers over the one
-//! driver in [`batch`](super::batch): [`Executor::run_sweep`] executes many
-//! parameter points against **one** plan as one fold over jobs — the plan
-//! is built once, the cutter never re-runs, and points proceed through the
-//! pipeline stages independently.
+//! (seed + shot budget). Its entry points are thin wrappers over one round
+//! of jobs in [`batch`](super::batch): [`Executor::run_sweep`] executes
+//! many parameter points against **one** plan as one fold over jobs — the
+//! plan is built once, the cutter never re-runs, and points proceed through
+//! the pipeline stages independently.
 
-use super::batch::{run_once, run_single, sweep_slots, BatchOutcome};
+use super::batch::{run_points, run_single};
 use super::plan::CutPlan;
-use super::resilience::{BreakerState, ResiliencePolicy};
 use super::{fault_error, SuperSimConfig, SuperSimError};
 use cutkit::{EvalMode, EvalOptions, FragmentTensor, Reconstructor, TensorOptions};
 use faultkit::{Stage, Supervisor};
@@ -20,7 +19,6 @@ use qcir::Bits;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-run execution parameters: the knobs a sweep varies while the cut
@@ -166,17 +164,6 @@ pub struct RunReport {
     /// [`SuperSim::run`](crate::SuperSim::run) and
     /// [`SuperSim::run_batch`](crate::SuperSim::run_batch).
     pub plan_cache_hit: bool,
-    /// Attempts the resilient driver consumed before this run succeeded
-    /// (1 = clean first pass; counts circuit-breaker denials too). Always
-    /// 1 on the non-resilient entry points.
-    pub attempts: usize,
-    /// Error budget the [`DegradationPolicy`](crate::DegradationPolicy)
-    /// escalated this run to, when load shedding rescued it. `None` when
-    /// the run completed at its requested accuracy.
-    pub degraded_budget: Option<f64>,
-    /// State of the job's circuit breaker when the resilient driver
-    /// finished with it. `None` outside the resilient entry points.
-    pub breaker_state: Option<BreakerState>,
 }
 
 impl fmt::Display for RunReport {
@@ -202,32 +189,6 @@ impl fmt::Display for RunReport {
             )?;
         }
         Ok(())
-    }
-}
-
-impl RunReport {
-    /// Multi-line operator summary of the run: the [`Display`](fmt::Display)
-    /// line plus one line per resilience event — attempts used, escalated
-    /// error budget, and circuit-breaker state — so one report per job
-    /// tells the whole retry/degrade story.
-    pub fn render_summary(&self) -> String {
-        let mut out = format!("{self}");
-        if self.attempts > 1 {
-            out.push_str(&format!(
-                "\nattempts: {} ({} retried)",
-                self.attempts,
-                self.attempts - 1
-            ));
-        }
-        if let Some(budget) = self.degraded_budget {
-            out.push_str(&format!(
-                "\ndegraded: error budget escalated to {budget:.3e} (accuracy shed under load)"
-            ));
-        }
-        if let Some(state) = self.breaker_state {
-            out.push_str(&format!("\nbreaker: {state}"));
-        }
-        out
     }
 }
 
@@ -357,7 +318,7 @@ impl<'c> Executor<'c> {
 
     /// [`Executor::run`] with explicit per-run parameters.
     ///
-    /// Runs as a one-job batch through the same driver a batch uses, so
+    /// Runs as a one-job batch through the same round a batch uses, so
     /// single runs get the full supervision layer — panic isolation,
     /// deadlines, cancellation, admission control, fault injection — and
     /// are bit-identical to the same job in a batch. Single-run errors are
@@ -398,23 +359,7 @@ impl<'c> Executor<'c> {
         plan: &CutPlan,
         params: &[ExecParams],
     ) -> Vec<Result<RunResult, SuperSimError>> {
-        run_once(self.config, sweep_slots(plan, params))
-    }
-
-    /// [`Executor::run_sweep`] behind a [`ResiliencePolicy`](crate::ResiliencePolicy)
-    /// (see [`SuperSim::run_batch_resilient`](crate::SuperSim::run_batch_resilient)
-    /// for the retry/degrade/salvage semantics): one plan, many parameter
-    /// points, each retried, degraded, or salvaged independently. Takes
-    /// the plan by `Arc` so the returned
-    /// [`BatchOutcome`](crate::BatchOutcome) can keep it alive for
-    /// [`resume`](crate::BatchOutcome::resume).
-    pub fn run_sweep_resilient(
-        &self,
-        plan: &Arc<CutPlan>,
-        params: &[ExecParams],
-        policy: ResiliencePolicy,
-    ) -> BatchOutcome {
-        BatchOutcome::new(self.config, policy, sweep_slots(Arc::clone(plan), params))
+        run_points(self.config, plan, params)
     }
 }
 
@@ -543,9 +488,6 @@ pub(crate) fn finish_run(
             assignments_skipped: stats.skipped,
             visited_assignments: stats.visited,
             plan_cache_hit: false,
-            attempts: 1,
-            degraded_budget: None,
-            breaker_state: None,
         },
         tensors,
         num_cuts: plan.cut.num_cuts,

@@ -2,28 +2,18 @@
 //!
 //! # Architecture
 //!
-//! One driver, and the policies it runs under:
-//!
 //! * [`plan`] — [`CutPlan`]: cut placement, fragment structure, variant
 //!   enumeration, and recombination scatter plans, built **once** per cut
 //!   structure by [`SuperSim::plan`] (and cached per instance, [`cache`]);
-//! * [`batch`] — the one driver behind every run entry point: rounds of a
-//!   fold over jobs, each job's evaluate → MLFT → recombine under its own
-//!   supervisor and admission verdict ([`supervise`]), with retry,
-//!   degradation and a circuit breaker between rounds. [`SuperSim::run`],
-//!   [`SuperSim::run_batch`], [`Executor::run_with`] and
-//!   [`Executor::run_sweep`] drive it with one attempt;
-//!   [`SuperSim::run_batch_resilient`] and [`Executor::run_sweep_resilient`]
-//!   with the caller's policy, returning a [`BatchOutcome`] that can
-//!   [`resume`](BatchOutcome::resume) the failed jobs;
+//! * [`batch`] — one round over a set of jobs, the body of every run
+//!   entry point ([`SuperSim::run`], [`SuperSim::run_batch`],
+//!   [`Executor::run_with`], [`Executor::run_sweep`]): a fold over jobs,
+//!   each job's evaluate → MLFT → recombine under its own supervisor and
+//!   admission verdict ([`supervise`]). A failed job keeps its typed
+//!   error; nothing is retried;
 //! * [`execute`] — [`Executor`], the entry points over a prebuilt plan with
 //!   per-run [`ExecParams`] (seed, shot budget), and the recombination
-//!   step every job ends with;
-//! * [`resilience`] — the policies alone: deterministic retries with
-//!   seeded backoff ([`RetryPolicy`]), load-shedding degradation along an
-//!   error-budget ladder ([`DegradationPolicy`]), a per-plan circuit
-//!   breaker ([`BreakerPolicy`]), and the error classification
-//!   ([`is_transient`]).
+//!   step every job ends with.
 //!
 //! [`SuperSim::run`] is exactly `plan` + `execute` — the monolithic entry
 //! point is a thin composition of the stages.
@@ -55,16 +45,11 @@ pub(crate) mod batch;
 pub(crate) mod cache;
 pub(crate) mod execute;
 pub(crate) mod plan;
-pub(crate) mod resilience;
 pub(crate) mod supervise;
 
-pub use batch::{BatchOutcome, JobStatus};
 pub use cache::PlanCacheStats;
 pub use execute::{ExecParams, Executor, RunReport, RunResult};
 pub use plan::{CutPlan, PlanCost, PlanLoadError};
-pub use resilience::{
-    is_transient, BreakerPolicy, BreakerState, DegradationPolicy, ResiliencePolicy, RetryPolicy,
-};
 pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
 
 use cache::PlanCache;
@@ -123,11 +108,8 @@ pub struct SuperSimConfig {
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
     /// checkpoint (evaluation chunk, MLFT fragment, or recombination
     /// chunk boundary). [`ExecParams::deadline`] overrides this per job.
-    /// The clock starts when the job's phase of a driver round starts
-    /// (the pooled phase, or its own phase if admission sequentialized
-    /// it), and every retry round of the resilient entry points starts it
-    /// afresh — which is what lets a retried
-    /// [`DeadlineExceeded`](SuperSimError::DeadlineExceeded) succeed.
+    /// The clock starts when the job's phase starts (the pooled phase, or
+    /// its own phase if admission sequentialized it).
     pub job_deadline: Option<Duration>,
     /// Shareable cooperative cancellation token: once
     /// [`CancelToken::cancel`] is called (from any thread), every job in
@@ -137,11 +119,8 @@ pub struct SuperSimConfig {
     /// Batch-wide wall-clock deadline: every job still in flight when it
     /// passes fails with [`SuperSimError::DeadlineExceeded`]. Composes
     /// with per-job deadlines by taking the earlier instant. It is
-    /// measured from the start of a driver round — the one round of
-    /// [`SuperSim::run_batch`] / [`Executor::run_sweep`], or each retry
-    /// round of [`SuperSim::run_batch_resilient`] /
-    /// [`Executor::run_sweep_resilient`], which restarts it for the jobs
-    /// that round retries.
+    /// measured from the start of the call ([`SuperSim::run_batch`],
+    /// [`Executor::run_sweep`], or a single run).
     pub batch_deadline: Option<Duration>,
     /// Admission-control budgets applied to every job before it is
     /// enqueued (default: unlimited). Rejected jobs report
@@ -229,10 +208,6 @@ pub enum ConfigError {
     /// is meaningless on the sequential path, so an explicit size there
     /// is almost certainly a dropped `.parallel(true)`.
     ThreadsWithoutParallel(usize),
-    /// A [`DegradationPolicy`] ladder was empty, held a NaN / infinite /
-    /// non-positive rung, or did not strictly increase. The message names
-    /// the offending rung.
-    InvalidDegradationLadder(String),
     /// Sampled mode with a shot budget of zero: every fragment tensor
     /// would be identically zero, which no stage can turn into a
     /// distribution. Exact mode ignores the shot budget and accepts it.
@@ -247,9 +222,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ThreadsWithoutParallel(t) => {
                 write!(f, "threads = {t} has no effect without parallel; call .parallel(true) or drop .threads(..)")
-            }
-            ConfigError::InvalidDegradationLadder(reason) => {
-                write!(f, "invalid degradation ladder: {reason}")
             }
             ConfigError::ZeroShots => {
                 write!(f, "sampled mode needs at least one shot per variant; set shots >= 1 or exact(true)")
@@ -453,17 +425,6 @@ pub enum SuperSimError {
     /// through [`ExecParams::with_shots`] or a struct-literal
     /// configuration that bypassed the builder.
     Config(ConfigError),
-    /// The resilient driver's per-plan circuit breaker was open and
-    /// denied the attempt before it was enqueued (transient: the breaker
-    /// half-opens after its cool-down and the denial is retried within
-    /// the attempt budget).
-    BreakerOpen {
-        /// The breaker key: the plan's circuit fingerprint.
-        fingerprint: u64,
-        /// Consecutive failures that tripped (and are holding) the
-        /// breaker open.
-        failures: usize,
-    },
     /// Per-job context wrapper attached by batch/sweep entry points.
     Job {
         /// Index of the job in the batch (circuit index for
@@ -516,14 +477,6 @@ impl fmt::Display for SuperSimError {
             }
             SuperSimError::Rejected(e) => write!(f, "{e}"),
             SuperSimError::Config(e) => write!(f, "invalid run parameters: {e}"),
-            SuperSimError::BreakerOpen {
-                fingerprint,
-                failures,
-            } => write!(
-                f,
-                "circuit breaker open for plan {fingerprint:#018x} \
-                 after {failures} consecutive failures; attempt denied"
-            ),
             SuperSimError::Job {
                 job,
                 fingerprint,
@@ -545,8 +498,7 @@ impl std::error::Error for SuperSimError {
             SuperSimError::Panicked { .. }
             | SuperSimError::DeadlineExceeded { .. }
             | SuperSimError::Cancelled { .. }
-            | SuperSimError::Injected { .. }
-            | SuperSimError::BreakerOpen { .. } => None,
+            | SuperSimError::Injected { .. } => None,
         }
     }
 }
@@ -752,37 +704,11 @@ impl SuperSim {
     ///   a failing job's root error is the earliest faulting task in
     ///   task order (chunk order, then fragment order) on every
     ///   schedule.
+    /// * **One attempt** — each job runs once. A caller that wants
+    ///   another attempt runs the failed circuits again as a new batch
+    ///   (a plan-cache hit); the new batch's errors index that sub-batch.
     pub fn run_batch(&self, circuits: &[Circuit]) -> Vec<Result<RunResult, SuperSimError>> {
-        let slots = batch::circuit_slots(&self.config, &self.plan_cache, circuits);
-        batch::run_once(&self.config, slots)
-    }
-
-    /// [`SuperSim::run_batch`] behind a [`ResiliencePolicy`]: transient
-    /// failures (panics, deadline trips, injected transients, breaker
-    /// denials) are retried with deterministic seeded backoff; deadline
-    /// pressure and admission rejection optionally degrade along the
-    /// policy's error-budget ladder instead of failing; a per-plan
-    /// circuit breaker guards enqueue. The returned [`BatchOutcome`]
-    /// keeps the cached [`CutPlan`]s, so [`BatchOutcome::resume`] can
-    /// salvage the failed jobs later without re-executing (or even
-    /// re-planning) the survivors.
-    ///
-    /// # Determinism
-    ///
-    /// Retried and salvaged results are **bit-identical** to a clean
-    /// single-pass run at every thread count (the driver re-submits jobs
-    /// through the same fold over jobs, and outputs depend only on per-job
-    /// seeds); degraded results are bit-identical to a run executed
-    /// directly at the escalated budget. Breaker evolution, attempt
-    /// accounting, and backoff schedules are pure functions of
-    /// (policy, seeds, failure pattern) — never of the schedule.
-    pub fn run_batch_resilient(
-        &self,
-        circuits: &[Circuit],
-        policy: ResiliencePolicy,
-    ) -> BatchOutcome {
-        let slots = batch::circuit_slots(&self.config, &self.plan_cache, circuits);
-        BatchOutcome::new(&self.config, policy, slots)
+        batch::run_circuits(&self.config, &self.plan_cache, circuits)
     }
 }
 
@@ -968,7 +894,7 @@ mod tests {
         assert_eq!(r.report.enumerated_variants, r.report.num_variants);
         assert!(r
             .report
-            .render_summary()
+            .to_string()
             .contains(&format!("({} enumerated)", r.report.num_variants)));
         assert_matches_sv(
             &c,
@@ -1220,7 +1146,6 @@ mod tests {
                     matches!(err.root(), SuperSimError::Cut(e) if *e == too_many),
                     "{strategy:?}: {err}"
                 );
-                assert!(!is_transient(&err), "{strategy:?}: {err}");
             }
             match CutPlan::from_text(&uncut.replace("strategy none", &line)) {
                 Err(PlanLoadError::Cut(e)) => assert_eq!(e, too_many),

@@ -72,8 +72,11 @@ pub struct PlanCost {
     /// [`RunReport::visited_assignments`](crate::RunReport::visited_assignments)
     /// — the post-truncation count — when judging like with like.
     pub sweep_assignments: u64,
-    /// Bytes of dense per-fragment accumulators held live during
-    /// evaluation: `Σ_f variants_f × 4^{cuts_f} × 8`.
+    /// Admission proxy for evaluation memory: `Σ_f variants_f × 4^{cuts_f}
+    /// × 8` bytes. It is not the live footprint: an accumulator holds one
+    /// `4^{cuts_f}`-slot row per distinct outcome of its fragment, so what
+    /// evaluation holds scales with the fragments' supports, which the
+    /// plan does not know.
     pub accumulator_bytes: u64,
 }
 

@@ -1,8 +1,8 @@
 //! The supervision layer: admission control for batch jobs.
 //!
-//! Admission control runs **before** any job of a batch: the batch driver
+//! Admission control runs **before** any job of a batch: the job round
 //! derives a [`PlanCost`] from the job's [`CutPlan`] (cuts, variants,
-//! `4^k` sweep size, dense-accumulator bytes — all structural, no
+//! `4^k` sweep size, an accumulator-bytes proxy — all structural, no
 //! execution needed) and asks the configured [`AdmissionPolicy`] for a
 //! verdict. Oversized jobs are rejected with a typed
 //! [`AdmissionError`] carrying the offending quantity and its budget;
@@ -16,7 +16,7 @@
 //! The other half of supervision — panic isolation, deadlines,
 //! cancellation, and fault injection — lives in the `faultkit` crate
 //! ([`Supervisor`](faultkit::Supervisor)) and is threaded into cutkit's
-//! evaluation, MLFT and contraction drivers by the batch driver; see the
+//! evaluation, MLFT and contraction drivers by the job round; see the
 //! failure-semantics notes
 //! on [`SuperSim::run_batch`](crate::SuperSim::run_batch).
 
@@ -40,13 +40,14 @@ pub struct AdmissionPolicy {
     /// Reject jobs whose recombination sweep exceeds this many
     /// assignments (`4^k`, before sparse pruning).
     pub max_sweep_assignments: Option<u64>,
-    /// Reject jobs whose dense evaluation accumulators exceed this many
-    /// bytes.
+    /// Reject jobs whose [`PlanCost::accumulator_bytes`] proxy exceeds
+    /// this many bytes.
     pub max_accumulator_bytes: Option<u64>,
     /// Sequentialize (run solo, not reject) jobs whose sweep exceeds
     /// this many assignments.
     pub solo_sweep_assignments: Option<u64>,
-    /// Sequentialize jobs whose accumulators exceed this many bytes.
+    /// Sequentialize jobs whose [`PlanCost::accumulator_bytes`] proxy
+    /// exceeds this many bytes.
     pub solo_accumulator_bytes: Option<u64>,
 }
 

@@ -690,8 +690,8 @@ mod tests {
     /// A hand-built fragment flagged Clifford that holds a `T`: both
     /// stabilizer call sites (tableau, and the frame simulator when noisy)
     /// return the typed error instead of panicking, naming the gate and
-    /// its position among the variant circuit's gates — past the prep
-    /// ops, when the fragment has a quantum input.
+    /// its position among the variant circuit's ops, noise channels
+    /// counted — past the prep ops, when the fragment has a quantum input.
     #[test]
     fn mislabeled_clifford_fragment_is_a_typed_error() {
         let mislabeled = |noisy: bool, quantum_input: bool| {
@@ -734,7 +734,6 @@ mod tests {
                 assert_eq!(variants.len(), if quantum_input { 4 } else { 1 });
                 for v in &variants {
                     let t_at = variant_circuit(&fragment, v)
-                        .without_noise()
                         .ops()
                         .iter()
                         .position(|op| op.as_gate() == Some(qcir::Gate::T));
@@ -749,8 +748,9 @@ mod tests {
                 }
             }
         }
-        // Only `|+i⟩` puts two prep gates before the body's `H`.
-        assert_eq!(checked, [12, 3]);
+        // Only `|+i⟩` puts two prep gates before the body's `H`, and the
+        // noisy body's `BitFlip` puts one more op before its `T`.
+        assert_eq!(checked, [10, 5]);
     }
 
     /// A worker's outcome rows are overwritten in place from one variant

@@ -610,9 +610,10 @@ impl FragmentEvalPlan {
         self.variants.len()
     }
 
-    /// Dense accumulator width of this fragment's tensor: `4^(qi+qo)`
-    /// coefficient slots per outcome. Admission-control cost estimators
-    /// use `num_variants × dim` as the tensor-footprint proxy.
+    /// Coefficient slots per outcome of this fragment's tensor:
+    /// `4^(qi+qo)`. Admission control's cost estimate uses
+    /// `num_variants × dim × 8` bytes as a proxy; the live accumulator is
+    /// `support × dim` slots, one row per distinct outcome.
     pub fn dim(&self) -> usize {
         self.dim
     }

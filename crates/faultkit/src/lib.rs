@@ -14,9 +14,8 @@
 //!   deadline + fault plan), consulted at chunk/fragment boundaries via
 //!   [`Supervisor::check`];
 //! * [`FaultPlan`] — a deterministic, seeded schedule of injected faults
-//!   (panic / error / stall / attempt-limited transient) keyed by
-//!   `(job, stage, task)`, so every recovery path — including retry —
-//!   is exercised by tests rather than trusted;
+//!   (panic / error / stall) keyed by `(job, stage, task)`, so every
+//!   failure path is exercised by tests rather than trusted;
 //! * [`catch_task`] — turns a panic inside one task into that task's typed
 //!   error ([`TaskPanic`]), so a panic is reported like any other failure;
 //! * [`lock_or_recover`] — mutex acquisition that recovers from poisoning
@@ -134,20 +133,7 @@ pub enum FaultKind {
     /// Sleep at the checkpoint, then continue (exercises deadlines and
     /// slow-job isolation).
     Stall(Duration),
-    /// A *transient* fault: return an injected error while the job's
-    /// [`Supervisor::attempt`] is below `n`, then pass forever after —
-    /// the chaos model of a flaky worker that recovers on retry. The
-    /// injected message carries the [`TRANSIENT_MARKER`] prefix so retry
-    /// layers can classify it without new error variants. The firing
-    /// decision is a pure function of `(site, attempt)`, so schedules
-    /// are identical for every thread count.
-    FailNTimes(usize),
 }
-
-/// Message prefix of errors injected by [`FaultKind::FailNTimes`]; retry
-/// layers classify an injected error as transient iff its site message
-/// starts with this marker.
-pub const TRANSIENT_MARKER: &str = "transient";
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -155,7 +141,6 @@ impl fmt::Display for FaultKind {
             FaultKind::Panic => write!(f, "panic"),
             FaultKind::Error => write!(f, "error"),
             FaultKind::Stall(d) => write!(f, "stall {d:?}"),
-            FaultKind::FailNTimes(n) => write!(f, "fail first {n} attempts"),
         }
     }
 }
@@ -216,27 +201,6 @@ impl FaultPlan {
         plan
     }
 
-    /// The transient counterpart of [`FaultPlan::scattered`]: each chosen
-    /// job gets one [`FaultKind::FailNTimes`]`(fail_attempts)` fault at
-    /// task 0 of its evaluation stage, so a retrying caller recovers
-    /// every chosen job on attempt `fail_attempts` while a one-shot
-    /// caller sees it fail. Job choice matches `scattered` exactly for
-    /// the same `(seed, num_jobs, count)` — the CI transient axis reuses
-    /// the seeds of the hard-fault axis.
-    pub fn scattered_transient(
-        seed: u64,
-        num_jobs: usize,
-        count: usize,
-        fail_attempts: usize,
-    ) -> Self {
-        let mut plan = FaultPlan::new();
-        let mut state = seed;
-        for job in choose_jobs(&mut state, num_jobs, count) {
-            plan = plan.inject(job, Stage::Eval, 0, FaultKind::FailNTimes(fail_attempts));
-        }
-        plan
-    }
-
     /// The fault scheduled at `(job, stage, task)`, if any.
     pub fn at(&self, job: usize, stage: Stage, task: usize) -> Option<&FaultKind> {
         self.sites.get(&(job, stage, task))
@@ -273,9 +237,8 @@ impl FaultPlan {
     }
 }
 
-/// The seeded distinct-job choice shared by [`FaultPlan::scattered`] and
-/// [`FaultPlan::scattered_transient`]: draws until `count.min(num_jobs)`
-/// distinct jobs are chosen, in draw order.
+/// The seeded distinct-job choice of [`FaultPlan::scattered`]: draws until
+/// `count.min(num_jobs)` distinct jobs are chosen, in draw order.
 fn choose_jobs(state: &mut u64, num_jobs: usize, count: usize) -> Vec<usize> {
     let mut chosen: Vec<usize> = Vec::new();
     if num_jobs == 0 {
@@ -290,11 +253,9 @@ fn choose_jobs(state: &mut u64, num_jobs: usize, count: usize) -> Vec<usize> {
     chosen
 }
 
-/// SplitMix64 step — the dependency-free deterministic stream used by
-/// [`FaultPlan::scattered`] and exported for other seeded schedules
-/// (retry backoff jitter) that must stay reproducible without a shared
-/// RNG crate.
-pub fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step — the dependency-free deterministic stream behind
+/// [`FaultPlan::scattered`].
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -309,11 +270,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     job: usize,
-    /// Zero-based execution attempt of the supervised job (0 = first
-    /// try). Consulted by attempt-aware fault kinds
-    /// ([`FaultKind::FailNTimes`]); retry layers bump it per re-run so
-    /// transient schedules stay a pure function of `(site, attempt)`.
-    attempt: usize,
     cancel: Option<CancelToken>,
     deadline: Option<Instant>,
     epoch: Instant,
@@ -324,7 +280,6 @@ impl Default for Supervisor {
     fn default() -> Self {
         Supervisor {
             job: 0,
-            attempt: 0,
             cancel: None,
             deadline: None,
             epoch: Instant::now(),
@@ -350,14 +305,6 @@ impl Supervisor {
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Sets the zero-based execution attempt (0 = first try). Transient
-    /// fault sites ([`FaultKind::FailNTimes`]) fire only while the
-    /// attempt is below their threshold.
-    pub fn with_attempt(mut self, attempt: usize) -> Self {
-        self.attempt = attempt;
         self
     }
 
@@ -399,11 +346,6 @@ impl Supervisor {
     /// This supervisor's job id (fault-plan key).
     pub fn job(&self) -> usize {
         self.job
-    }
-
-    /// This supervisor's zero-based execution attempt.
-    pub fn attempt(&self) -> usize {
-        self.attempt
     }
 
     /// Wall time since the supervisor was created — the partial timing
@@ -454,15 +396,6 @@ impl Supervisor {
                     )));
                 }
                 Some(FaultKind::Stall(d)) => std::thread::sleep(*d),
-                Some(FaultKind::FailNTimes(n)) if self.attempt < *n => {
-                    return Err(Fault::Injected(format!(
-                        "{TRANSIENT_MARKER}: job {} stage {stage} task {task} \
-                         attempt {} of {n} injured",
-                        self.job,
-                        self.attempt + 1,
-                    )));
-                }
-                Some(FaultKind::FailNTimes(_)) => {}
                 None => {}
             }
         }
@@ -670,58 +603,6 @@ mod tests {
         let c = FaultPlan::scattered(8, 10, 3);
         let sites_c: Vec<_> = c.iter().map(|(j, s, t, k)| (j, s, t, k.clone())).collect();
         assert_ne!(sites_a, sites_c);
-    }
-
-    #[test]
-    fn fail_n_times_injures_then_passes_by_attempt() {
-        let plan = Arc::new(FaultPlan::new().inject(1, Stage::Eval, 0, FaultKind::FailNTimes(2)));
-        for attempt in 0..4 {
-            let s = Supervisor::for_job(1)
-                .with_attempt(attempt)
-                .with_faults(plan.clone());
-            assert_eq!(s.attempt(), attempt);
-            let outcome = s.check(Stage::Eval, 0);
-            if attempt < 2 {
-                match outcome {
-                    Err(Fault::Injected(msg)) => {
-                        assert!(msg.starts_with(TRANSIENT_MARKER), "marker missing: {msg}");
-                        assert!(msg.contains(&format!("attempt {}", attempt + 1)));
-                    }
-                    other => panic!("attempt {attempt}: expected transient error, got {other:?}"),
-                }
-            } else {
-                assert_eq!(outcome, Ok(()), "attempt {attempt} must pass");
-            }
-            // Other sites of the same job never fire.
-            assert_eq!(s.check(Stage::Eval, 1), Ok(()));
-            assert_eq!(s.check(Stage::Mlft, 0), Ok(()));
-        }
-        // Other jobs are untouched on every attempt.
-        let other = Supervisor::for_job(0).with_faults(plan);
-        assert_eq!(other.check(Stage::Eval, 0), Ok(()));
-    }
-
-    #[test]
-    fn scattered_transient_matches_scattered_placement() {
-        let hard = FaultPlan::scattered(7, 10, 3);
-        let transient = FaultPlan::scattered_transient(7, 10, 3, 2);
-        let hard_sites: Vec<_> = hard.iter().map(|(j, s, t, _)| (j, s, t)).collect();
-        let transient_sites: Vec<_> = transient.iter().map(|(j, s, t, _)| (j, s, t)).collect();
-        assert_eq!(hard_sites, transient_sites);
-        for (_, _, _, kind) in transient.iter() {
-            assert_eq!(*kind, FaultKind::FailNTimes(2));
-        }
-        // Reproducible: same parameters, same plan.
-        let again = FaultPlan::scattered_transient(7, 10, 3, 2);
-        let again_sites: Vec<_> = again
-            .iter()
-            .map(|(j, s, t, k)| (j, s, t, k.clone()))
-            .collect();
-        let t_sites: Vec<_> = transient
-            .iter()
-            .map(|(j, s, t, k)| (j, s, t, k.clone()))
-            .collect();
-        assert_eq!(again_sites, t_sites);
     }
 
     #[test]

@@ -257,25 +257,38 @@ impl FrameSim {
     ///
     /// # Errors
     ///
-    /// Returns [`NonCliffordError`] if the circuit contains a non-Clifford
-    /// gate.
+    /// Returns [`NonCliffordError`] naming the first non-Clifford gate
+    /// and its index in `circuit` (noise channels counted), before any
+    /// draw from `rng`.
     pub fn sample(
         circuit: &Circuit,
         shots: usize,
         rng: &mut impl Rng,
     ) -> Result<Vec<Bits>, NonCliffordError> {
+        // Scan before any draw, so the index is the gate's position in
+        // `circuit` (noise channels counted) and a valid circuit draws
+        // exactly what it would without the scan.
+        for (op_index, op) in circuit.ops().iter().enumerate() {
+            if let OpKind::Gate(g) = &op.kind {
+                if g.to_clifford().is_none() {
+                    return Err(NonCliffordError {
+                        op_index,
+                        name: g.name(),
+                    });
+                }
+            }
+        }
         let clean = circuit.without_noise();
         let tab = TableauSim::run(&clean, rng)?;
         let reference = tab.support().sample(rng);
 
         let mut frames = FrameSim::new(circuit.num_qubits(), shots, rng);
-        for (i, op) in circuit.ops().iter().enumerate() {
+        for op in circuit.ops() {
             match &op.kind {
                 OpKind::Gate(g) => {
-                    let c = g.to_clifford().ok_or_else(|| NonCliffordError {
-                        op_index: i,
-                        name: g.name(),
-                    })?;
+                    let c = g
+                        .to_clifford()
+                        .expect("scanned above: every gate is Clifford");
                     frames.apply(c, &op.qubits);
                 }
                 OpKind::Noise(ch) => frames.apply_noise(*ch, &op.qubits, rng),
@@ -406,5 +419,17 @@ mod tests {
         c.t(0);
         let mut r = rng();
         assert!(FrameSim::sample(&c, 8, &mut r).is_err());
+    }
+
+    /// The error names the gate's position in the circuit passed in, noise
+    /// channels counted: in `H, BitFlip, T` the `T` is op 2.
+    #[test]
+    fn non_clifford_index_counts_noise_channels() {
+        let mut c = Circuit::new(1);
+        c.h(0);
+        c.add_noise(NoiseChannel::BitFlip(0.1), &[0]);
+        c.t(0);
+        let e = FrameSim::sample(&c, 8, &mut rng()).unwrap_err();
+        assert_eq!((e.op_index, e.name.as_str()), (2, "T"));
     }
 }

@@ -9,7 +9,9 @@
 //! in `noise_and_determinism.rs`; this suite pins the counts explicitly.)
 
 use qcir::{Bits, Circuit};
-use supersim::{ConfigError, ExecParams, RunResult, SuperSim, SuperSimConfig, SuperSimError};
+use supersim::{
+    AdmissionPolicy, ConfigError, ExecParams, RunResult, SuperSim, SuperSimConfig, SuperSimError,
+};
 
 fn assert_bit_identical(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(a.report.num_variants, b.report.num_variants, "{label}");
@@ -309,7 +311,6 @@ fn zero_shots_is_a_typed_error_up_front() {
         .run_with(&plan, ExecParams::seeded(5).with_shots(0))
         .unwrap_err();
     assert!(zero_shots(&err), "run_with: {err}");
-    assert!(!supersim::is_transient(&err));
 
     let points = [
         ExecParams::seeded(5).with_shots(150),
@@ -329,5 +330,72 @@ fn zero_shots_is_a_typed_error_up_front() {
         .run(&circuits[0])
         .unwrap();
         assert_bit_identical(&solo, sweep[i].as_ref().unwrap(), &format!("sibling {i}"));
+    }
+}
+
+/// An admission-rejected job re-run alone through `run_with` at an error
+/// budget is admitted (admission judges the budget-discounted cost) and is
+/// bit-identical to a direct run configured at that budget, at 1, 2 and 8
+/// threads — the contract a caller's load-shedding loop relies on.
+#[test]
+fn rejected_job_rerun_at_an_error_budget_matches_a_direct_budgeted_run() {
+    let circuits = mixed_circuits();
+    let base = SuperSimConfig::builder()
+        .shots(180)
+        .seed(2026)
+        .build()
+        .unwrap();
+    let probe = SuperSim::new(base.clone());
+    let costs: Vec<u64> = circuits
+        .iter()
+        .map(|c| probe.plan(c).unwrap().cost().sweep_assignments)
+        .collect();
+    let max_sweep = *costs.iter().max().unwrap();
+    assert!(max_sweep > 1, "need a cut circuit to exercise rejection");
+    let oversized = costs.iter().position(|&c| c == max_sweep).unwrap();
+    let rung = 0.5;
+    let direct = SuperSim::new(
+        base.clone()
+            .into_builder()
+            .error_budget(rung)
+            .build()
+            .unwrap(),
+    )
+    .run(&circuits[oversized])
+    .unwrap();
+    for threads in [1usize, 2, 8] {
+        let limited = SuperSim::new(
+            base.clone()
+                .into_builder()
+                .parallel(true)
+                .threads(threads)
+                .admission(AdmissionPolicy {
+                    max_sweep_assignments: Some(max_sweep - 1),
+                    ..AdmissionPolicy::default()
+                })
+                .build()
+                .unwrap(),
+        );
+        let batch = limited.run_batch(&circuits);
+        let err = batch[oversized].as_ref().unwrap_err();
+        assert!(
+            matches!(err, SuperSimError::Job { job, .. } if *job == oversized),
+            "{err}"
+        );
+        assert!(matches!(err.root(), SuperSimError::Rejected(_)), "{err}");
+        let plan = limited.plan(&circuits[oversized]).unwrap();
+        let rescued = limited
+            .executor()
+            .run_with(
+                &plan,
+                ExecParams::from_config(limited.config()).with_error_budget(rung),
+            )
+            .unwrap();
+        assert!(rescued.report.recombine_error_bound <= rung);
+        assert_bit_identical(
+            &direct,
+            &rescued,
+            &format!("rescued job {oversized} at {threads} threads"),
+        );
     }
 }

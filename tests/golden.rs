@@ -9,9 +9,9 @@
 //! same lines must come out of `SuperSim::run` on one thread and out of
 //! `SuperSim::run_batch` over the whole corpus on two threads; at the
 //! 50-shot point, also out of `Executor::run_sweep` with the config's own
-//! parameters and out of `SuperSim::run_batch_resilient` under the default
-//! policy. So a change to any entry point, to the driver and scheduler
-//! behind them, or to any numeric stage shows here as the line that moved.
+//! parameters. So a change to any entry point, to the job round and
+//! scheduler behind them, or to any numeric stage shows here as the line
+//! that moved.
 //!
 //! A corpus file is plain `qcir::text`; a `# strategy ...` comment line
 //! (the `CutPlan::to_text` strategy syntax) overrides the default cut
@@ -21,9 +21,7 @@
 use cutkit::CutStrategy;
 use qcir::Circuit;
 use std::path::{Path, PathBuf};
-use supersim::{
-    CutPlan, ExecParams, ResiliencePolicy, RunResult, SuperSim, SuperSimConfig, SuperSimError,
-};
+use supersim::{CutPlan, ExecParams, RunResult, SuperSim, SuperSimConfig, SuperSimError};
 
 /// The configuration seed of every run.
 const SEED: u64 = 2026;
@@ -199,22 +197,12 @@ fn by_strategy(corpus: &[Entry]) -> Vec<(&CutStrategy, Vec<usize>)> {
 }
 
 /// One batch per strategy over the whole corpus at one grid point, on two
-/// threads, through `run_batch` or `run_batch_resilient`.
-fn batch_lines(
-    corpus: &[Entry],
-    (label, shots): (&str, Option<usize>),
-    resilient: bool,
-) -> Vec<String> {
+/// threads, through `run_batch`.
+fn batch_lines(corpus: &[Entry], (label, shots): (&str, Option<usize>)) -> Vec<String> {
     let mut got = vec![String::new(); corpus.len()];
     for (strategy, members) in by_strategy(corpus) {
         let circuits: Vec<Circuit> = members.iter().map(|&i| corpus[i].circuit.clone()).collect();
-        let sim = SuperSim::new(config(shots, strategy, 2));
-        let results = if resilient {
-            sim.run_batch_resilient(&circuits, ResiliencePolicy::new())
-                .into_results()
-        } else {
-            sim.run_batch(&circuits)
-        };
+        let results = SuperSim::new(config(shots, strategy, 2)).run_batch(&circuits);
         for (&i, result) in members.iter().zip(&results) {
             got[i] = line(label, result);
         }
@@ -227,7 +215,7 @@ fn batch_matches_golden() {
     let corpus = corpus();
     let mut got: Vec<Vec<String>> = vec![Vec::new(); corpus.len()];
     for &point in &GRID {
-        for (lines, line) in got.iter_mut().zip(batch_lines(&corpus, point, false)) {
+        for (lines, line) in got.iter_mut().zip(batch_lines(&corpus, point)) {
             lines.push(line);
         }
     }
@@ -241,14 +229,13 @@ fn batch_matches_golden() {
     }
 }
 
-/// At the 50-shot point — sampled, with a non-trivial MLFT — the sweep and
-/// the resilient driver give the same line as `run`.
+/// At the 50-shot point — sampled, with a non-trivial MLFT — the sweep
+/// gives the same line as `run`.
 #[test]
-fn sweep_and_resilient_batch_match_golden() {
+fn sweep_matches_golden() {
     let corpus = corpus();
     let point = GRID[2];
-    let resilient = batch_lines(&corpus, point, true);
-    for (entry, resilient) in corpus.iter().zip(resilient) {
+    for entry in &corpus {
         let expected = &golden(&entry.name)[2];
         let config = config(point.1, &entry.strategy, 1);
         let sim = SuperSim::new(config.clone());
@@ -262,11 +249,6 @@ fn sweep_and_resilient_batch_match_golden() {
             line(point.0, &swept),
             *expected,
             "{}: `run_sweep` moved",
-            entry.name
-        );
-        assert_eq!(
-            resilient, *expected,
-            "{}: `run_batch_resilient` moved",
             entry.name
         );
     }

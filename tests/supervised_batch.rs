@@ -13,8 +13,8 @@ use qcir::Circuit;
 use std::sync::{Arc, Once};
 use std::time::Duration;
 use supersim::{
-    AdmissionPolicy, CancelToken, FaultKind, FaultPlan, RunResult, Stage, SuperSim, SuperSimConfig,
-    SuperSimError,
+    AdmissionPolicy, CancelToken, ExecParams, FaultKind, FaultPlan, RunResult, Stage, SuperSim,
+    SuperSimConfig, SuperSimError,
 };
 
 /// Suppresses the default panic-hook backtrace noise for *injected*
@@ -447,5 +447,102 @@ fn scattered_faults_deterministic_across_thread_counts() {
                 _ => panic!("job {i}: outcome differs between 1 and {t} threads (seed {seed})"),
             }
         }
+    }
+}
+
+/// The fault plan of the re-run tests: an injected error at the first
+/// evaluation chunk of jobs 1 and 3.
+fn errors_at_jobs_1_and_3(threads: usize) -> SuperSimConfig {
+    SuperSimConfig {
+        parallel: threads > 1,
+        threads,
+        faults: Some(Arc::new(
+            FaultPlan::new()
+                .inject(1, Stage::Eval, 0, FaultKind::Error)
+                .inject(3, Stage::Eval, 0, FaultKind::Error),
+        )),
+        ..base_config()
+    }
+}
+
+/// A job that failed under an injected error, re-run without the fault as
+/// a sub-batch on the same instance (its plan is a cache hit), is
+/// bit-identical to its clean solo run at 1, 2 and 8 threads — the
+/// contract a caller's retry loop relies on. Errors index the sub-batch:
+/// the plan still injures job 1, which in the re-run is circuit 3.
+#[test]
+fn failed_jobs_rerun_as_a_sub_batch_match_clean_runs() {
+    let circuits = mixed_circuits();
+    let solo = solo_runs(&circuits);
+    for threads in [1usize, 2, 8] {
+        let sim = SuperSim::new(errors_at_jobs_1_and_3(threads));
+        let first = sim.run_batch(&circuits);
+        let failed: Vec<usize> = (0..circuits.len()).filter(|&i| first[i].is_err()).collect();
+        assert_eq!(failed, [1, 3], "at {threads} threads");
+        for &i in &failed {
+            let err = job_error(&first[i], i);
+            assert!(matches!(err, SuperSimError::Injected { .. }), "{err}");
+        }
+        let sub: Vec<Circuit> = failed.iter().map(|&i| circuits[i].clone()).collect();
+        let second = sim.run_batch(&sub);
+        let rerun = second[0].as_ref().unwrap();
+        assert!(rerun.report.plan_cache_hit);
+        assert_bit_identical(&solo[1], rerun, &format!("job 1 at {threads} threads"));
+        let err = job_error(&second[1], 1);
+        assert!(matches!(err, SuperSimError::Injected { .. }), "{err}");
+        // Alone, circuit 3 is job 0, where nothing is injected.
+        let third = sim.run_batch(&sub[1..]);
+        let rerun = third[0].as_ref().unwrap();
+        assert!(rerun.report.plan_cache_hit);
+        assert_bit_identical(&solo[3], rerun, &format!("job 3 at {threads} threads"));
+    }
+}
+
+/// The sweep counterpart: points that failed under an injected error,
+/// re-run as a sub-slice of the points over the same plan, are
+/// bit-identical to clean solo runs at 1, 2 and 8 threads, and errors
+/// index the sub-slice.
+#[test]
+fn failed_points_rerun_as_a_sub_slice_match_clean_runs() {
+    let circuit = mixed_circuits().swap_remove(1);
+    let points: Vec<ExecParams> = (0..5)
+        .map(|i| ExecParams::from_config(&base_config()).with_seed(300 + i))
+        .collect();
+    let solo: Vec<RunResult> = points
+        .iter()
+        .map(|p| {
+            SuperSim::new(SuperSimConfig {
+                seed: p.seed,
+                ..base_config()
+            })
+            .run(&circuit)
+            .unwrap()
+        })
+        .collect();
+    for threads in [1usize, 2, 8] {
+        let sim = SuperSim::new(errors_at_jobs_1_and_3(threads));
+        let plan = sim.plan(&circuit).unwrap();
+        let first = sim.executor().run_sweep(&plan, &points);
+        let failed: Vec<usize> = (0..points.len()).filter(|&i| first[i].is_err()).collect();
+        assert_eq!(failed, [1, 3], "at {threads} threads");
+        for &i in &failed {
+            let err = job_error(&first[i], i);
+            assert!(matches!(err, SuperSimError::Injected { .. }), "{err}");
+        }
+        let sub: Vec<ExecParams> = failed.iter().map(|&i| points[i]).collect();
+        let second = sim.executor().run_sweep(&plan, &sub);
+        assert_bit_identical(
+            &solo[1],
+            second[0].as_ref().unwrap(),
+            &format!("point 1 at {threads} threads"),
+        );
+        let err = job_error(&second[1], 1);
+        assert!(matches!(err, SuperSimError::Injected { .. }), "{err}");
+        let third = sim.executor().run_sweep(&plan, &sub[1..]);
+        assert_bit_identical(
+            &solo[3],
+            third[0].as_ref().unwrap(),
+            &format!("point 3 at {threads} threads"),
+        );
     }
 }
