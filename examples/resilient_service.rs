@@ -335,27 +335,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let policy = Policy {
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
+    /// The test policy with this backoff base and cap.
+    fn capped(base: Duration, max: Duration) -> Policy {
+        Policy {
+            base_backoff: base,
+            max_backoff: max,
             ..policy(3)
-        };
+        }
+    }
+
+    #[test]
+    fn backoff_is_deterministic_and_capped() {
+        let policy = capped(Duration::from_millis(1), Duration::from_millis(5));
         let pauses: Vec<u64> = (0..6)
             .map(|r| policy.backoff(r).as_millis() as u64)
             .collect();
         assert_eq!(pauses, [0, 1, 2, 4, 5, 5]);
-        let huge = Policy {
-            base_backoff: Duration::MAX,
-            max_backoff: Duration::MAX,
-            ..policy
-        };
+        for round in 0..64 {
+            assert_eq!(
+                policy.backoff(round),
+                policy.backoff(round),
+                "round {round}"
+            );
+            assert!(policy.backoff(round) <= policy.max_backoff, "round {round}");
+        }
+        let still = capped(Duration::ZERO, Duration::from_millis(5));
         assert_eq!(
-            huge.backoff(40),
-            Duration::MAX,
-            "saturates instead of overflowing"
+            still.backoff(3),
+            Duration::ZERO,
+            "zero base disables sleeping"
         );
+    }
+
+    #[test]
+    fn backoff_grows_exponentially() {
+        let policy = capped(Duration::from_millis(3), Duration::from_secs(60));
+        let b1 = policy.backoff(1);
+        assert_eq!(b1, Duration::from_millis(3));
+        assert_eq!(policy.backoff(2), 2 * b1, "doubling");
+        assert_eq!(policy.backoff(3), 4 * b1, "doubling");
+        assert_eq!(policy.backoff(10), 512 * b1, "doubling");
+    }
+
+    #[test]
+    fn backoff_saturates_at_the_largest_duration() {
+        let huge = capped(Duration::MAX, Duration::MAX);
+        assert_eq!(huge.backoff(1), Duration::MAX);
+        for round in 2..80 {
+            assert_eq!(
+                huge.backoff(round),
+                Duration::MAX,
+                "round {round} saturates instead of overflowing"
+            );
+        }
     }
 
     #[test]
@@ -527,11 +559,32 @@ mod tests {
         assert!(matches!(err.root(), SuperSimError::Eval(_)), "{err}");
     }
 
+    /// Two identical calls give identical attempt counts and results, bit
+    /// for bit: the retry loop is as deterministic as the batch it runs.
+    #[test]
+    fn resilient_runs_are_reproducible() {
+        let circuits = mixed_circuits();
+        let injured: Vec<usize> = FaultPlan::scattered(7, circuits.len(), 2)
+            .iter()
+            .map(|(job, ..)| job)
+            .collect();
+        let flaky = Flaky::new(&injured, 1);
+        let a = serve(&config(8), &circuits, &policy(3), &flaky);
+        let b = serve(&config(8), &circuits, &policy(3), &flaky);
+        for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(a.attempts, b.attempts, "job {i}");
+            let a = a.result.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
+            assert_served_like(a, b, &format!("job {i}"));
+        }
+        let retried = a.iter().filter(|job| job.attempts == 2).count();
+        assert_eq!(retried, 2, "both injured jobs retry once");
+    }
+
     /// Seed-scattered flaky jobs (`SUPERSIM_FAULT_SEED` picks them) all
     /// recover, bit for bit their clean runs, with the same attempt counts
     /// at every thread count and on a second identical call.
     #[test]
-    fn resilient_runs_are_reproducible() {
+    fn scattered_transient_faults_recover_across_thread_counts() {
         let circuits = mixed_circuits();
         let solo = solo_runs(&circuits);
         let seed = std::env::var("SUPERSIM_FAULT_SEED")
