@@ -10,7 +10,7 @@
 //! * [`ExtStabBackend`] — Clifford+T via stabilizer decompositions
 //!   (paper's "Qiskit extended stabilizer");
 //! * [`MpsBackend`] — matrix product states (paper's "Qiskit MPS");
-//! * [`SuperSim`](crate::SuperSim) — Clifford-based circuit cutting.
+//! * [`SuperSim`] — Clifford-based circuit cutting.
 
 use crate::{SuperSim, SuperSimError};
 use metrics::Distribution;

@@ -27,17 +27,18 @@
 //!
 //! # Threading model
 //!
-//! One pool, sized by [`SuperSimConfig::threads`] (`W` workers), serves
-//! everything, and every parallel loop is the same ordered fold
-//! ([`runtime::fold_ordered`]). A batch of `n` jobs folds over its jobs on
-//! `min(W, n)` workers, and each job's evaluation chunks, MLFT fragments
-//! and contraction chunks fold on `max(1, W / n)` workers nested inside.
-//! A single run is a one-job batch and keeps all `W`. **Determinism:** for
-//! a given seed, every path — sequential, parallel, batched — produces
-//! bit-identical results at every thread count, and batch/sweep output is
-//! bit-identical to independent sequential [`SuperSim::run`] calls; work
-//! decompositions are fixed and float folds happen in (circuit, fragment,
-//! variant) order, never in completion order.
+//! A job — one circuit of a batch, one sweep point, one single run — runs
+//! on the one worker that claimed it. [`SuperSimConfig::threads`] (`W`
+//! workers) sizes only the folds that split a call into jobs: a batch of
+//! `n` jobs folds over its jobs on `min(W, n)` workers of one persistent
+//! pool ([`runtime::fold_ordered`]), and batch planning folds over the
+//! circuits the plan cache misses. A single run is a one-job batch and
+//! runs on the calling thread. **Determinism:** for a given seed, every
+//! path — sequential, parallel, batched — produces bit-identical results
+//! at every thread count, and batch/sweep output is bit-identical to
+//! independent sequential [`SuperSim::run`] calls; work decompositions
+//! are fixed and float folds happen in (circuit, fragment, variant)
+//! order, never in completion order.
 //!
 //! # The accuracy/latency dial: error-budgeted recombination
 //!
@@ -133,9 +134,9 @@ pub use backends::{
     BackendError, ExtStabBackend, MpsBackend, Simulator, StabilizerBackend, StatevectorBackend,
 };
 pub use pipeline::{
-    Admission, AdmissionError, AdmissionPolicy, ConfigError, CutPlan, ExecParams, Executor,
-    PlanCacheStats, PlanCost, PlanLoadError, RunReport, RunResult, RunStats, SuperSim,
-    SuperSimConfig, SuperSimConfigBuilder, SuperSimError,
+    AdmissionError, AdmissionPolicy, ConfigError, CutPlan, ExecParams, Executor, PlanCacheStats,
+    PlanCost, PlanLoadError, RunReport, RunResult, RunStats, SuperSim, SuperSimConfig,
+    SuperSimConfigBuilder, SuperSimError,
 };
 
 // Re-export the persistent worker-pool stats surfaced by

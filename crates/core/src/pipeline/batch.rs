@@ -16,27 +16,27 @@
 //!
 //! # Work split
 //!
-//! With `W` the configured worker count and `n` jobs, the fold over jobs
-//! runs on `min(W, n)` workers, and each job's evaluation, MLFT and
-//! contraction folds run on `max(1, W / n)` workers nested inside it. A
-//! single job — `run`, `run_with`, a solo job — therefore keeps all `W`.
+//! A job is the unit of parallel work: it runs its evaluation, MLFT and
+//! contraction on the one worker that claimed it. With `W` the configured
+//! worker count and `n` jobs, the fold over jobs runs on `min(W, n)`
+//! workers, so a single job — `run`, `run_with` — runs on the calling
+//! thread.
 //!
 //! # Supervision
 //!
 //! Before anything runs, every job's [`PlanCost`](crate::PlanCost) is
 //! judged by the configured [`AdmissionPolicy`](crate::AdmissionPolicy):
-//! rejected jobs record [`SuperSimError::Rejected`] without running, and
-//! sequentialized jobs run alone, with all `W` workers, after the pooled
-//! phase. Every job's [`Supervisor`] — job index, cancel token, per-job
-//! and batch deadlines, fault plan — is built before the first job of its
-//! phase starts; the batch deadline counts from the start of the call.
+//! rejected jobs record [`SuperSimError::Rejected`] without running.
+//! Every admitted job's [`Supervisor`] — job index, cancel token, per-job
+//! and batch deadlines, fault plan — is built before the first job
+//! starts; the batch deadline counts from the start of the call.
 //! The drivers check the supervisor at every evaluation chunk, MLFT
 //! fragment and contraction chunk. A panic inside a chunk or fragment is
 //! that task's typed error inside its driver's fold, so the job reports
-//! [`SuperSimError::Panicked`] naming the lowest panicking task on every
-//! schedule; a panic outside any task — in a merge or in recombination — is
-//! caught at the job and reported for the stage the job was in. The pool
-//! and the other jobs are unaffected.
+//! [`SuperSimError::Panicked`] naming the lowest panicking task; a panic
+//! outside any task — in a merge or in recombination — is caught at the
+//! job and reported for the stage the job was in. The pool and the other
+//! jobs are unaffected.
 //!
 //! # Determinism
 //!
@@ -45,8 +45,8 @@
 //! from the job's own seed exactly as single runs derive them. So every
 //! job is **bit-identical to an independent sequential
 //! [`SuperSim::run`](crate::SuperSim::run)** with the same parameters,
-//! whichever phase runs it and however many jobs share it, and a failing
-//! job reports the earliest failing task in task order, as that run would.
+//! however many jobs share the pool, and a failing job reports the
+//! earliest failing task in task order, as that run would.
 
 use super::cache::PlanCache;
 use super::execute::{
@@ -54,7 +54,6 @@ use super::execute::{
     worker_threads, ExecParams, RunResult,
 };
 use super::plan::CutPlan;
-use super::supervise::Admission;
 use super::{eval_error, mlft_error, ConfigError, SuperSimConfig, SuperSimError};
 use cutkit::{
     correct_tensors, evaluate_fragment_tensors_planned, CutError, FragmentTensor, MlftOptions,
@@ -86,80 +85,52 @@ fn execute_jobs(
 ) -> Vec<Result<RunResult, SuperSimError>> {
     let batch_deadline_at = config.batch_deadline.map(|d| Instant::now() + d);
     // Admission control: judge every job before any runs.
-    let mut results: Vec<Option<Result<RunResult, SuperSimError>>> =
-        jobs.iter().map(|_| None).collect();
-    let mut pooled: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut solo: Vec<usize> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        // A sampled run with no shots has no data to reconstruct from;
-        // refuse it here, where every entry point's parameters resolve.
-        if !config.exact && job.params.shots == 0 {
-            results[i] = Some(Err(SuperSimError::Config(ConfigError::ZeroShots)));
-            continue;
-        }
-        // Admission judges the budget-discounted cost: a job whose error
-        // budget will truncate most of its sweep should not be rejected
-        // (or sequentialized) on the exact sweep's assignment count.
-        let cost = job
-            .plan
-            .cost()
-            .with_error_budget(resolved_error_budget(config, job.params));
-        match config.admission.admit(&cost) {
-            Admission::Admit => pooled.push(i),
-            Admission::Solo => solo.push(i),
-            Admission::Reject(e) => results[i] = Some(Err(SuperSimError::Rejected(e))),
-        }
-    }
-    // Pooled phase: the admitted jobs share the workers; then the
-    // sequentialized jobs run one at a time, each with every worker. A
-    // job's result does not depend on the phase that runs it.
-    run_jobs(config, jobs, &pooled, batch_deadline_at, &mut results);
-    for &i in &solo {
-        run_jobs(config, jobs, &[i], batch_deadline_at, &mut results);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job records a result"))
-        .collect()
-}
-
-/// Runs the jobs selected by `subset` (indices into `jobs`) as one fold
-/// and records their results.
-fn run_jobs(
-    config: &SuperSimConfig,
-    jobs: &[BatchJob<'_>],
-    subset: &[usize],
-    batch_deadline_at: Option<Instant>,
-    results: &mut [Option<Result<RunResult, SuperSimError>>],
-) {
+    let verdicts: Vec<Result<(), SuperSimError>> = jobs
+        .iter()
+        .map(|job| {
+            // A sampled run with no shots has no data to reconstruct from;
+            // refuse it here, where every entry point's parameters resolve.
+            if !config.exact && job.params.shots == 0 {
+                return Err(SuperSimError::Config(ConfigError::ZeroShots));
+            }
+            // Admission judges the budget-discounted cost: a job whose
+            // error budget will truncate most of its sweep should not be
+            // rejected on the exact sweep's assignment count.
+            let cost = job
+                .plan
+                .cost()
+                .with_error_budget(resolved_error_budget(config, job.params));
+            config
+                .admission
+                .admit(&cost)
+                .map_err(SuperSimError::Rejected)
+        })
+        .collect();
+    let admitted: Vec<usize> = (0..jobs.len()).filter(|&i| verdicts[i].is_ok()).collect();
     // Every supervisor exists before the first job starts, so per-job
     // deadlines count from here, not from when a worker reaches the job.
-    let supervisors: Vec<Supervisor> = subset
+    let supervisors: Vec<Supervisor> = admitted
         .iter()
         .map(|&i| supervisor(config, &jobs[i], batch_deadline_at))
         .collect();
-    let workers = worker_threads(config);
-    let per_job = (workers / subset.len().max(1)).max(1);
-    // The job fold runs on `min(W, n)` workers, each job's folds on
-    // `per_job`; spawning their peak up front keeps a warm batch from
-    // spawning whenever its nested folds overlap more than the first did.
-    runtime::prewarm(workers.min(subset.len()), per_job);
     // A failure stays with its job, so the fold itself never fails.
-    let Ok(done) = runtime::fold_ordered(
-        workers,
-        subset.len(),
-        Vec::with_capacity(subset.len()),
+    let Ok(ran) = runtime::fold_ordered(
+        worker_threads(config),
+        admitted.len(),
+        Vec::with_capacity(admitted.len()),
         || (),
-        |j, _| Ok::<_, Infallible>(run_job(config, &jobs[subset[j]], &supervisors[j], per_job)),
-        |done, result| done.push(result),
+        |j, _| Ok::<_, Infallible>(run_job(config, &jobs[admitted[j]], &supervisors[j])),
+        |ran, result| ran.push(result),
     );
-    for (&i, result) in subset.iter().zip(done) {
-        results[i] = Some(result);
-    }
+    let mut ran = ran.into_iter();
+    verdicts
+        .into_iter()
+        .map(|verdict| verdict.and_then(|()| ran.next().expect("every admitted job ran")))
+        .collect()
 }
 
 /// A job's supervision context, keyed by [`BatchJob::index`] — the job's
-/// position in the caller's batch, independent of which phase runs it.
+/// position in the caller's batch.
 fn supervisor(
     config: &SuperSimConfig,
     job: &BatchJob<'_>,
@@ -181,12 +152,11 @@ fn supervisor(
     supervisor
 }
 
-/// One job: evaluation, MLFT, recombination, each on `threads` workers.
+/// One job: evaluation, MLFT, recombination, on the calling worker.
 fn run_job(
     config: &SuperSimConfig,
     job: &BatchJob<'_>,
     supervisor: &Supervisor,
-    threads: usize,
 ) -> Result<RunResult, SuperSimError> {
     let plan = job.plan;
     let started = Instant::now();
@@ -197,7 +167,7 @@ fn run_job(
             &eval_options(config, job.params, supervisor.clone()),
             &tensor_options(config),
             &base_seeds(job.params.seed, plan.num_fragments()),
-            threads,
+            1,
         )
         .map_err(|e| eval_error(e, supervisor))
     })?;
@@ -207,7 +177,7 @@ fn run_job(
             ..MlftOptions::default()
         };
         in_stage(Stage::Mlft, || {
-            correct_tensors(&mut tensors, &opts, threads).map_err(|e| mlft_error(e, supervisor))
+            correct_tensors(&mut tensors, &opts, 1).map_err(|e| mlft_error(e, supervisor))
         })?
     } else {
         0.0
@@ -225,7 +195,6 @@ fn run_job(
             enumerated,
             mlft_moved,
             eval_time,
-            threads,
             resolved_error_budget(config, job.params),
             supervisor,
         )

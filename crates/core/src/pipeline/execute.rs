@@ -207,9 +207,6 @@ pub struct RunResult {
     tensors: Vec<FragmentTensor>,
     num_cuts: usize,
     n_qubits: usize,
-    /// Contraction pool size for follow-up queries (1 = sequential): the
-    /// resolved worker count of the config this run used.
-    threads: usize,
     /// Resolved recombination error budget of this run, reapplied to
     /// follow-up queries ([`RunResult::probability_of`],
     /// [`RunResult::expectation_z`]) so they truncate the exact same
@@ -226,7 +223,6 @@ impl RunResult {
     /// Panics if `bits.len()` differs from the circuit width.
     pub fn probability_of(&self, bits: &Bits) -> f64 {
         Reconstructor::new(&self.tensors, self.num_cuts, self.n_qubits)
-            .with_threads(self.threads)
             .with_error_budget(self.error_budget)
             .probability_of(bits)
     }
@@ -255,7 +251,6 @@ impl RunResult {
     /// Panics if a qubit index is out of range.
     pub fn expectation_z(&self, subset: &[usize]) -> f64 {
         Reconstructor::new(&self.tensors, self.num_cuts, self.n_qubits)
-            .with_threads(self.threads)
             .with_error_budget(self.error_budget)
             .expectation_z(subset)
     }
@@ -338,7 +333,8 @@ impl<'c> Executor<'c> {
     /// CAFQA/VQE and fragment tomography: cut once, execute many times.
     ///
     /// The points are the jobs of one fold over jobs on one worker pool,
-    /// each running evaluation, MLFT and recombination in order. Each
+    /// each running evaluation, MLFT and recombination in order on the
+    /// worker that claimed it. Each
     /// point's output is **bit-identical** to an independent
     /// [`SuperSim::run`](crate::SuperSim::run) with that point's seed and
     /// shot budget, for every thread count: per-point RNG streams are
@@ -363,8 +359,8 @@ impl<'c> Executor<'c> {
     }
 }
 
-/// Worker-pool size `W` that a batch splits between its fold over jobs
-/// and each job's folds: 1 when [`SuperSimConfig::parallel`] is off,
+/// Worker-pool size `W` of the fold over a batch's jobs and of batch
+/// planning: 1 when [`SuperSimConfig::parallel`] is off,
 /// otherwise the configured thread count resolved by
 /// [`runtime::worker_count`] (`0` = the auto count: `SUPERSIM_TEST_THREADS`
 /// when set, hardware parallelism otherwise).
@@ -428,11 +424,9 @@ pub(crate) fn base_seeds(seed: u64, fragments: usize) -> Vec<u64> {
 }
 
 /// The recombination stage + result assembly, the last step of every job.
-/// `recombine_threads` is a scheduling choice only — recombination is
-/// bit-identical for any thread count — and is the job's share of the
-/// batch's workers. The job's supervisor is checked once per contraction
-/// chunk; an interrupt or injected error surfaces as the typed pipeline
-/// error with the job's elapsed time.
+/// The job's supervisor is checked once per contraction chunk; an
+/// interrupt or injected error surfaces as the typed pipeline error with
+/// the job's elapsed time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_run(
     config: &SuperSimConfig,
@@ -441,13 +435,11 @@ pub(crate) fn finish_run(
     enumerated_variants: usize,
     mlft_moved: f64,
     eval_time: Duration,
-    recombine_threads: usize,
     error_budget: f64,
     supervisor: &Supervisor,
 ) -> Result<RunResult, SuperSimError> {
     let t2 = Instant::now();
     let rec = Reconstructor::new(&tensors, plan.cut.num_cuts, plan.cut.original_qubits)
-        .with_threads(recombine_threads)
         .with_output_plans(&plan.output_plans)
         .with_supervisor(supervisor.clone())
         .with_error_budget(error_budget);
@@ -492,7 +484,6 @@ pub(crate) fn finish_run(
         tensors,
         num_cuts: plan.cut.num_cuts,
         n_qubits: plan.cut.original_qubits,
-        threads: worker_threads(config),
         error_budget,
     })
 }

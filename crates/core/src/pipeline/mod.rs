@@ -20,17 +20,18 @@
 //!
 //! # Threading model
 //!
-//! With [`SuperSimConfig::parallel`] enabled, the pool is sized by
-//! [`SuperSimConfig::threads`] (`0` = one worker per available core);
-//! without it every stage runs on the calling thread.
+//! A job — one circuit of a batch, one sweep point, one single run — runs
+//! its evaluation, MLFT and contraction on the one worker that claimed
+//! it. [`SuperSimConfig::parallel`] and [`SuperSimConfig::threads`]
+//! (`W` workers, `0` = one per available core) size only two folds
+//! ([`runtime::fold_ordered`]):
 //!
-//! * **Batches and sweeps** of `n` jobs on `W` workers are an ordered
-//!   fold over the jobs on `min(W, n)` workers ([`runtime::fold_ordered`]);
-//!   each job's evaluation chunks, MLFT fragments and contraction chunks
-//!   fold on `max(1, W / n)` workers nested inside it.
-//! * **Single runs** are one-job batches, so their three stages fold on
-//!   all `W` workers. The contraction splits the `4^k` assignment range
-//!   into fixed-size chunks ([`cutkit::Reconstructor::with_threads`]).
+//! * the fold over a batch's or sweep's `n` jobs, on `min(W, n)` workers;
+//! * the planning fold of [`SuperSim::run_batch`] over the circuits the
+//!   plan cache misses.
+//!
+//! A single run is a one-job batch, so it runs on the calling thread.
+//! Without `parallel` both folds run on the calling thread too.
 //!
 //! **Determinism-in-seed guarantee:** every path produces bit-identical
 //! results for a given seed regardless of thread count, and batch/sweep
@@ -50,7 +51,7 @@ pub(crate) mod supervise;
 pub use cache::PlanCacheStats;
 pub use execute::{ExecParams, Executor, RunReport, RunResult};
 pub use plan::{CutPlan, PlanCost, PlanLoadError};
-pub use supervise::{Admission, AdmissionError, AdmissionPolicy};
+pub use supervise::{AdmissionError, AdmissionPolicy};
 
 use cache::PlanCache;
 
@@ -91,12 +92,14 @@ pub struct SuperSimConfig {
     /// every thread count. Must be finite and non-negative.
     /// [`ExecParams::error_budget`] overrides this per run.
     pub error_budget: f64,
-    /// Run fragment evaluation, recombination, and batch scheduling on
-    /// worker pools (see the module docs for the threading model).
+    /// Run the fold over a batch's or sweep's jobs, and batch planning,
+    /// on the worker pool; each job still runs on one worker (see the
+    /// module docs for the threading model).
     pub parallel: bool,
-    /// Worker-pool size when [`SuperSimConfig::parallel`] is set
-    /// (`0` = one worker per available core). Ignored when `parallel` is
-    /// `false`. Results are bit-identical for every value.
+    /// Worker-pool size of the fold over jobs and of batch planning when
+    /// [`SuperSimConfig::parallel`] is set (`0` = one worker per
+    /// available core). Ignored when `parallel` is `false`. Results are
+    /// bit-identical for every value.
     pub threads: usize,
     /// Base RNG seed (each fragment derives its own stream).
     pub seed: u64,
@@ -108,8 +111,7 @@ pub struct SuperSimConfig {
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
     /// checkpoint (evaluation chunk, MLFT fragment, or recombination
     /// chunk boundary). [`ExecParams::deadline`] overrides this per job.
-    /// The clock starts when the job's phase starts (the pooled phase, or
-    /// its own phase if admission sequentialized it).
+    /// The clock starts when the call starts its jobs, after admission.
     pub job_deadline: Option<Duration>,
     /// Shareable cooperative cancellation token: once
     /// [`CancelToken::cancel`] is called (from any thread), every job in
@@ -124,8 +126,7 @@ pub struct SuperSimConfig {
     pub batch_deadline: Option<Duration>,
     /// Admission-control budgets applied to every job before it is
     /// enqueued (default: unlimited). Rejected jobs report
-    /// [`SuperSimError::Rejected`]; sequentialized jobs run alone after
-    /// the pooled phase.
+    /// [`SuperSimError::Rejected`].
     pub admission: AdmissionPolicy,
     /// Deterministic fault-injection plan for chaos testing: makes chosen
     /// (job, stage, task) sites panic, error, or stall on schedule. `None`
@@ -281,16 +282,17 @@ impl SuperSimConfigBuilder {
         self
     }
 
-    /// Run evaluation, recombination, and batch scheduling on worker
-    /// pools.
+    /// Run the fold over a batch's or sweep's jobs, and batch planning,
+    /// on the worker pool (one worker per job).
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.config.parallel = parallel;
         self
     }
 
-    /// Worker-pool size (`0` = one worker per available core). Only
-    /// meaningful together with [`SuperSimConfigBuilder::parallel`] —
-    /// build time rejects a nonzero size on the sequential path.
+    /// Worker-pool size of the fold over jobs and of batch planning
+    /// (`0` = one worker per available core). Only meaningful together
+    /// with [`SuperSimConfigBuilder::parallel`] — build time rejects a
+    /// nonzero size on the sequential path.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -697,8 +699,7 @@ impl SuperSim {
     /// * **Admission control** — each job's [`PlanCost`] is judged
     ///   against [`SuperSimConfig::admission`] before any job runs:
     ///   rejected jobs report [`SuperSimError::Rejected`] without
-    ///   running; sequentialized jobs run alone (full pool) after the
-    ///   pooled phase.
+    ///   running.
     /// * **Determinism** — surviving jobs are **bit-identical** to
     ///   independent [`SuperSim::run`] calls for every thread count, and
     ///   a failing job's root error is the earliest faulting task in

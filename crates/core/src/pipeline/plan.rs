@@ -72,11 +72,12 @@ pub struct PlanCost {
     /// [`RunReport::visited_assignments`](crate::RunReport::visited_assignments)
     /// — the post-truncation count — when judging like with like.
     pub sweep_assignments: u64,
-    /// Admission proxy for evaluation memory: `Σ_f variants_f × 4^{cuts_f}
-    /// × 8` bytes. It is not the live footprint: an accumulator holds one
-    /// `4^{cuts_f}`-slot row per distinct outcome of its fragment, so what
-    /// evaluation holds scales with the fragments' supports, which the
-    /// plan does not know.
+    /// Admission proxy for the evaluation memory of one job, which runs
+    /// on one worker: `Σ_f variants_f × 4^{cuts_f} × 8` bytes, however
+    /// many workers the batch has. It is not the live footprint: an
+    /// accumulator holds one `4^{cuts_f}`-slot row per distinct outcome
+    /// of its fragment, so what evaluation holds scales with the
+    /// fragments' supports, which the plan does not know.
     pub accumulator_bytes: u64,
 }
 

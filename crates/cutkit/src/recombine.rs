@@ -23,15 +23,14 @@
 //! fragment weight, which prunes most of the `4^k` terms for stabilizer
 //! fragments.
 //!
-//! # Parallel contraction
+//! # Chunked contraction
 //!
 //! The `4^k` assignment range is split into fixed-size chunks
 //! ([`ASSIGNMENTS_PER_CHUNK`]), each contracted into its own accumulator;
-//! accumulators are merged in chunk order. Because the chunking is
-//! independent of the worker count, every query is **bit-identical for any
-//! thread count** (including the sequential path, which runs the same
-//! chunks in the same merge order). Configure workers with
-//! [`Reconstructor::with_threads`].
+//! accumulators are merged in chunk order. The contraction runs on the
+//! calling thread: the pipeline parallelizes across jobs, never inside
+//! one. Chunks are the unit of supervision (one checkpoint each), of the
+//! error budget's split, and of the whole-chunk sparse skip.
 //!
 //! Sparse skipping precomputes one bitmask of non-vanishing Pauli slices
 //! per tensor, turning the per-assignment check into a single bit test.
@@ -46,11 +45,10 @@
 //! assignments greedily while the accumulated bound of everything skipped
 //! stays within the budget. The budget is split evenly across the fixed
 //! chunks and skip decisions are made sequentially within each chunk, so
-//! they are a pure function of the chunk (never of the thread count or
-//! schedule): truncated results stay **bit-identical for any
-//! parallelism**, and `budget = 0` (the default) runs the exact sweep
-//! unchanged, bit for bit. Every query reports what it skipped via
-//! [`SweepStats`] (see [`Reconstructor::try_joint_with_stats`] /
+//! they are a pure function of the chunk, and `budget = 0` (the default)
+//! runs the exact sweep unchanged, bit for bit. Every query reports what
+//! it skipped via [`SweepStats`] (see
+//! [`Reconstructor::try_joint_with_stats`] /
 //! [`Reconstructor::try_marginals_with_stats`]): the accumulated
 //! `skipped_bound` upper-bounds the L1 distance between the truncated and
 //! the exact unnormalized joint distribution, by the triangle inequality.
@@ -86,10 +84,9 @@ use std::sync::{Arc, OnceLock};
 /// Hard cap on cuts for dense `4^k` contraction.
 pub const MAX_CONTRACTION_CUTS: usize = 13;
 
-/// Assignments contracted per work chunk. Fixed (not derived from the
-/// thread count) so that results are bit-identical for any parallelism;
-/// `4096 = 4^6` keeps single-chunk contractions (k ≤ 6) on the zero-overhead
-/// sequential path while giving enough chunks at k ≥ 8 to balance load.
+/// Assignments contracted per chunk. `4096 = 4^6`: a contraction with
+/// k ≤ 6 is one chunk, and each chunk is one supervision checkpoint and
+/// one even share of the error budget.
 pub const ASSIGNMENTS_PER_CHUNK: u64 = 4096;
 
 /// Base-4 digits spanned by one chunk: cut digits at positions ≥ this are
@@ -129,8 +126,6 @@ pub struct Reconstructor<'a> {
     num_cuts: usize,
     n_qubits: usize,
     sparse: bool,
-    /// Worker threads for the chunked contraction (0 = all available).
-    threads: usize,
     /// Precomputed sparse-skip masks, one per tensor.
     nonzero: Vec<NonzeroMask>,
     /// For each cut, the `(tensor, base-4 place value)` pairs its digit
@@ -155,8 +150,8 @@ pub struct Reconstructor<'a> {
     /// session-level plan so repeated joint reconstructions skip rebuilding
     /// them.
     output_plans: Option<&'a [IndexPlan]>,
-    /// Supervision context, consulted once per contraction chunk at every
-    /// thread count (see [`Reconstructor::with_supervisor`]).
+    /// Supervision context, consulted once per contraction chunk (see
+    /// [`Reconstructor::with_supervisor`]).
     supervisor: Supervisor,
     /// Accumulated-skip L1 budget for the truncated sweep (0 = exact; see
     /// [`Reconstructor::with_error_budget`]).
@@ -164,10 +159,9 @@ pub struct Reconstructor<'a> {
     /// Lazily-built record of a budgeted sweep's visited set. Skip
     /// decisions are a pure function of the tensors and the budget —
     /// never of the query — so the first budgeted query's sweep is
-    /// recorded (at any thread count) and every later query of this
-    /// reconstructor replays it body-only, skipping the `4^k` iteration
-    /// entirely. `None` inside the cell means the set was measured too
-    /// large to retain. Purely a
+    /// recorded and every later query of this reconstructor replays it
+    /// body-only, skipping the `4^k` iteration entirely. `None` inside
+    /// the cell means the set was measured too large to retain. Purely a
     /// performance cache: replayed queries reproduce the recorded sweep's
     /// exact call sequence, so results are bit-identical with or without
     /// it. Clones share the cache (it depends only on shared state);
@@ -233,8 +227,8 @@ pub struct SweepStats {
 
 impl SweepStats {
     /// Folds another chunk's stats into `self`. Always applied in chunk
-    /// order (the float `skipped_bound` sum rides the same ordered merge
-    /// as the accumulators), so totals are thread-count independent.
+    /// order, beside the accumulators' merge, so the float
+    /// `skipped_bound` sum has one fixed association.
     fn absorb(&mut self, other: SweepStats) {
         self.visited += other.visited;
         self.skipped += other.skipped;
@@ -289,7 +283,6 @@ impl<'a> Reconstructor<'a> {
             num_cuts,
             n_qubits,
             sparse: true,
-            threads: 1,
             nonzero,
             cut_tensors,
             chunk_constant,
@@ -310,21 +303,13 @@ impl<'a> Reconstructor<'a> {
         self
     }
 
-    /// Sets the number of contraction worker threads (`0` = one per
-    /// available core). Results are bit-identical for every thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Sets the error budget of the truncated sweep: the contraction may
     /// skip cut assignments as long as the accumulated weight bound of
     /// everything skipped stays within `budget` (see the module docs). The
     /// realized bound is reported per query via [`SweepStats`]; it caps
     /// the L1 distance to the exact unnormalized joint. `0.0` (the
     /// default) disables truncation entirely — the exact sweep runs
-    /// unchanged, bit for bit — and any fixed budget is bit-identical for
-    /// every thread count.
+    /// unchanged, bit for bit.
     ///
     /// Repeated queries of one budgeted reconstructor share the work of
     /// deciding what to skip: the first query records which assignments
@@ -387,7 +372,7 @@ impl<'a> Reconstructor<'a> {
     /// (`error_budget / num_chunks`, or 0 when truncation is off): skip
     /// decisions consult only the chunk's own assignments and its fixed
     /// share, never global state, so they are a pure function of the
-    /// chunk — identical for any thread count or schedule.
+    /// chunk.
     ///
     /// Tensor indices are maintained incrementally: advancing `κ` changes
     /// an amortized 4/3 base-4 digits, and each changed cut digit touches
@@ -517,9 +502,7 @@ impl<'a> Reconstructor<'a> {
 
     /// The chunked contraction driver: runs `body` over every surviving
     /// assignment, accumulating into per-chunk accumulators created by
-    /// `init`, and merges them in chunk order by `merge` — on
-    /// [`runtime::fold_ordered`], so the float association and the
-    /// reported fault are the same for every thread count. Returns the
+    /// `init`, and merges them in chunk order by `merge`. Returns the
     /// final accumulator and the sweep's [`SweepStats`].
     ///
     /// Two per-chunk hooks: `chunk_start` runs after the chunk's first
@@ -528,26 +511,25 @@ impl<'a> Reconstructor<'a> {
     /// prefix/suffix product hoists of the marginal sweeps — without
     /// changing any per-assignment float association); `finish` runs on
     /// the chunk accumulator once its chunk completes (large accumulators
-    /// drop their scratch before waiting in the merge).
+    /// drop their scratch before the merge).
     ///
     /// The attached [`Supervisor`] is consulted once per chunk, before the
-    /// chunk's sweep; an interrupt reports the fault of the lowest-indexed
-    /// faulting chunk. A budgeted sweep records its visited set on first
-    /// use and every later query of this reconstructor replays it.
-    fn run_contraction<A: Send>(
+    /// chunk's sweep; an interrupt stops the sweep at the first faulting
+    /// chunk. A budgeted sweep records its visited set on first use and
+    /// every later query of this reconstructor replays it.
+    fn run_contraction<A>(
         &self,
-        init: impl Fn() -> A + Sync,
-        chunk_start: impl Fn(&mut A, &[usize]) + Sync,
-        body: impl Fn(&mut A, &[usize]) + Sync,
-        finish: impl Fn(&mut A) + Sync,
-        mut merge: impl FnMut(&mut A, A) + Send,
+        init: impl Fn() -> A,
+        chunk_start: impl Fn(&mut A, &[usize]),
+        body: impl Fn(&mut A, &[usize]),
+        finish: impl Fn(&mut A),
+        mut merge: impl FnMut(&mut A, A),
     ) -> Result<(A, SweepStats), Fault> {
         // At most `4^13 / 4096` chunks (`MAX_CONTRACTION_CUTS`).
-        let num_chunks = self.num_chunks() as usize;
+        let num_chunks = self.num_chunks();
         // Each chunk gets an even, fixed share of the error budget; the
-        // share depends only on `k` and the budget, never on the worker
-        // count, which is what keeps truncated results bit-identical for
-        // any parallelism.
+        // share depends only on `k` and the budget, so skip decisions are
+        // a pure function of the chunk.
         let chunk_budget = if self.error_budget > 0.0 {
             self.error_budget / num_chunks as f64
         } else {
@@ -562,40 +544,32 @@ impl<'a> Reconstructor<'a> {
             }
         }
         let record = chunk_budget > 0.0 && self.skip_cache.get().is_none();
-        // The chunk stats and records ride the ordered merge with the
-        // chunk accumulators, so the float `skipped_bound` folds in strict
-        // chunk order and the records come out in chunk order.
-        let (acc, stats, records) = runtime::fold_ordered(
-            runtime::worker_count(self.threads, num_chunks),
-            num_chunks,
-            (init(), SweepStats::default(), Vec::new()),
-            || SweepScratch {
-                indices: vec![0usize; self.tensors.len()],
-                digits: vec![0u8; self.num_cuts],
-            },
-            |chunk, scratch| {
-                self.supervisor.check(Stage::Recombine, chunk)?;
-                let mut chunk_acc = init();
-                let (stats, record) = self.run_chunk(
-                    chunk as u64,
-                    chunk_budget,
-                    &mut chunk_acc,
-                    &chunk_start,
-                    &body,
-                    scratch,
-                    record,
-                );
-                finish(&mut chunk_acc);
-                Ok((chunk_acc, stats, record))
-            },
-            |(acc, stats, records), (chunk_acc, chunk_stats, record)| {
-                merge(acc, chunk_acc);
-                stats.absorb(chunk_stats);
-                records.extend(record);
-            },
-        )?;
+        let mut acc = init();
+        let mut stats = SweepStats::default();
+        let mut records: Vec<ChunkRecord> = Vec::new();
+        let mut scratch = SweepScratch {
+            indices: vec![0usize; self.tensors.len()],
+            digits: vec![0u8; self.num_cuts],
+        };
+        for chunk in 0..num_chunks {
+            self.supervisor.check(Stage::Recombine, chunk as usize)?;
+            let mut chunk_acc = init();
+            let (chunk_stats, chunk_record) = self.run_chunk(
+                chunk,
+                chunk_budget,
+                &mut chunk_acc,
+                &chunk_start,
+                &body,
+                &mut scratch,
+                record,
+            );
+            finish(&mut chunk_acc);
+            merge(&mut acc, chunk_acc);
+            stats.absorb(chunk_stats);
+            records.extend(chunk_record);
+        }
         if record {
-            let total: usize = records.iter().map(|r: &ChunkRecord| r.visited.len()).sum();
+            let total: usize = records.iter().map(|r| r.visited.len()).sum();
             let _ = self
                 .skip_cache
                 .set((total <= SKIP_CACHE_MAX_VISITED).then_some(records));
@@ -683,7 +657,7 @@ impl<'a> Reconstructor<'a> {
     /// back into rows of key words exactly once, sorted once, and moved
     /// into the [`Distribution`] as its sorted rows (see the module docs),
     /// keeping the result bit-identical to the former `BTreeMap`-keyed
-    /// accumulation for any thread count.
+    /// accumulation.
     ///
     /// # Panics
     ///
@@ -938,8 +912,7 @@ impl<'a> Reconstructor<'a> {
     pub fn try_marginals_with_stats(&self) -> Result<(Vec<[f64; 2]>, SweepStats), Fault> {
         // Two equivalent evaluation strategies (identical up to float
         // reordering); the choice is a deterministic function of the
-        // tensor shapes, never of the thread count, so results stay
-        // bit-identical for any parallelism.
+        // tensor shapes, so one input always gives the same bits.
         //
         // The grouped strategy accumulates one exclusion weight per
         // (fragment, Pauli index) — a single multiply-add per fragment per
@@ -1289,8 +1262,7 @@ mod tests {
     /// Deterministic dense tensor chain with `k` cuts (`k + 1` fragments, each
     /// with `outputs_per_frag` circuit outputs), returned with the synthetic
     /// circuit width. Every Pauli slice is nonzero, so the sparse skip never
-    /// prunes — the controlled workload of the multi-chunk and thread-count
-    /// bit-identity tests.
+    /// prunes — the controlled workload of the multi-chunk tests.
     fn synthetic_dense_chain(k: usize, outputs_per_frag: usize) -> (Vec<FragmentTensor>, usize) {
         let coeff = |f: usize, e: usize, i: usize| {
             // Pseudo-random but fully deterministic nonzero coefficients.
@@ -1487,31 +1459,28 @@ mod tests {
     }
 
     /// `joint()` marginals agree with `marginals()` on multi-fragment
-    /// circuits for 1, 2, and 8 contraction threads (joint marginals are
-    /// un-normalized by construction, so normalize by the joint mass).
+    /// circuits (joint marginals are un-normalized by construction, so
+    /// normalize by the joint mass).
     #[test]
-    fn joint_marginals_match_marginals_across_thread_counts() {
+    fn joint_marginals_match_marginals_on_multi_fragment_circuits() {
         let mut a = Circuit::new(3);
         a.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
         let mut b = Circuit::new(4);
         b.h(0).cx(0, 1).t(1).cx(1, 2).t(2).cx(2, 3).h(3);
         for (label, c) in [("3q", a), ("4q", b)] {
             let (tensors, k, n) = reconstruct_exact(&c);
-            for threads in [1usize, 2, 8] {
-                let r = Reconstructor::new(&tensors, k, n).with_threads(threads);
-                let joint = r.joint(1_000_000);
-                let mass = joint.total_mass();
-                let marg = r.marginals();
-                for q in 0..n {
-                    let jm = joint.marginal(q);
-                    assert!(
-                        (jm[0] / mass - marg[q][0]).abs() < 1e-9
-                            && (jm[1] / mass - marg[q][1]).abs() < 1e-9,
-                        "{label} qubit {q} at {threads} threads: \
-                         joint {jm:?}/{mass} vs marginal {:?}",
-                        marg[q]
-                    );
-                }
+            let r = Reconstructor::new(&tensors, k, n);
+            let joint = r.joint(1_000_000);
+            let mass = joint.total_mass();
+            let marg = r.marginals();
+            for q in 0..n {
+                let jm = joint.marginal(q);
+                assert!(
+                    (jm[0] / mass - marg[q][0]).abs() < 1e-9
+                        && (jm[1] / mass - marg[q][1]).abs() < 1e-9,
+                    "{label} qubit {q}: joint {jm:?}/{mass} vs marginal {:?}",
+                    marg[q]
+                );
             }
         }
     }
@@ -1564,7 +1533,7 @@ mod tests {
 
     /// The joint engine is bit-identical — same support, same
     /// emission order, same float bits — to the pre-change ordered-map
-    /// implementation, at 1, 2, and 8 threads: on real cut circuits, on
+    /// implementation: on real cut circuits, on
     /// sampled 72- and 130-qubit circuits whose keys span two and three
     /// words, on keys that tie in their first word, and on a multi-chunk
     /// synthetic chain as is, with its first
@@ -1611,29 +1580,22 @@ mod tests {
         for (label, tensors, k, n) in &cases {
             for sparse in [true, false] {
                 let expect = reference_joint_btreemap(tensors, *k, *n, sparse);
-                for threads in [1usize, 2, 8] {
-                    let got = Reconstructor::new(tensors, *k, *n)
-                        .with_sparse(sparse)
-                        .with_threads(threads)
-                        .joint(10_000_000);
-                    let got_pairs = joint_pairs(&got);
+                let got = Reconstructor::new(tensors, *k, *n)
+                    .with_sparse(sparse)
+                    .joint(10_000_000);
+                let got_pairs = joint_pairs(&got);
+                assert_eq!(
+                    got_pairs.len(),
+                    expect.len(),
+                    "{label} sparse={sparse}: support"
+                );
+                for ((gb, gw), (eb, ew)) in got_pairs.iter().zip(&expect) {
+                    assert_eq!(gb, eb, "{label} sparse={sparse}: key order");
                     assert_eq!(
-                        got_pairs.len(),
-                        expect.len(),
-                        "{label} sparse={sparse} threads={threads}: support"
+                        gw.to_bits(),
+                        ew.to_bits(),
+                        "{label} sparse={sparse}: weight at {gb}: {gw} vs {ew}"
                     );
-                    for ((gb, gw), (eb, ew)) in got_pairs.iter().zip(&expect) {
-                        assert_eq!(
-                            gb, eb,
-                            "{label} sparse={sparse} threads={threads}: key order"
-                        );
-                        assert_eq!(
-                            gw.to_bits(),
-                            ew.to_bits(),
-                            "{label} sparse={sparse} threads={threads}: \
-                             weight at {gb}: {gw} vs {ew}"
-                        );
-                    }
                 }
             }
         }
@@ -1667,68 +1629,11 @@ mod tests {
             .collect()
     }
 
-    /// All four query shapes are bit-identical between the sequential path
-    /// and the parallel path at 2 and 8 threads — on a real cut circuit
-    /// and on a synthetic k = 8 chain that spans 16 chunks.
-    #[test]
-    fn parallel_contraction_bit_identical_across_thread_counts() {
-        // Real circuit: mixed Clifford / non-Clifford fragments.
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).t(1).cx(1, 2).h(2);
-        let (tensors, k, n) = reconstruct_exact(&c);
-        let queries = |threads: usize| {
-            let r = Reconstructor::new(&tensors, k, n).with_threads(threads);
-            (
-                r.total_mass(),
-                joint_pairs(&r.joint(1_000_000)),
-                r.marginals(),
-                r.probability_of(&Bits::from_u64(5, 3)),
-                r.expectation_z(&[0, 2]),
-            )
-        };
-        let seq = queries(1);
-        for threads in [2, 8] {
-            let par = queries(threads);
-            assert!(seq.0 == par.0, "total_mass at {threads} threads");
-            assert_eq!(seq.1, par.1, "joint at {threads} threads");
-            assert_eq!(seq.2, par.2, "marginals at {threads} threads");
-            assert!(seq.3 == par.3, "probability_of at {threads} threads");
-            assert!(seq.4 == par.4, "expectation_z at {threads} threads");
-        }
-
-        // Synthetic chain: k = 8 → 4^8 assignments over 16 chunks, dense.
-        let (tensors, n) = synthetic_dense_chain(8, 1);
-        let queries = |threads: usize| {
-            let r = Reconstructor::new(&tensors, 8, n)
-                .with_sparse(false)
-                .with_threads(threads);
-            (
-                r.total_mass(),
-                r.marginals(),
-                r.probability_of(&Bits::from_u64(0b10110101, n)),
-                r.expectation_z(&[0, 3, 7]),
-            )
-        };
-        let seq = queries(1);
-        for threads in [2, 8] {
-            let par = queries(threads);
-            assert!(seq.0 == par.0, "synthetic total_mass at {threads} threads");
-            assert_eq!(seq.1, par.1, "synthetic marginals at {threads} threads");
-            assert!(
-                seq.2 == par.2,
-                "synthetic probability_of at {threads} threads"
-            );
-            assert!(
-                seq.3 == par.3,
-                "synthetic expectation_z at {threads} threads"
-            );
-        }
-    }
-
     /// A zeroed Pauli slice on a chunk-constant tensor (all cuts ≥ 6)
     /// triggers the whole-chunk sparse skip: the pruned sweep must visit
-    /// exactly the assignments the per-assignment test would, and every
-    /// query must agree with the dense contraction at 1, 2, and 8 threads.
+    /// exactly the assignments the per-assignment test would, and the
+    /// marginals and a point probability must agree with the dense
+    /// contraction.
     #[test]
     fn chunk_constant_mask_prefilter_prunes_whole_chunks() {
         let k = 8;
@@ -1750,22 +1655,6 @@ mod tests {
         }
         let b = Bits::from_u64(0b1011, n);
         assert!((sparse.probability_of(&b) - dense.probability_of(&b)).abs() < 1e-12);
-        let seq = (
-            sparse.total_mass(),
-            sparse.marginals(),
-            sparse.probability_of(&b),
-            sparse.expectation_z(&[0, 4]),
-        );
-        for threads in [2usize, 8] {
-            let r = Reconstructor::new(&tensors, k, n).with_threads(threads);
-            assert!(seq.0 == r.total_mass(), "mass at {threads} threads");
-            assert_eq!(seq.1, r.marginals(), "marginals at {threads} threads");
-            assert!(seq.2 == r.probability_of(&b), "prob at {threads} threads");
-            assert!(
-                seq.3 == r.expectation_z(&[0, 4]),
-                "expectation at {threads} threads"
-            );
-        }
     }
 
     /// The seed implementation's marginals loop, kept as an independent
@@ -1838,7 +1727,7 @@ mod tests {
 
     /// The chunked marginal sweep agrees with the seed's per-assignment
     /// sum on a dense k = 8 chain spanning 16 chunks, and on the same chain
-    /// with a quarter of its chunks masked whole, at 1 and 2 threads.
+    /// with a quarter of its chunks masked whole.
     #[test]
     fn marginals_match_seed_per_assignment_sum() {
         let k = 8;
@@ -1848,20 +1737,13 @@ mod tests {
             ("masked", masked_chain(k, &[2])),
         ] {
             let expect = seed_marginals(&tensors, k, n);
-            for threads in [1, 2] {
-                let got = Reconstructor::new(&tensors, k, n)
-                    .with_threads(threads)
-                    .marginals();
-                let diff = got
-                    .iter()
-                    .zip(&expect)
-                    .map(|(g, e)| (g[0] - e[0]).abs().max((g[1] - e[1]).abs()))
-                    .fold(0.0, f64::max);
-                assert!(
-                    diff < 1e-9,
-                    "{label} at {threads} threads: max |Δ| = {diff}"
-                );
-            }
+            let got = Reconstructor::new(&tensors, k, n).marginals();
+            let diff = got
+                .iter()
+                .zip(&expect)
+                .map(|(g, e)| (g[0] - e[0]).abs().max((g[1] - e[1]).abs()))
+                .fold(0.0, f64::max);
+            assert!(diff < 1e-9, "{label}: max |Δ| = {diff}");
         }
     }
 
@@ -1889,17 +1771,6 @@ mod tests {
         }
     }
 
-    /// `with_threads(0)` resolves to the available parallelism and still
-    /// matches the sequential result bit for bit.
-    #[test]
-    fn auto_thread_count_matches_sequential() {
-        let (tensors, n) = synthetic_dense_chain(7, 1);
-        let seq = Reconstructor::new(&tensors, 7, n).with_sparse(false);
-        let auto = seq.clone().with_threads(0);
-        assert!(seq.total_mass() == auto.total_mass());
-        assert_eq!(seq.marginals(), auto.marginals());
-    }
-
     /// Sparse and dense contraction agree on a circuit whose fragments are
     /// all Clifford except the isolated rotation (stabilizer zeros pruned)
     /// and on a T-rich circuit whose fragments are non-Clifford.
@@ -1911,10 +1782,8 @@ mod tests {
         t_rich.h(0).t(0).h(0).t(0).cx(0, 1).h(1);
         for (label, c) in [("clifford", clifford_heavy), ("t-rich", t_rich)] {
             let (tensors, k, n) = reconstruct_exact(&c);
-            let sparse = Reconstructor::new(&tensors, k, n).with_threads(4);
-            let dense = Reconstructor::new(&tensors, k, n)
-                .with_sparse(false)
-                .with_threads(4);
+            let sparse = Reconstructor::new(&tensors, k, n);
+            let dense = Reconstructor::new(&tensors, k, n).with_sparse(false);
             assert!(
                 (sparse.total_mass() - dense.total_mass()).abs() < 1e-12,
                 "{label}: total mass"
@@ -1976,10 +1845,9 @@ mod tests {
 
     /// A nonzero budget skips real mass, the realized `skipped_bound`
     /// stays within the budget and upper-bounds the true L1 distance to
-    /// the exact unnormalized joint, and the truncated result is
-    /// bit-identical at 1, 2, and 8 threads.
+    /// the exact unnormalized joint.
     #[test]
-    fn budget_truncation_bounds_l1_and_is_thread_invariant() {
+    fn budget_truncation_bounds_l1() {
         use std::collections::HashMap;
         let k = 7;
         let (tensors, n) = synthetic_dense_chain(k, 1);
@@ -2011,18 +1879,6 @@ mod tests {
             "l1 {l1} exceeds bound {}",
             stats.skipped_bound
         );
-        for threads in [2usize, 8] {
-            let par = Reconstructor::new(&tensors, k, n)
-                .with_error_budget(budget)
-                .with_threads(threads);
-            let (pj, ps) = par.try_joint_with_stats(10_000_000).unwrap();
-            assert_eq!(
-                joint_pairs(&joint),
-                joint_pairs(&pj),
-                "joint at {threads} threads"
-            );
-            assert_eq!(stats, ps, "stats at {threads} threads");
-        }
     }
 
     /// The first budgeted sequential sweep records its visited set; every
@@ -2066,79 +1922,34 @@ mod tests {
         assert!(resparsed.skip_cache.get().is_none());
     }
 
-    /// A pooled budgeted sweep records the same visited set a sequential
-    /// one does, and its replay answers bit-identically.
-    #[test]
-    fn pooled_budgeted_sweep_records_and_replays() {
-        let k = 7;
-        let (tensors, n) = synthetic_dense_chain(k, 1);
-        let budget = Reconstructor::new(&tensors, k, n)
-            .with_error_budget(1e18)
-            .sweep_stats()
-            .skipped_bound
-            * 0.25;
-        let seq = Reconstructor::new(&tensors, k, n).with_error_budget(budget);
-        let (seq_joint, seq_stats) = seq.try_joint_with_stats(10_000_000).unwrap();
-        let par = seq.clone().with_error_budget(budget).with_threads(2);
-        let (par_joint, par_stats) = par.try_joint_with_stats(10_000_000).unwrap();
-        let recorded = |r: &Reconstructor<'_>| -> Vec<(u64, bool, Vec<u16>)> {
-            let Some(Some(records)) = r.skip_cache.get() else {
-                panic!("the budgeted sweep recorded nothing");
-            };
-            records
-                .iter()
-                .map(|c| (c.chunk, c.masked, c.visited.clone()))
-                .collect()
-        };
-        assert_eq!(recorded(&seq), recorded(&par));
-        assert_eq!(joint_pairs(&seq_joint), joint_pairs(&par_joint));
-        assert_eq!(seq_stats, par_stats);
-        let (replayed, replay_stats) = par.try_joint_with_stats(10_000_000).unwrap();
-        assert_eq!(joint_pairs(&seq_joint), joint_pairs(&replayed));
-        assert_eq!(seq_stats, replay_stats);
-    }
-
     /// Supervision faults on a 16-chunk sweep: the query reports the
-    /// lowest faulting chunk at every thread count, and an injected panic
-    /// reaches the caller and leaves the global pool contracting
-    /// bit-identically.
+    /// lowest faulting chunk, and an injected panic reaches the caller and
+    /// leaves later contractions bit-identical.
     #[test]
     fn contraction_reports_the_earliest_fault_and_survives_a_panic() {
         use faultkit::{FaultKind, FaultPlan};
         let k = 8;
         let (tensors, n) = synthetic_dense_chain(k, 1);
-        let supervised = |plan: FaultPlan, threads: usize| {
+        let supervised = |plan: FaultPlan| {
             Reconstructor::new(&tensors, k, n)
-                .with_threads(threads)
                 .with_supervisor(Supervisor::new().with_faults(Arc::new(plan)))
         };
-        assert_eq!(supervised(FaultPlan::new(), 1).num_chunks(), 16);
+        assert_eq!(supervised(FaultPlan::new()).num_chunks(), 16);
         let faults = FaultPlan::new()
             .inject(0, Stage::Recombine, 3, FaultKind::Error)
             .inject(0, Stage::Recombine, 9, FaultKind::Error);
         let chunk_3 = Fault::Injected(format!("job 0 stage {} task 3", Stage::Recombine));
-        for threads in [1usize, 2, 8] {
-            let r = supervised(faults.clone(), threads);
-            assert_eq!(r.try_marginals(), Err(chunk_3.clone()), "{threads} threads");
-            assert_eq!(
-                r.try_joint(10_000_000).map(|_| ()),
-                Err(chunk_3.clone()),
-                "{threads} threads"
-            );
-        }
+        let r = supervised(faults);
+        assert_eq!(r.try_marginals(), Err(chunk_3.clone()));
+        assert_eq!(r.try_joint(10_000_000).map(|_| ()), Err(chunk_3));
 
         let clean = Reconstructor::new(&tensors, k, n).marginals();
         let panicking = FaultPlan::new().inject(0, Stage::Recombine, 5, FaultKind::Panic);
-        for threads in [1usize, 2, 8] {
-            let r = supervised(panicking.clone(), threads);
-            // The query runs on its own thread, whose join reports the
-            // panic the query re-raised.
-            let panicked = std::thread::scope(|s| s.spawn(|| r.try_marginals()).join().is_err());
-            assert!(panicked, "{threads} threads: the panic was lost");
-            let after = Reconstructor::new(&tensors, k, n)
-                .with_threads(8)
-                .marginals();
-            assert_eq!(clean, after, "after a panic at {threads} threads");
-        }
+        let r = supervised(panicking);
+        // The query runs on its own thread, whose join reports the panic.
+        let panicked = std::thread::scope(|s| s.spawn(|| r.try_marginals()).join().is_err());
+        assert!(panicked, "the panic was lost");
+        let after = Reconstructor::new(&tensors, k, n).marginals();
+        assert_eq!(clean, after, "after a panic");
     }
 }

@@ -217,24 +217,6 @@ impl FaultPlan {
             .iter()
             .map(|(&(job, stage, task), kind)| (job, stage, task, kind))
     }
-
-    /// The faults scheduled for one job, in `(stage, task)` order.
-    pub fn faults_for_job(&self, job: usize) -> Vec<(Stage, usize, FaultKind)> {
-        self.sites
-            .range((job, Stage::Eval, 0)..=(job, Stage::Recombine, usize::MAX))
-            .map(|(&(_, stage, task), kind)| (stage, task, kind.clone()))
-            .collect()
-    }
-
-    /// Whether any fault or deadline override targets `job`.
-    pub fn targets_job(&self, job: usize) -> bool {
-        !self.faults_for_job(job).is_empty() || self.job_deadlines.contains_key(&job)
-    }
-
-    /// Whether the plan schedules nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty() && self.job_deadlines.is_empty()
-    }
 }
 
 /// The seeded distinct-job choice of [`FaultPlan::scattered`]: draws until
@@ -343,20 +325,10 @@ impl Supervisor {
         }
     }
 
-    /// This supervisor's job id (fault-plan key).
-    pub fn job(&self) -> usize {
-        self.job
-    }
-
     /// Wall time since the supervisor was created — the partial timing
     /// statistic reported with interrupts.
     pub fn elapsed(&self) -> Duration {
         self.epoch.elapsed()
-    }
-
-    /// Whether this context can ever fail a checkpoint or fire a fault.
-    pub fn is_active(&self) -> bool {
-        self.cancel.is_some() || self.deadline.is_some() || self.faults.is_some()
     }
 
     /// The supervision checkpoint, called at chunk/fragment boundaries:
@@ -496,7 +468,6 @@ mod tests {
     #[test]
     fn unsupervised_checkpoints_always_pass() {
         let s = Supervisor::new();
-        assert!(!s.is_active());
         for task in 0..4 {
             assert_eq!(s.check(Stage::Eval, task), Ok(()));
             assert_eq!(s.check(Stage::Recombine, task), Ok(()));

@@ -1,10 +1,11 @@
 //! Persistent worker pool and the one ordered parallel loop built on it.
 //!
-//! Every parallel stage of the pipeline has the same shape: `n`
-//! independent work items (evaluation chunks, fragments to correct,
-//! contraction chunks, circuits to plan) whose results fold into one
-//! accumulator. This crate owns that shape, so the rule that keeps it
-//! deterministic is written once:
+//! Every parallel loop of the pipeline has the same shape: `n`
+//! independent work items (the jobs of a batch, circuits to plan, and —
+//! when a caller of cutkit's drivers asks for threads — evaluation chunks
+//! and fragments to correct) whose results fold into one accumulator.
+//! This crate owns that shape, so the rule that keeps it deterministic is
+//! written once:
 //!
 //! - [`fold_ordered`] — runs `work(i)` for every `i in 0..n` on up to
 //!   `workers` workers, merges the results **in index order**, reports the
@@ -30,13 +31,10 @@
 //! The pool grows to the helpers its in-flight calls have asked for: a
 //! call for `n` workers reserves `n - 1` helpers until it returns, and a
 //! worker is spawned only while the live count is below the reservations
-//! outstanding. Nested folds — a job's evaluation fold running inside a
-//! batch's fold over jobs — therefore get real parallelism, and a sequence
-//! of calls from one thread whose nesting multiplies out to at most `W`
-//! workers never holds more than `W - 1` helpers. How close a run comes to
-//! that peak depends on how its nested calls happen to overlap, so a
-//! caller that nests folds spawns their peak up front with [`prewarm`];
-//! then a warm rerun spawns nothing on every schedule.
+//! outstanding. Concurrent calls — two threads each folding — therefore
+//! each get real helpers. The pipeline folds at one level only (a job
+//! runs on one worker), so its call for `W` workers holds at most `W - 1`
+//! helpers, and a warm pool serves a repeat of it without spawning.
 //!
 //! The **caller participates**: a call for `n` workers claims worker
 //! indices on the calling thread too, so a job can never deadlock waiting
@@ -240,19 +238,6 @@ pub fn pool_stats() -> PoolStats {
     Pool::global().stats()
 }
 
-/// Spawns the helpers that a fold on `outer` workers, whose items each
-/// fold on `inner` workers, can hold at its peak: `outer − 1` for the
-/// outer call plus `inner − 1` for each of the `outer` nested calls in
-/// flight, `outer·inner − 1` in all.
-///
-/// How many nested calls overlap varies from run to run, so without this
-/// a warm rerun spawns whenever its calls overlap more than the first
-/// run's did; prewarmed, the first call pays the peak and a warm rerun
-/// spawns nothing on every schedule.
-pub fn prewarm(outer: usize, inner: usize) {
-    Pool::global().prewarm(outer, inner);
-}
-
 /// One submitted `run` call: a lifetime-erased body plus the claim/finish
 /// bookkeeping. Workers claim indices (`next`) until `tickets` are
 /// exhausted; the last finished index trips the latch the caller waits on.
@@ -357,18 +342,6 @@ impl Pool {
         }
     }
 
-    /// Spawns workers until the `outer·inner − 1` helpers of a nested
-    /// fold's peak are live (see [`prewarm`]), under the lock [`Pool::run`]
-    /// spawns under.
-    fn prewarm(&self, outer: usize, inner: usize) {
-        let helpers = (outer * inner).saturating_sub(1);
-        let _st = lock_or_recover(&self.shared.state);
-        let live = self.shared.live.load(Ordering::Relaxed);
-        for _ in live..helpers {
-            self.spawn_worker();
-        }
-    }
-
     /// Executes `body(i)` once for every worker index `i in 0..workers`
     /// and returns when all of them have finished — the drop-in
     /// replacement for `thread::scope` + spawn loop.
@@ -376,7 +349,8 @@ impl Pool {
     /// `workers <= 1` runs `body(0)` inline without touching the pool.
     /// Otherwise the calling thread participates (it claims indices too),
     /// pool workers help, and the pool grows to the helpers reserved by
-    /// every call in flight, so nested calls retain real parallelism.
+    /// every call in flight, so concurrent (or nested) calls each get
+    /// their own helpers.
     ///
     /// # Panics
     ///
@@ -412,7 +386,7 @@ impl Pool {
         {
             // Reserve this call's helpers and spawn up to the reservations
             // outstanding, under the lock that orders concurrent calls: a
-            // nested call whose ancestors hold every worker still gets
+            // call made while others hold every worker still gets
             // `workers - 1` real helpers, and a warm pool spawns nothing.
             let mut st = lock_or_recover(&self.shared.state);
             st.jobs.push_back(Arc::clone(&job));
@@ -533,9 +507,9 @@ fn worker_loop(shared: Arc<Shared>) {
 ///
 /// At most `window` indices are in flight: a submit for an index at or
 /// beyond `head + window` blocks until the head advances (bounded
-/// retention — this is what lets the joint-reconstruction path keep its
-/// dense per-chunk accumulators without a size cap). Deadlock-free as
-/// long as claimed indices are each resolved by their claimant: the
+/// retention, so large per-item results need no size cap of their own).
+/// Deadlock-free as long as claimed indices are each resolved by their
+/// claimant: the
 /// holder of the smallest unresolved index is never blocked, and its
 /// submission advances the head.
 struct OrderedMerger<T, A, F: FnMut(&mut A, T)> {
@@ -754,26 +728,6 @@ mod tests {
         for _ in 0..3 {
             nested();
         }
-        assert_eq!(pool.stats().spawned_total, 7);
-    }
-
-    /// A pool prewarmed to a nested peak spawns nothing when a run reaches
-    /// that peak, and prewarming below the live count changes nothing.
-    #[test]
-    fn prewarmed_pool_serves_its_peak_without_spawning() {
-        let pool = Pool::new();
-        pool.prewarm(2, 4);
-        assert_eq!(pool.stats().spawned_total, 7);
-        pool.prewarm(2, 2);
-        assert_eq!(pool.stats().spawned_total, 7);
-        let both_nested = std::sync::Barrier::new(2);
-        pool.run(2, |_| {
-            pool.run(4, |i| {
-                if i == 0 {
-                    both_nested.wait();
-                }
-            });
-        });
         assert_eq!(pool.stats().spawned_total, 7);
     }
 

@@ -1,7 +1,11 @@
-//! Nested folds under faults. A sweep of two jobs at 8 threads runs its
-//! fold over jobs on two workers and each job's evaluation, MLFT and
-//! contraction folds on four, nested inside it. The plan has 8 manual cuts,
-//! so its contraction runs in 16 chunks and a fault can target chunk 5.
+//! One worker per job. A job runs its evaluation, MLFT and contraction on
+//! the worker that claimed it; `parallel`/`threads` size only the fold
+//! over a call's jobs. So a single run at 8 threads spawns no worker and
+//! matches the sequential run bit for bit, and a sweep of two jobs at 8
+//! threads folds its jobs on two workers, each job reporting its own typed
+//! error while the job no fault targets matches its solo run. The plan has
+//! 8 manual cuts, so its contraction runs in 16 chunks and a fault can
+//! target chunk 5.
 //!
 //! One test function: the pool's spawn counter is process-global, so a
 //! sibling test running concurrently in the same binary would perturb it.
@@ -37,12 +41,21 @@ fn root(result: &Result<RunResult, SuperSimError>, job: usize) -> &SuperSimError
     }
 }
 
+fn spawned_total() -> usize {
+    SuperSim::default().stats().pool.spawned_total
+}
+
 #[test]
-fn nested_folds_isolate_faults_and_reuse_the_pool() {
+fn each_job_runs_on_one_worker() {
     let (circuit, strategy) = chain();
-    let base = SuperSimConfig::builder()
+    let sequential = SuperSimConfig::builder()
         .cut_strategy(strategy)
         .shots(500)
+        .build()
+        .unwrap();
+    let base = sequential
+        .clone()
+        .into_builder()
         .parallel(true)
         .threads(8)
         .build()
@@ -53,12 +66,23 @@ fn nested_folds_isolate_faults_and_reuse_the_pool() {
     let solo: Vec<RunResult> = points
         .iter()
         .map(|&p| {
-            SuperSim::new(base.clone())
+            SuperSim::new(sequential.clone())
                 .executor()
                 .run_with(&plan, p)
                 .unwrap()
         })
         .collect();
+
+    // A single run at 8 threads is one job on the calling thread: the pool
+    // does not grow, and the result is the sequential run's.
+    let spawned = spawned_total();
+    let single = SuperSim::new(base.clone())
+        .executor()
+        .run_with(&plan, points[0])
+        .unwrap();
+    assert_eq!(spawned_total(), spawned, "a single run spawned workers");
+    assert!(single.bit_identical_to(&solo[0]));
+
     let sweep = |faults: FaultPlan| {
         let config = SuperSimConfig {
             faults: Some(Arc::new(faults)),
@@ -111,8 +135,8 @@ fn nested_folds_isolate_faults_and_reuse_the_pool() {
         }
     ));
 
-    // A warm rerun of the nested, faulting sweep spawns no worker.
-    let spawned = SuperSim::default().stats().pool.spawned_total;
+    // A warm rerun of the faulting sweep spawns no worker.
+    let spawned = spawned_total();
     assert_both_fail(&sweep(both()), "warm");
-    assert_eq!(SuperSim::default().stats().pool.spawned_total, spawned);
+    assert_eq!(spawned_total(), spawned);
 }
