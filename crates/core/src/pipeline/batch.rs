@@ -27,9 +27,10 @@
 //! Before anything runs, every job's [`PlanCost`](crate::PlanCost) is
 //! judged by the configured [`AdmissionPolicy`](crate::AdmissionPolicy):
 //! rejected jobs record [`SuperSimError::Rejected`] without running.
-//! Every admitted job's [`Supervisor`] — job index, cancel token, per-job
-//! and batch deadlines, fault plan — is built before the first job
-//! starts; the batch deadline counts from the start of the call.
+//! Every admitted job's [`Supervisor`] — job index, cancel token,
+//! deadline, fault plan — is built before the first job starts, so every
+//! job's deadline counts from the start of the round and also bounds the
+//! whole round.
 //! The drivers check the supervisor at every evaluation chunk, MLFT
 //! fragment and contraction chunk. A panic inside a chunk or fragment is
 //! that task's typed error inside its driver's fold, so the job reports
@@ -83,7 +84,6 @@ fn execute_jobs(
     config: &SuperSimConfig,
     jobs: &[BatchJob<'_>],
 ) -> Vec<Result<RunResult, SuperSimError>> {
-    let batch_deadline_at = config.batch_deadline.map(|d| Instant::now() + d);
     // Admission control: judge every job before any runs.
     let verdicts: Vec<Result<(), SuperSimError>> = jobs
         .iter()
@@ -111,7 +111,7 @@ fn execute_jobs(
     // deadlines count from here, not from when a worker reaches the job.
     let supervisors: Vec<Supervisor> = admitted
         .iter()
-        .map(|&i| supervisor(config, &jobs[i], batch_deadline_at))
+        .map(|&i| supervisor(config, &jobs[i]))
         .collect();
     // A failure stays with its job, so the fold itself never fails.
     let Ok(ran) = runtime::fold_ordered(
@@ -131,20 +131,13 @@ fn execute_jobs(
 
 /// A job's supervision context, keyed by [`BatchJob::index`] — the job's
 /// position in the caller's batch.
-fn supervisor(
-    config: &SuperSimConfig,
-    job: &BatchJob<'_>,
-    batch_deadline_at: Option<Instant>,
-) -> Supervisor {
+fn supervisor(config: &SuperSimConfig, job: &BatchJob<'_>) -> Supervisor {
     let mut supervisor = Supervisor::for_job(job.index);
     if let Some(token) = &config.cancel {
         supervisor = supervisor.with_cancel(token.clone());
     }
     if let Some(deadline) = job.params.deadline.or(config.job_deadline) {
         supervisor = supervisor.with_timeout(deadline);
-    }
-    if let Some(at) = batch_deadline_at {
-        supervisor = supervisor.with_deadline_at(at);
     }
     if let Some(faults) = &config.faults {
         supervisor = supervisor.with_faults(Arc::clone(faults));

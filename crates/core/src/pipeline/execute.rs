@@ -346,8 +346,8 @@ impl<'c> Executor<'c> {
     /// Identical to [`SuperSim::run_batch`](crate::SuperSim::run_batch):
     /// failures stay per-point and are wrapped in [`SuperSimError::Job`]
     /// (point index + circuit fingerprint); panics are isolated per point
-    /// ([`SuperSimError::Panicked`]); per-point and
-    /// batch-wide deadlines, the cancel token, and admission control
+    /// ([`SuperSimError::Panicked`]); per-point deadlines (counted from
+    /// the start of the sweep), the cancel token, and admission control
     /// apply per point; surviving points stay bit-identical to
     /// independent runs on every schedule.
     pub fn run_sweep(

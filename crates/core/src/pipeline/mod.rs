@@ -111,19 +111,15 @@ pub struct SuperSimConfig {
     /// [`SuperSimError::DeadlineExceeded`] at its next supervision
     /// checkpoint (evaluation chunk, MLFT fragment, or recombination
     /// chunk boundary). [`ExecParams::deadline`] overrides this per job.
-    /// The clock starts when the call starts its jobs, after admission.
+    /// The clock starts when the call starts its jobs, after admission,
+    /// for every job of the call alike — so it also bounds the whole
+    /// batch or sweep.
     pub job_deadline: Option<Duration>,
     /// Shareable cooperative cancellation token: once
     /// [`CancelToken::cancel`] is called (from any thread), every job in
     /// flight fails with [`SuperSimError::Cancelled`] at its next
     /// supervision checkpoint. Already-completed jobs keep their results.
     pub cancel: Option<CancelToken>,
-    /// Batch-wide wall-clock deadline: every job still in flight when it
-    /// passes fails with [`SuperSimError::DeadlineExceeded`]. Composes
-    /// with per-job deadlines by taking the earlier instant. It is
-    /// measured from the start of the call ([`SuperSim::run_batch`],
-    /// [`Executor::run_sweep`], or a single run).
-    pub batch_deadline: Option<Duration>,
     /// Admission-control budgets applied to every job before it is
     /// enqueued (default: unlimited). Rejected jobs report
     /// [`SuperSimError::Rejected`].
@@ -132,13 +128,6 @@ pub struct SuperSimConfig {
     /// (job, stage, task) sites panic, error, or stall on schedule. `None`
     /// (the default) injects nothing and adds no per-task overhead.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Capacity of the per-instance [`CutPlan`] cache consulted by
-    /// [`SuperSim::plan`], [`SuperSim::run`], and [`SuperSim::run_batch`]
-    /// (keyed by circuit fingerprint + cut strategy, LRU-evicted beyond
-    /// this many entries; `0` disables caching). Cache hits return the
-    /// already-built plan — bit-identical to a rebuild, since planning is
-    /// deterministic — and still pass admission control on every run.
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for SuperSimConfig {
@@ -156,10 +145,8 @@ impl Default for SuperSimConfig {
             joint_support_limit: 2_000_000,
             job_deadline: None,
             cancel: None,
-            batch_deadline: None,
             admission: AdmissionPolicy::default(),
             faults: None,
-            plan_cache_capacity: 128,
         }
     }
 }
@@ -322,12 +309,6 @@ impl SuperSimConfigBuilder {
         self
     }
 
-    /// Batch-wide wall-clock deadline.
-    pub fn batch_deadline(mut self, deadline: Duration) -> Self {
-        self.config.batch_deadline = Some(deadline);
-        self
-    }
-
     /// Admission-control budgets applied before jobs are enqueued.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.config.admission = policy;
@@ -337,12 +318,6 @@ impl SuperSimConfigBuilder {
     /// Deterministic fault-injection plan (chaos testing).
     pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.config.faults = Some(plan);
-        self
-    }
-
-    /// Capacity of the per-instance [`CutPlan`] cache.
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.plan_cache_capacity = capacity;
         self
     }
 
@@ -397,7 +372,7 @@ pub enum SuperSimError {
         /// The panic payload, rendered to a string.
         payload: String,
     },
-    /// The job's deadline (per-job or batch-wide) passed before it
+    /// The job's deadline passed before it
     /// finished; work stopped at the next supervision checkpoint.
     DeadlineExceeded {
         /// Stage that observed the deadline.
@@ -585,6 +560,10 @@ pub struct RunStats {
     pub pool: runtime::PoolStats,
 }
 
+/// Plans a [`SuperSim`]'s cache holds (keyed by circuit fingerprint and
+/// cut strategy); the least recently used is evicted beyond this.
+const PLAN_CACHE_CAPACITY: usize = 128;
+
 /// The SuperSim framework: Clifford-based circuit cutting simulation.
 ///
 /// Instances are cheap to clone; clones share one plan cache, so a
@@ -604,7 +583,7 @@ impl Default for SuperSim {
 impl SuperSim {
     /// Creates a framework instance with the given configuration.
     pub fn new(config: SuperSimConfig) -> Self {
-        let plan_cache = Arc::new(PlanCache::new(config.plan_cache_capacity));
+        let plan_cache = Arc::new(PlanCache::new(PLAN_CACHE_CAPACITY));
         SuperSim { config, plan_cache }
     }
 
@@ -630,8 +609,8 @@ impl SuperSim {
     /// structural fingerprint and the configured cut strategy): a hit
     /// returns the already-built plan — the *same* `Arc` — which is
     /// bit-identical in effect to a rebuild because planning is
-    /// deterministic. Set [`SuperSimConfig::plan_cache_capacity`] to 0 to
-    /// always rebuild.
+    /// deterministic. The cache holds the `PLAN_CACHE_CAPACITY` (128) most
+    /// recently used plans.
     ///
     /// # Errors
     ///
@@ -689,10 +668,10 @@ impl SuperSim {
     ///   becomes that job's [`SuperSimError::Panicked`], naming the lowest
     ///   panicking chunk or fragment; the pool, the other jobs, and their
     ///   bit-identity to sequential runs all survive.
-    /// * **Deadlines and cancellation** — per-job
-    ///   ([`SuperSimConfig::job_deadline`], [`ExecParams::deadline`]) and
-    ///   batch-wide ([`SuperSimConfig::batch_deadline`]) deadlines plus
-    ///   the shared [`SuperSimConfig::cancel`] token are checked
+    /// * **Deadlines and cancellation** — per-job deadlines
+    ///   ([`SuperSimConfig::job_deadline`], [`ExecParams::deadline`]),
+    ///   all counted from the start of the batch, and the shared
+    ///   [`SuperSimConfig::cancel`] token are checked
     ///   cooperatively at chunk/fragment boundaries, yielding
     ///   [`SuperSimError::DeadlineExceeded`] /
     ///   [`SuperSimError::Cancelled`] with the job's elapsed wall time.

@@ -3,7 +3,7 @@
 //! Finite-shot fragment tensors are generally *unphysical*: the implied
 //! conditional channels `E_b` need not be completely positive, and the
 //! fragment need not be exactly trace preserving. Following Perlin et al.
-//! (the paper's [40]), this module projects each fragment model onto the
+//! (the paper's ref. 40), this module projects each fragment model onto the
 //! physical set before recombination, which provably reduces the effect of
 //! sampling error:
 //!

@@ -26,11 +26,11 @@
 //! # Chunked contraction
 //!
 //! The `4^k` assignment range is split into fixed-size chunks
-//! ([`ASSIGNMENTS_PER_CHUNK`]), each contracted into its own accumulator;
-//! accumulators are merged in chunk order. The contraction runs on the
-//! calling thread: the pipeline parallelizes across jobs, never inside
-//! one. Chunks are the unit of supervision (one checkpoint each), of the
-//! error budget's split, and of the whole-chunk sparse skip.
+//! ([`ASSIGNMENTS_PER_CHUNK`]), contracted in chunk order into one
+//! accumulator per query. The contraction runs on the calling thread: the
+//! pipeline parallelizes across jobs, never inside one. Chunks are the
+//! unit of supervision (one checkpoint each), of the error budget's split,
+//! and of the whole-chunk sparse skip.
 //!
 //! Sparse skipping precomputes one bitmask of non-vanishing Pauli slices
 //! per tensor, turning the per-assignment check into a single bit test.
@@ -61,14 +61,12 @@
 //!
 //! [`Reconstructor::joint`]'s outer product addresses outcomes by dense
 //! mixed-radix ids over fragment entry indices: partial terms carry
-//! `(id, weight)` pairs instead of cloned bitstrings, per-chunk
-//! accumulators are flat id-indexed vectors allocated by the chunk's first
-//! contracted assignment, and the first such chunk is moved into the
-//! result rather than added onto zeros; later chunks merge as vector adds.
-//! Each outcome is then built once: its id is decoded into a flat row of
-//! key words (the OR of one per-fragment row, each scattered once per
-//! query), all rows are sorted once in `Bits` order, and the rows and
-//! weights are gathered in that order into the two arrays the
+//! `(id, weight)` pairs instead of cloned bitstrings, and the accumulator
+//! is a flat id-indexed vector allocated by the first contracted
+//! assignment. Each outcome is then built once: its id is decoded into a
+//! flat row of key words (the OR of one per-fragment row, each scattered
+//! once per query), all rows are sorted once in `Bits` order, and the rows
+//! and weights are gathered in that order into the two arrays the
 //! [`Distribution`] keeps (`Distribution::from_sorted_rows`). No outcome
 //! becomes a `Bits` and nothing is hashed. Output stays bit-identical to
 //! ordered-map accumulation: the same sums in the same order, emitted in
@@ -172,16 +170,10 @@ pub struct Reconstructor<'a> {
 
 /// One chunk of a recorded budgeted sweep: which assignments the chunk
 /// contracted (as offsets into the chunk) and the stats it reported.
-/// Every chunk gets a record so replay reproduces the fresh sweep's merge
-/// sequence exactly — including chunks the constant-mask sparse test
-/// skipped outright, whose empty accumulator still merges but whose
-/// `chunk_start` hook never ran (`masked`).
+/// Every chunk gets a record, in chunk order, so replay runs the fresh
+/// sweep's supervision checkpoints too.
 #[derive(Clone, Debug)]
 struct ChunkRecord {
-    chunk: u64,
-    /// Whether the constant-mask test skipped the whole chunk before
-    /// `chunk_start` (replay then merges an untouched accumulator).
-    masked: bool,
     /// Offsets of body-visited assignments ([`ASSIGNMENTS_PER_CHUNK`] is
     /// 4096, so `u16` always fits).
     visited: Vec<u16>,
@@ -227,8 +219,7 @@ pub struct SweepStats {
 
 impl SweepStats {
     /// Folds another chunk's stats into `self`. Always applied in chunk
-    /// order, beside the accumulators' merge, so the float
-    /// `skipped_bound` sum has one fixed association.
+    /// order, so the float `skipped_bound` sum has one fixed association.
     fn absorb(&mut self, other: SweepStats) {
         self.visited += other.visited;
         self.skipped += other.skipped;
@@ -378,8 +369,9 @@ impl<'a> Reconstructor<'a> {
     /// an amortized 4/3 base-4 digits, and each changed cut digit touches
     /// only the two tensor ends of that cut — instead of recomputing every
     /// tensor's composite index per assignment.
-    /// When `record` is set (a budgeted sweep whose visited set is not
-    /// cached yet), the chunk also returns its [`ChunkRecord`].
+    /// When `visited` is given (a budgeted sweep whose visited set is not
+    /// cached yet), the chunk appends the offsets of the assignments its
+    /// body ran.
     #[allow(clippy::too_many_arguments)]
     fn run_chunk<A>(
         &self,
@@ -389,8 +381,8 @@ impl<'a> Reconstructor<'a> {
         chunk_start: &impl Fn(&mut A, &[usize]),
         body: &impl Fn(&mut A, &[usize]),
         scratch: &mut SweepScratch,
-        record: bool,
-    ) -> (SweepStats, Option<ChunkRecord>) {
+        mut visited: Option<&mut Vec<u16>>,
+    ) -> SweepStats {
         let k = self.num_cuts;
         let total = 1u64 << (2 * k);
         let start = chunk * ASSIGNMENTS_PER_CHUNK;
@@ -416,18 +408,11 @@ impl<'a> Reconstructor<'a> {
                 .zip(indices.iter())
                 .any(|((&constant, mask), &idx)| constant && !mask.test(idx))
         {
-            let masked = record.then(|| ChunkRecord {
-                chunk,
-                masked: true,
-                visited: Vec::new(),
-                stats: SweepStats::default(),
-            });
-            return (SweepStats::default(), masked);
+            return SweepStats::default();
         }
         chunk_start(acc, indices);
         let mut stats = SweepStats::default();
         let budgeted = chunk_budget > 0.0;
-        let mut visited_offsets = record.then(Vec::new);
         let mut kappa = start;
         loop {
             // Exact skip: a zero slice maximum means every term of this
@@ -463,7 +448,7 @@ impl<'a> Reconstructor<'a> {
                 };
                 if !truncated {
                     stats.visited += 1;
-                    if let Some(offsets) = visited_offsets.as_mut() {
+                    if let Some(offsets) = visited.as_deref_mut() {
                         offsets.push((kappa - start) as u16);
                     }
                     body(acc, indices);
@@ -491,27 +476,18 @@ impl<'a> Reconstructor<'a> {
                 }
             }
         }
-        let record = visited_offsets.map(|visited| ChunkRecord {
-            chunk,
-            masked: false,
-            visited,
-            stats,
-        });
-        (stats, record)
+        stats
     }
 
     /// The chunked contraction driver: runs `body` over every surviving
-    /// assignment, accumulating into per-chunk accumulators created by
-    /// `init`, and merges them in chunk order by `merge`. Returns the
-    /// final accumulator and the sweep's [`SweepStats`].
+    /// assignment, chunk by chunk, folding into the one accumulator `acc`.
+    /// Returns the accumulator and the sweep's [`SweepStats`].
     ///
-    /// Two per-chunk hooks: `chunk_start` runs after the chunk's first
-    /// assignment indices are in place and before any `body` call
-    /// (accumulators precompute what is constant within the chunk — the
-    /// prefix/suffix product hoists of the marginal sweeps — without
-    /// changing any per-assignment float association); `finish` runs on
-    /// the chunk accumulator once its chunk completes (large accumulators
-    /// drop their scratch before the merge).
+    /// `chunk_start` runs after a chunk's first assignment indices are in
+    /// place and before any of its `body` calls: accumulators precompute
+    /// what is constant within the chunk (the prefix/suffix product
+    /// hoists of the marginal sweep) without changing any per-assignment
+    /// float association.
     ///
     /// The attached [`Supervisor`] is consulted once per chunk, before the
     /// chunk's sweep; an interrupt stops the sweep at the first faulting
@@ -519,11 +495,9 @@ impl<'a> Reconstructor<'a> {
     /// every later query of this reconstructor replays it.
     fn run_contraction<A>(
         &self,
-        init: impl Fn() -> A,
+        mut acc: A,
         chunk_start: impl Fn(&mut A, &[usize]),
         body: impl Fn(&mut A, &[usize]),
-        finish: impl Fn(&mut A),
-        mut merge: impl FnMut(&mut A, A),
     ) -> Result<(A, SweepStats), Fault> {
         // At most `4^13 / 4096` chunks (`MAX_CONTRACTION_CUTS`).
         let num_chunks = self.num_chunks();
@@ -540,11 +514,10 @@ impl<'a> Reconstructor<'a> {
             // `4^k` re-iteration. The recorded call sequence is exactly
             // the fresh sweep's, so results are bit-identical.
             if let Some(Some(records)) = self.skip_cache.get() {
-                return self.replay_records(records, init, chunk_start, body, finish, merge);
+                return self.replay_records(records, acc, chunk_start, body);
             }
         }
         let record = chunk_budget > 0.0 && self.skip_cache.get().is_none();
-        let mut acc = init();
         let mut stats = SweepStats::default();
         let mut records: Vec<ChunkRecord> = Vec::new();
         let mut scratch = SweepScratch {
@@ -553,20 +526,23 @@ impl<'a> Reconstructor<'a> {
         };
         for chunk in 0..num_chunks {
             self.supervisor.check(Stage::Recombine, chunk as usize)?;
-            let mut chunk_acc = init();
-            let (chunk_stats, chunk_record) = self.run_chunk(
+            let mut visited = Vec::new();
+            let chunk_stats = self.run_chunk(
                 chunk,
                 chunk_budget,
-                &mut chunk_acc,
+                &mut acc,
                 &chunk_start,
                 &body,
                 &mut scratch,
-                record,
+                record.then_some(&mut visited),
             );
-            finish(&mut chunk_acc);
-            merge(&mut acc, chunk_acc);
             stats.absorb(chunk_stats);
-            records.extend(chunk_record);
+            if record {
+                records.push(ChunkRecord {
+                    visited,
+                    stats: chunk_stats,
+                });
+            }
         }
         if record {
             let total: usize = records.iter().map(|r| r.visited.len()).sum();
@@ -577,46 +553,38 @@ impl<'a> Reconstructor<'a> {
         Ok((acc, stats))
     }
 
-    /// Replays a recorded budgeted sweep: the identical chunk-start /
-    /// body / finish / merge call sequence as the recording run — same
-    /// chunks (constant-mask-skipped ones carry no record and stay
-    /// skipped), same assignments, same order, so every float folds
-    /// identically — but touching only the recorded assignments instead
-    /// of walking the full `4^k` range. Supervision checkpoints still run
-    /// per replayed chunk, under the chunk's original index.
+    /// Replays a recorded budgeted sweep: the identical chunk-start / body
+    /// call sequence as the recording run — same assignments, same order,
+    /// so every float folds identically — but touching only the recorded
+    /// assignments instead of walking the full `4^k` range. Supervision
+    /// checkpoints still run once per chunk, in chunk order.
     fn replay_records<A>(
         &self,
         records: &[ChunkRecord],
-        init: impl Fn() -> A,
+        mut acc: A,
         chunk_start: impl Fn(&mut A, &[usize]),
         body: impl Fn(&mut A, &[usize]),
-        finish: impl Fn(&mut A),
-        mut merge: impl FnMut(&mut A, A),
     ) -> Result<(A, SweepStats), Fault> {
-        let mut acc = init();
         let mut stats = SweepStats::default();
         let mut indices = vec![0usize; self.tensors.len()];
-        for rec in records {
-            self.supervisor
-                .check(Stage::Recombine, rec.chunk as usize)?;
-            let mut chunk_acc = init();
-            if !rec.masked {
-                let start = rec.chunk * ASSIGNMENTS_PER_CHUNK;
-                for (fi, t) in self.tensors.iter().enumerate() {
-                    indices[fi] = t.pauli_index(|c| ((start >> (2 * c)) & 0b11) as usize);
-                }
-                chunk_start(&mut chunk_acc, &indices);
-                for &offset in &rec.visited {
-                    let kappa = start + offset as u64;
-                    for (fi, t) in self.tensors.iter().enumerate() {
-                        indices[fi] = t.pauli_index(|c| ((kappa >> (2 * c)) & 0b11) as usize);
-                    }
-                    body(&mut chunk_acc, &indices);
-                }
-            }
-            finish(&mut chunk_acc);
-            merge(&mut acc, chunk_acc);
+        for (chunk, rec) in records.iter().enumerate() {
+            self.supervisor.check(Stage::Recombine, chunk)?;
             stats.absorb(rec.stats);
+            if rec.visited.is_empty() {
+                continue;
+            }
+            let start = chunk as u64 * ASSIGNMENTS_PER_CHUNK;
+            for (fi, t) in self.tensors.iter().enumerate() {
+                indices[fi] = t.pauli_index(|c| ((start >> (2 * c)) & 0b11) as usize);
+            }
+            chunk_start(&mut acc, &indices);
+            for &offset in &rec.visited {
+                let kappa = start + offset as u64;
+                for (fi, t) in self.tensors.iter().enumerate() {
+                    indices[fi] = t.pauli_index(|c| ((kappa >> (2 * c)) & 0b11) as usize);
+                }
+                body(&mut acc, &indices);
+            }
         }
         Ok((acc, stats))
     }
@@ -626,7 +594,7 @@ impl<'a> Reconstructor<'a> {
     pub fn total_mass(&self) -> f64 {
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let (mass, _) = expect_unsupervised(self.run_contraction(
-            || 0.0f64,
+            0.0f64,
             |_, _| {},
             |mass, indices| {
                 let mut prod = 1.0;
@@ -635,8 +603,6 @@ impl<'a> Reconstructor<'a> {
                 }
                 *mass += prod;
             },
-            |_| {},
-            |mass, chunk| *mass += chunk,
         ));
         mass
     }
@@ -651,9 +617,8 @@ impl<'a> Reconstructor<'a> {
     /// engine addresses outcomes by a dense mixed-radix id over fragment
     /// entry indices instead of materializing a heap-allocated [`Bits`]
     /// per partial term. The outer product propagates `(id, weight)`
-    /// pairs — integer multiply-adds only — per-chunk accumulators are
-    /// flat `Vec<f64>`s indexed by id, and chunk merges are id-indexed
-    /// vector adds rather than ordered-map re-insertions. Ids are decoded
+    /// pairs — integer multiply-adds only — into one flat `Vec<f64>`
+    /// indexed by id rather than an ordered map. Ids are decoded
     /// back into rows of key words exactly once, sorted once, and moved
     /// into the [`Distribution`] as its sorted rows (see the module docs),
     /// keeping the result bit-identical to the former `BTreeMap`-keyed
@@ -754,12 +719,11 @@ impl<'a> Reconstructor<'a> {
                 }
             })
             .collect();
-        // Per-chunk accumulator: dense id-indexed weights and a touched-id
-        // bitset (a key whose weights cancel to exactly zero must still
-        // appear in the output, as it did under ordered-map accumulation),
-        // both allocated by the chunk's first `body` call — so a chunk the
-        // constant mask skips allocates nothing — and outer-product scratch
-        // dropped by `finish` before the merge.
+        // The accumulator: dense id-indexed weights and a touched-id bitset
+        // (a key whose weights cancel to exactly zero must still appear in
+        // the output, as it did under ordered-map accumulation), both
+        // allocated by the first `body` call — so a sweep the constant
+        // mask skips whole allocates nothing — and outer-product scratch.
         struct JointAcc {
             weights: Vec<f64>,
             touched: Vec<u64>,
@@ -767,7 +731,7 @@ impl<'a> Reconstructor<'a> {
             next: Vec<(usize, f64)>,
         }
         let (acc, stats) = self.run_contraction(
-            || JointAcc {
+            JointAcc {
                 weights: Vec::new(),
                 touched: Vec::new(),
                 partial: Vec::new(),
@@ -805,39 +769,20 @@ impl<'a> Reconstructor<'a> {
                     }
                 }
             },
-            |acc| {
-                // Retain only the payload across the ordered merge.
-                acc.partial = Vec::new();
-                acc.next = Vec::new();
-            },
-            |acc, chunk| {
-                if acc.weights.is_empty() {
-                    // The first chunk that ran a body is moved in, not
-                    // added onto zeros: its sums started from +0.0, so they
-                    // are never −0.0 and `0.0 + w` would be `w` bit for bit.
-                    acc.weights = chunk.weights;
-                    acc.touched = chunk.touched;
-                } else if !chunk.weights.is_empty() {
-                    // Id-indexed vector add. Untouched ids hold exactly
-                    // +0.0, so the blanket add is a bitwise no-op for them.
-                    for (a, c) in acc.weights.iter_mut().zip(&chunk.weights) {
-                        *a += c;
-                    }
-                    for (a, c) in acc.touched.iter_mut().zip(&chunk.touched) {
-                        *a |= c;
-                    }
-                }
-            },
         )?;
         // Decode every touched id, in id order, into one flat row of `nw`
         // key words beside its weight. A row is the OR of one
         // pre-scattered row per fragment: the single-entry fragments' rows
         // are the same for every id and start it, the others are picked by
-        // the id's mixed-radix digits. The dense accumulator is freed
-        // before the rows are sorted.
+        // the id's mixed-radix digits. The outer-product scratch is freed
+        // here, the dense accumulator before the rows are sorted.
         let JointAcc {
-            weights, touched, ..
+            weights,
+            touched,
+            partial,
+            next,
         } = acc;
+        drop((partial, next));
         let mut base = vec![0u64; nw];
         for view in views.iter().filter(|v| v.support == 1) {
             for (b, r) in base.iter_mut().zip(&view.rows) {
@@ -910,46 +855,9 @@ impl<'a> Reconstructor<'a> {
     /// reconstructor, keeping marginal and joint queries mutually
     /// consistent.
     pub fn try_marginals_with_stats(&self) -> Result<(Vec<[f64; 2]>, SweepStats), Fault> {
-        // Two equivalent evaluation strategies (identical up to float
-        // reordering); the choice is a deterministic function of the
-        // tensor shapes, so one input always gives the same bits.
-        //
-        // The grouped strategy accumulates one exclusion weight per
-        // (fragment, Pauli index) — a single multiply-add per fragment per
-        // assignment — and contracts the weights against the marginal
-        // tables once at the end. Its accumulator holds `Σ_f 4^{cuts_f}`
-        // floats per chunk, so fall back to direct per-qubit updates when
-        // that would be large (one wide fragment means few fragments, so
-        // the direct inner loop is short anyway).
-        let weight_len: usize = self.tensors.iter().map(|t| t.pauli_dim()).sum();
-        let grouped_bytes = (weight_len as u64) * self.num_chunks() * 8;
-        let (mut marg, mass, stats) = if grouped_bytes <= 64 << 20 {
-            self.marginals_grouped()?
-        } else {
-            self.marginals_direct()?
-        };
-        if mass.abs() > 1e-12 {
-            for m in &mut marg {
-                m[0] /= mass;
-                m[1] /= mass;
-            }
-        }
-        // Repair small quasi-probability artifacts.
-        for m in &mut marg {
-            m[0] = m[0].clamp(0.0, 1.0);
-            m[1] = m[1].clamp(0.0, 1.0);
-            let s = m[0] + m[1];
-            if s > 0.0 {
-                m[0] /= s;
-                m[1] /= s;
-            }
-        }
-        Ok((marg, stats))
-    }
-
-    /// Grouped marginal contraction: exclusion weights per (fragment,
-    /// Pauli index), expanded against the marginal tables after the sweep.
-    fn marginals_grouped(&self) -> Result<(Vec<[f64; 2]>, f64, SweepStats), Fault> {
+        // One exclusion weight per (fragment, Pauli index) — a single
+        // multiply-add per fragment per assignment — contracted against
+        // the marginal tables once after the sweep.
         let nf = self.tensors.len();
         struct GroupedAcc {
             /// `weights[f][idx]` = Σ over visited assignments with
@@ -963,7 +871,7 @@ impl<'a> Reconstructor<'a> {
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let (cp, cs) = (self.const_prefix, self.const_suffix);
         let (acc, stats) = self.run_contraction(
-            || GroupedAcc {
+            GroupedAcc {
                 weights: totals.iter().map(|t| vec![0.0f64; t.len()]).collect(),
                 mass: 0.0,
                 prefix: vec![1.0; nf + 1],
@@ -986,7 +894,7 @@ impl<'a> Reconstructor<'a> {
             |acc, indices| {
                 // Prefix/suffix products of fragment totals (slots 0 and nf
                 // stay 1.0 from initialization; the chunk-constant head and
-                // tail were filled once at chunk start).
+                // tail were filled at chunk start).
                 for f in cp..nf {
                     acc.prefix[f + 1] = acc.prefix[f] * totals[f][indices[f]];
                 }
@@ -997,15 +905,6 @@ impl<'a> Reconstructor<'a> {
                 for f in 0..nf {
                     acc.weights[f][indices[f]] += acc.prefix[f] * acc.suffix[f + 1];
                 }
-            },
-            |_| {},
-            |acc, chunk| {
-                for (w, c) in acc.weights.iter_mut().zip(&chunk.weights) {
-                    for (a, b) in w.iter_mut().zip(c) {
-                        *a += b;
-                    }
-                }
-                acc.mass += chunk.mass;
             },
         )?;
         // Contract the accumulated weights against the marginal tables.
@@ -1021,88 +920,24 @@ impl<'a> Reconstructor<'a> {
                 }
             }
         }
-        Ok((marg, acc.mass, stats))
-    }
-
-    /// Direct marginal contraction: per-qubit updates inside the
-    /// assignment sweep (bounded accumulator size).
-    fn marginals_direct(&self) -> Result<(Vec<[f64; 2]>, f64, SweepStats), Fault> {
-        let nf = self.tensors.len();
-        struct DirectAcc {
-            marg: Vec<[f64; 2]>,
-            mass: f64,
-            prefix: Vec<f64>,
-            suffix: Vec<f64>,
+        let mass = acc.mass;
+        if mass.abs() > 1e-12 {
+            for m in &mut marg {
+                m[0] /= mass;
+                m[1] /= mass;
+            }
         }
-        struct TensorView<'t> {
-            totals: &'t [f64],
-            outputs: Vec<(usize, &'t [f64], &'t [f64])>,
+        // Repair small quasi-probability artifacts.
+        for m in &mut marg {
+            m[0] = m[0].clamp(0.0, 1.0);
+            m[1] = m[1].clamp(0.0, 1.0);
+            let s = m[0] + m[1];
+            if s > 0.0 {
+                m[0] /= s;
+                m[1] /= s;
+            }
         }
-        let views: Vec<TensorView<'_>> = self
-            .tensors
-            .iter()
-            .map(|t| TensorView {
-                totals: t.totals(),
-                outputs: t
-                    .output_globals()
-                    .iter()
-                    .enumerate()
-                    .map(|(bit, &g)| {
-                        let (m0, m1) = t.marginal_slices(bit);
-                        (g, m0, m1)
-                    })
-                    .collect(),
-            })
-            .collect();
-        let (cp, cs) = (self.const_prefix, self.const_suffix);
-        let (acc, stats) = self.run_contraction(
-            || DirectAcc {
-                marg: vec![[0.0f64; 2]; self.n_qubits],
-                mass: 0.0,
-                prefix: vec![1.0; nf + 1],
-                suffix: vec![1.0; nf + 1],
-            },
-            |acc, indices| {
-                // Chunk-constant head/tail products, once per chunk (see
-                // `marginals_grouped` — same hoist, same bit-identity
-                // argument).
-                for f in 0..cp {
-                    acc.prefix[f + 1] = acc.prefix[f] * views[f].totals[indices[f]];
-                }
-                for f in (cs..nf).rev() {
-                    acc.suffix[f] = acc.suffix[f + 1] * views[f].totals[indices[f]];
-                }
-            },
-            |acc, indices| {
-                for f in cp..nf {
-                    acc.prefix[f + 1] = acc.prefix[f] * views[f].totals[indices[f]];
-                }
-                for f in (0..cs).rev() {
-                    acc.suffix[f] = acc.suffix[f + 1] * views[f].totals[indices[f]];
-                }
-                acc.mass += acc.prefix[nf];
-                for (f, view) in views.iter().enumerate() {
-                    let excl = acc.prefix[f] * acc.suffix[f + 1];
-                    if excl == 0.0 {
-                        continue;
-                    }
-                    let idx = indices[f];
-                    for &(global, m0, m1) in &view.outputs {
-                        acc.marg[global][0] += excl * m0[idx];
-                        acc.marg[global][1] += excl * m1[idx];
-                    }
-                }
-            },
-            |_| {},
-            |acc, chunk| {
-                for (m, c) in acc.marg.iter_mut().zip(&chunk.marg) {
-                    m[0] += c[0];
-                    m[1] += c[1];
-                }
-                acc.mass += chunk.mass;
-            },
-        )?;
-        Ok((acc.marg, acc.mass, stats))
+        Ok((marg, stats))
     }
 
     /// "Strong simulation": the probability of one specific global
@@ -1127,7 +962,7 @@ impl<'a> Reconstructor<'a> {
             }
         }
         let (p, _) = expect_unsupervised(self.run_contraction(
-            || 0.0f64,
+            0.0f64,
             |_, _| {},
             |p, indices| {
                 let mut prod = 1.0;
@@ -1139,8 +974,6 @@ impl<'a> Reconstructor<'a> {
                 }
                 *p += prod;
             },
-            |_| {},
-            |p, chunk| *p += chunk,
         ));
         p
     }
@@ -1158,13 +991,7 @@ impl<'a> Reconstructor<'a> {
     /// incur (skip decisions are query-independent). Cheap relative to a
     /// real query: no accumulator work, just the sweep itself.
     pub fn sweep_stats(&self) -> SweepStats {
-        let ((), stats) = expect_unsupervised(self.run_contraction(
-            || (),
-            |_, _| {},
-            |_, _| {},
-            |_| {},
-            |_, _| {},
-        ));
+        let ((), stats) = expect_unsupervised(self.run_contraction((), |_, _| {}, |_, _| {}));
         stats
     }
 
@@ -1216,7 +1043,7 @@ impl<'a> Reconstructor<'a> {
             .collect();
         let totals: Vec<&[f64]> = self.tensors.iter().map(|t| t.totals()).collect();
         let ((num, mass), _) = expect_unsupervised(self.run_contraction(
-            || (0.0f64, 0.0f64),
+            (0.0f64, 0.0f64),
             |_, _| {},
             |acc, indices| {
                 let mut sprod = 1.0;
@@ -1227,11 +1054,6 @@ impl<'a> Reconstructor<'a> {
                 }
                 acc.0 += sprod;
                 acc.1 += tprod;
-            },
-            |_| {},
-            |acc, chunk| {
-                acc.0 += chunk.0;
-                acc.1 += chunk.1;
             },
         ));
         if mass.abs() > 1e-12 {
@@ -1264,11 +1086,6 @@ mod tests {
     /// circuit width. Every Pauli slice is nonzero, so the sparse skip never
     /// prunes — the controlled workload of the multi-chunk tests.
     fn synthetic_dense_chain(k: usize, outputs_per_frag: usize) -> (Vec<FragmentTensor>, usize) {
-        let coeff = |f: usize, e: usize, i: usize| {
-            // Pseudo-random but fully deterministic nonzero coefficients.
-            let x = (f * 7919 + e * 104729 + i * 1299709) % 1000;
-            0.05 + x as f64 / 1000.0
-        };
         let mut tensors = Vec::new();
         for f in 0..=k {
             let input_cuts = if f == 0 { vec![] } else { vec![f - 1] };
@@ -1280,7 +1097,9 @@ mod tests {
                 .map(|e| {
                     (
                         Bits::from_u64(e, outputs_per_frag),
-                        (0..dim).map(|i| coeff(f, e as usize, i)).collect(),
+                        (0..dim)
+                            .map(|i| synthetic_coeff(f, e as usize, i))
+                            .collect(),
                     )
                 })
                 .collect();
@@ -1295,11 +1114,17 @@ mod tests {
         (tensors, n_qubits)
     }
 
-    /// The pre-intern joint implementation, frozen as a parity baseline:
-    /// chunked `4^k` sweep with per-chunk `BTreeMap<Bits, f64>` accumulation,
-    /// one heap-allocated `Bits` clone per partial term, and ordered-map
-    /// re-insertion (`b.clone()` per key) at every chunk merge. Written
-    /// against the public tensor API only.
+    /// Coefficient `i` of entry `e` of synthetic fragment `f`:
+    /// pseudo-random but fully deterministic, and never zero.
+    fn synthetic_coeff(f: usize, e: usize, i: usize) -> f64 {
+        let x = (f * 7919 + e * 104729 + i * 1299709) % 1000;
+        0.05 + x as f64 / 1000.0
+    }
+
+    /// The pre-intern joint implementation, kept as a parity baseline:
+    /// one `4^k` sweep in assignment order accumulating into one running
+    /// `BTreeMap<Bits, f64>`, one heap-allocated `Bits` clone per partial
+    /// term. Written against the public tensor API only.
     ///
     /// The reference of `joint_matches_btreemap_reference_bit_exact`.
     fn reference_joint_btreemap(
@@ -1315,56 +1140,46 @@ mod tests {
             .map(|t| IndexPlan::new(t.output_globals(), n_qubits))
             .collect();
         let mut dist: BTreeMap<Bits, f64> = BTreeMap::new();
-        let total = 1u64 << (2 * num_cuts);
-        let num_chunks = total.div_ceil(ASSIGNMENTS_PER_CHUNK);
         let mut partial: Vec<(Bits, f64)> = Vec::new();
         let mut next: Vec<(Bits, f64)> = Vec::new();
-        for chunk in 0..num_chunks {
-            let mut chunk_dist: BTreeMap<Bits, f64> = BTreeMap::new();
-            let start = chunk * ASSIGNMENTS_PER_CHUNK;
-            let end = (start + ASSIGNMENTS_PER_CHUNK).min(total);
-            for kappa in start..end {
-                let digit = |cut: usize| ((kappa >> (2 * cut)) & 0b11) as usize;
-                let indices: Vec<usize> = tensors.iter().map(|t| t.pauli_index(digit)).collect();
-                if sparse
-                    && tensors
-                        .iter()
-                        .zip(&indices)
-                        .any(|(t, &idx)| t.slice_max_abs(idx) <= tol)
-                {
+        for kappa in 0..1u64 << (2 * num_cuts) {
+            let digit = |cut: usize| ((kappa >> (2 * cut)) & 0b11) as usize;
+            let indices: Vec<usize> = tensors.iter().map(|t| t.pauli_index(digit)).collect();
+            if sparse
+                && tensors
+                    .iter()
+                    .zip(&indices)
+                    .any(|(t, &idx)| t.slice_max_abs(idx) <= tol)
+            {
+                continue;
+            }
+            partial.clear();
+            partial.push((Bits::zeros(n_qubits), 1.0));
+            for ((t, plan), &idx) in tensors.iter().zip(&plans).zip(&indices) {
+                if t.support_len() == 0 {
                     continue;
                 }
-                partial.clear();
-                partial.push((Bits::zeros(n_qubits), 1.0));
-                for ((t, plan), &idx) in tensors.iter().zip(&plans).zip(&indices) {
-                    if t.support_len() == 0 {
+                next.clear();
+                next.reserve(partial.len() * t.support_len());
+                let mut b = Bits::zeros(t.output_globals().len());
+                for (key, coeffs) in t.iter() {
+                    let v = coeffs[idx];
+                    if v == 0.0 {
                         continue;
                     }
-                    next.clear();
-                    next.reserve(partial.len() * t.support_len());
-                    let mut b = Bits::zeros(t.output_globals().len());
-                    for (key, coeffs) in t.iter() {
-                        let v = coeffs[idx];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        b.copy_from_words(key);
-                        for (gb, w) in &partial {
-                            let mut gb2 = gb.clone();
-                            plan.scatter_into(&b, &mut gb2);
-                            next.push((gb2, w * v));
-                        }
-                    }
-                    std::mem::swap(&mut partial, &mut next);
-                }
-                for (b, w) in partial.drain(..) {
-                    if w != 0.0 {
-                        *chunk_dist.entry(b).or_insert(0.0) += w;
+                    b.copy_from_words(key);
+                    for (gb, w) in &partial {
+                        let mut gb2 = gb.clone();
+                        plan.scatter_into(&b, &mut gb2);
+                        next.push((gb2, w * v));
                     }
                 }
+                std::mem::swap(&mut partial, &mut next);
             }
-            for (b, w) in chunk_dist {
-                *dist.entry(b).or_insert(0.0) += w;
+            for (b, w) in partial.drain(..) {
+                if w != 0.0 {
+                    *dist.entry(b).or_insert(0.0) += w;
+                }
             }
         }
         dist.into_iter().collect()
@@ -1536,9 +1351,9 @@ mod tests {
     /// implementation: on real cut circuits, on
     /// sampled 72- and 130-qubit circuits whose keys span two and three
     /// words, on keys that tie in their first word, and on a multi-chunk
-    /// synthetic chain as is, with its first
-    /// chunk masked (the first non-empty chunk is moved in after an empty
-    /// merge) and with every chunk masked (an empty joint).
+    /// synthetic chain as is, with its first chunk masked (the dense
+    /// buffers are allocated by a later chunk) and with every chunk masked
+    /// (an empty joint).
     #[test]
     fn joint_matches_btreemap_reference_bit_exact() {
         let mut a = Circuit::new(3);
@@ -1726,15 +1541,16 @@ mod tests {
     }
 
     /// The chunked marginal sweep agrees with the seed's per-assignment
-    /// sum on a dense k = 8 chain spanning 16 chunks, and on the same chain
-    /// with a quarter of its chunks masked whole.
+    /// sum on a dense k = 8 chain spanning 16 chunks, on the same chain
+    /// with a quarter of its chunks masked whole, and on a k = 9 star
+    /// whose hub alone has `4^9` grouped weights, over 64 chunks.
     #[test]
     fn marginals_match_seed_per_assignment_sum() {
-        let k = 8;
-        assert_eq!((1u64 << (2 * k)) / ASSIGNMENTS_PER_CHUNK, 16);
-        for (label, (tensors, n)) in [
-            ("dense", synthetic_dense_chain(k, 1)),
-            ("masked", masked_chain(k, &[2])),
+        assert_eq!((1u64 << (2 * 8)) / ASSIGNMENTS_PER_CHUNK, 16);
+        for (label, k, (tensors, n)) in [
+            ("dense", 8, synthetic_dense_chain(8, 1)),
+            ("masked", 8, masked_chain(8, &[2])),
+            ("wide hub", 9, synthetic_star(9)),
         ] {
             let expect = seed_marginals(&tensors, k, n);
             let got = Reconstructor::new(&tensors, k, n).marginals();
@@ -1745,6 +1561,55 @@ mod tests {
                 .fold(0.0, f64::max);
             assert!(diff < 1e-9, "{label}: max |Δ| = {diff}");
         }
+    }
+
+    /// A star of `k` cuts: a hub fragment carrying every cut end (`4^k`
+    /// Pauli slots) and one leaf per three consecutive cuts, each fragment
+    /// with one circuit output and every slice nonzero.
+    fn synthetic_star(k: usize) -> (Vec<FragmentTensor>, usize) {
+        let fragment = |f: usize, input_cuts: Vec<usize>, output_cuts: Vec<usize>| {
+            let dim = 1usize << (2 * (input_cuts.len() + output_cuts.len()));
+            let entries = (0..2u64)
+                .map(|e| {
+                    let v = (0..dim)
+                        .map(|i| synthetic_coeff(f, e as usize, i))
+                        .collect();
+                    (Bits::from_u64(e, 1), v)
+                })
+                .collect();
+            FragmentTensor::from_dense_entries(input_cuts, output_cuts, vec![f], entries)
+        };
+        let mut tensors = vec![fragment(0, vec![], (0..k).collect())];
+        let cuts: Vec<usize> = (0..k).collect();
+        for leaf in cuts.chunks(3) {
+            tensors.push(fragment(tensors.len(), leaf.to_vec(), vec![]));
+        }
+        let n = tensors.len();
+        (tensors, n)
+    }
+
+    /// Under an error budget, the first (recorded) marginal query of the
+    /// k = 9 star and its replay are bit-identical: one accumulator
+    /// carries the hub's `4^9` weights through all 64 chunks, and the
+    /// chunk-constant leaf on cuts 6–8 takes the suffix hoist.
+    #[test]
+    fn wide_hub_budgeted_marginals_replay_bit_exact() {
+        let k = 9;
+        let (tensors, n) = synthetic_star(k);
+        let total_bound = Reconstructor::new(&tensors, k, n)
+            .with_error_budget(1e18)
+            .sweep_stats()
+            .skipped_bound;
+        let r = Reconstructor::new(&tensors, k, n).with_error_budget(total_bound * 0.25);
+        let (first, first_stats) = r.try_marginals_with_stats().unwrap();
+        assert!(first_stats.skipped > 0 && first_stats.visited > 0);
+        assert!(matches!(r.skip_cache.get(), Some(Some(_))), "recorded");
+        let (replay, replay_stats) = r.try_marginals_with_stats().unwrap();
+        assert_eq!(first_stats, replay_stats);
+        let bits = |m: &[[f64; 2]]| -> Vec<[u64; 2]> {
+            m.iter().map(|p| [p[0].to_bits(), p[1].to_bits()]).collect()
+        };
+        assert_eq!(bits(&first), bits(&replay));
     }
 
     /// Shared output scatter plans change nothing: `joint` and

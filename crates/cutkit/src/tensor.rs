@@ -680,8 +680,9 @@ const MAX_RESERVED_BYTES: usize = 1 << 28;
 /// fragment slice its key indexes.
 ///
 /// Between variants the pending block is empty and no outcome is marked
-/// ([`WorkerScratch::is_clean`]); [`fold_variant`] restores that before it
-/// returns, and a variant that fails does so before it folds anything.
+/// (`WorkerScratch::is_clean`, checked by the tests); [`fold_variant`]
+/// restores that before it returns, and a variant that fails does so
+/// before it folds anything.
 struct WorkerScratch {
     eval: EvalScratch,
     data: Vec<(Bits, f64)>,

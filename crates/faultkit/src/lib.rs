@@ -292,9 +292,9 @@ impl Supervisor {
 
     /// Sets the absolute deadline; checkpoints after this instant fail
     /// with [`Interrupt::DeadlineExceeded`]. When a deadline is already
-    /// set, the earlier one wins (job deadlines compose with batch-wide
-    /// deadlines by `min`).
-    pub fn with_deadline_at(mut self, deadline: Instant) -> Self {
+    /// set, the earlier one wins (a fault plan's deadline override
+    /// composes with the job's own by `min`).
+    fn with_deadline_at(mut self, deadline: Instant) -> Self {
         self.deadline = Some(match self.deadline {
             Some(d) => d.min(deadline),
             None => deadline,
@@ -303,8 +303,8 @@ impl Supervisor {
     }
 
     /// Sets the deadline `timeout` from the supervisor's epoch (its
-    /// creation instant), composing by `min` like
-    /// [`Supervisor::with_deadline_at`].
+    /// creation instant). When a deadline is already set, the earlier
+    /// one wins.
     pub fn with_timeout(self, timeout: Duration) -> Self {
         let at = self.epoch.checked_add(timeout).unwrap_or_else(|| {
             // Unrepresentable far-future deadline: effectively unlimited;

@@ -18,8 +18,6 @@
 //! accumulation bit-reproducible and bit-identical to the ordered-map
 //! (`BTreeMap`) semantics the type started from.
 
-pub mod intern;
-
 use qcir::{Bits, IndexPlan};
 use rand::Rng;
 use std::cmp::Ordering;

@@ -7,7 +7,7 @@
 //! * [`C64`] — a `f64` complex number with the usual arithmetic;
 //! * [`CMat`] — a dense, row-major complex matrix;
 //! * [`eigh`] — Hermitian eigendecomposition (cyclic Jacobi);
-//! * [`svd`] — complex singular value decomposition (one-sided Jacobi);
+//! * [`svd()`] — complex singular value decomposition (one-sided Jacobi);
 //! * [`psd_project`] — projection of a Hermitian matrix onto the positive
 //!   semidefinite cone, used by the maximum-likelihood fragment-tomography
 //!   correction.

@@ -30,18 +30,11 @@ fn consecutive_batches_reuse_live_workers_bit_identically() {
         mlft: true,
         ..SuperSimConfig::default()
     };
-    // Reference: independent sequential runs (cache off so every run
-    // plans from scratch, like the seed pipeline did).
+    // Reference: independent sequential runs, each on a fresh instance
+    // (an empty plan cache), so every run plans from scratch.
     let solo: Vec<RunResult> = circuits
         .iter()
-        .map(|c| {
-            SuperSim::new(SuperSimConfig {
-                plan_cache_capacity: 0,
-                ..base.clone()
-            })
-            .run(c)
-            .unwrap()
-        })
+        .map(|c| SuperSim::new(base.clone()).run(c).unwrap())
         .collect();
 
     for threads in [1usize, 2, 8] {

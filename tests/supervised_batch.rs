@@ -209,7 +209,7 @@ fn mlft_and_recombine_panics_are_isolated() {
     }
 }
 
-/// A zero batch-wide job deadline interrupts every job at its first
+/// A zero job deadline interrupts every job at its first
 /// checkpoint with a typed `DeadlineExceeded`.
 #[test]
 fn zero_job_deadline_interrupts_every_job() {
